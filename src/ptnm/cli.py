@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -37,9 +39,16 @@ from .io import (
     write_csv_atomic,
     write_json_atomic,
 )
-from .measures import measure_series, nm_ee
+from .measures import _entropy_of_state, measure_series, nm_ee
 from .models import UQDMParams, XXChainParams, ruqdm_channel, uqdm_memory_series, xx_chain_model
-from .process_tensor import MaterializationLimitError, ProcessTensorMPDO, build, materialize, norm_sq
+from .process_tensor import (
+    MaterializationLimitError,
+    ProcessTensorMPDO,
+    _env_states,
+    build,
+    materialize,
+    norm_sq,
+)
 from .reconstruct import FitReport, ReconstructionAnsatz, fit, predict
 
 EXIT_OK = 0
@@ -341,22 +350,30 @@ def _target_from_file(cfg: ExperimentConfig) -> ProcessTensorMPDO:
 # ---------------------------------------------------------------------------
 
 
-def _measure_rows(pt: ProcessTensorMPDO, trace_tol: float) -> list[tuple]:
-    """Rows (j, N^osee_j, N^ee_j, boundary_flag) for j = 1..k-1.
+def _measure_rows(pt: ProcessTensorMPDO, trace_tol: float) -> tuple[list[tuple], str | None]:
+    """Rows (j, N^osee_j, N^ee_j, boundary_flag) for j = 1..k-1, and why any
+    ``nm_ee`` entry is NaN (``None`` when none is).
 
-    A recursion failure (possible on fitted models sitting in a gauge far
-    from trace preservation) yields NaN entries rather than aborting the run.
+    The ``nm_ee`` column comes from one environment recursion. A recursion
+    failure (possible on fitted models sitting in a gauge far from trace
+    preservation) yields NaN entries from the failing step on rather than
+    aborting the run.
     """
     series = measure_series(pt, "osee")
-    rows = []
-    for j in series.steps:
-        try:
-            ee = nm_ee(pt, j, trace_tol=trace_tol)
-        except ValueError:
-            ee = float("nan")
-        flag = 1 if j in series.boundary_flagged else 0
-        rows.append((j, series.value_at(j), ee, flag))
-    return rows
+    ee: list[float] = []
+    note = None
+    try:
+        for env in itertools.islice(_env_states(pt, trace_tol), 1, pt.k):
+            ee.append(_entropy_of_state(env, None))
+    except ValueError as exc:
+        steps = f"{len(series.steps) - len(ee)} of {len(series.steps)} steps"
+        note = f"nm_ee is NaN at {steps} from j = {len(ee) + 1}: {exc}"
+    ee += [math.nan] * (len(series.steps) - len(ee))
+    rows = [
+        (j, osee_j, ee_j, 1 if j in series.boundary_flagged else 0)
+        for j, osee_j, ee_j in zip(series.steps, series.values, ee)
+    ]
+    return rows, note
 
 
 def _mid_entropy(ansatz: ReconstructionAnsatz, k: int, trace_tol: float = 0.9) -> float:
@@ -430,6 +447,7 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
     reports: dict[str, dict] = {}
     non_converged: list[float] = []
+    nan_notes: dict[str, str] = {}
     for idx, gamma in enumerate(cfg.gammas):
         target = _xx_target(cfg, gamma, cfg.k, pure_system=True)
         ansatz, report, chosen = _fit_selected(target, cfg, idx)
@@ -437,10 +455,10 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
             non_converged.append(gamma)
         fitted = predict(ansatz, cfg.k)
         name = f"{cfg.experiment}_gamma{gamma:g}"
-        tables[name] = (
-            ("j", "nm_osee", "nm_ee", "boundary_flag"),
-            _measure_rows(fitted, trace_tol=0.9),
-        )
+        rows, note = _measure_rows(fitted, trace_tol=0.9)
+        tables[name] = (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)
+        if note:
+            nan_notes[name] = note
         reports[f"{name}_fit"] = {
             "gamma": gamma,
             "n": cfg.n,
@@ -449,6 +467,8 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
         }
     metadata = _metadata(cfg)
     metadata["non_converged_gammas"] = non_converged
+    if nan_notes:
+        metadata["nan_measure_rows"] = nan_notes
     metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(metadata, tables, reports)
 
@@ -471,12 +491,13 @@ def run_fig3(cfg: ExperimentConfig) -> ResultBundle:
 def run_measure(cfg: ExperimentConfig) -> ResultBundle:
     t0 = time.perf_counter()
     pt = _model_process_tensor(cfg, pure_system=False)
+    rows, note = _measure_rows(pt, 0.1)
     metadata = _metadata(cfg)
+    if note:
+        metadata["nan_measure_rows"] = {"measure": note}
     metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(
-        metadata,
-        {"measure": (("j", "nm_osee", "nm_ee", "boundary_flag"), _measure_rows(pt, 0.1))},
-        {},
+        metadata, {"measure": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}, {}
     )
 
 
@@ -487,12 +508,10 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
     fitted = predict(ansatz, cfg.k)
     metadata = _metadata(cfg)
     metadata["non_converged"] = not report.converged
-    tables = {
-        "reconstruct_measures": (
-            ("j", "nm_osee", "nm_ee", "boundary_flag"),
-            _measure_rows(fitted, trace_tol=0.9),
-        )
-    }
+    rows, note = _measure_rows(fitted, trace_tol=0.9)
+    if note:
+        metadata["nan_measure_rows"] = {"reconstruct_measures": note}
+    tables = {"reconstruct_measures": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}
     reports = {
         "reconstruct_ansatz": ansatz_to_dict(ansatz),
         "reconstruct_fit": {"selected_restart": chosen, **fit_report_to_dict(report)},
@@ -598,6 +617,8 @@ def main(argv: list[str] | None = None) -> int:
     if bundle.metadata.get("non_converged_gammas"):
         flagged = ", ".join(f"{g:g}" for g in bundle.metadata["non_converged_gammas"])
         print(f"note: fit did not converge for gamma = {flagged}")
+    for name, note in bundle.metadata.get("nan_measure_rows", {}).items():
+        print(f"note: {name}: {note}")
     print(f"done in {bundle.metadata['wall_time_s']:.1f}s")
     return EXIT_OK
 

@@ -10,12 +10,13 @@ through left/right Gram matrices, the second through a ``D x D`` recursion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .process_tensor import ProcessTensorMPDO, _env_state_recursion
+from .process_tensor import ProcessTensorMPDO, _env_states, _left_sweep, _right_sweep
 from .tensorops import (
     Spectrum,
     check_density_matrix,
@@ -41,17 +42,23 @@ def env_state(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> En
     Step zero is the environment marginal of the initial joint state; each
     later step feeds the maximally mixed system through the site tensor and
     keeps the environment, renormalized per step (see
-    ``_env_state_recursion`` for the trace bookkeeping).
+    ``ptnm.process_tensor._env_states`` for the trace bookkeeping).
     """
-    return EnvState(_env_state_recursion(pt, j, trace_tol=trace_tol), j)
+    if not 0 <= j <= pt.k:
+        raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
+    return EnvState(next(itertools.islice(_env_states(pt, trace_tol), j, None)), j)
 
 
-def _entropy_of_state(rho: np.ndarray, alpha: float | None) -> float:
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    spectrum = Spectrum.from_values(w)
+def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float:
+    """Von Neumann (``alpha=None``) or Renyi entropy in bits."""
+    spectrum = Spectrum.from_values(eigenvalues)
     if alpha is None:
         return von_neumann_entropy(spectrum)
     return renyi_entropy(spectrum, alpha)
+
+
+def _entropy_of_state(rho: np.ndarray, alpha: float | None) -> float:
+    return _entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), alpha)
 
 
 def nm_ee(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> float:
@@ -64,31 +71,6 @@ def nm_ee(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> float:
 # ---------------------------------------------------------------------------
 # Operational entanglement entropy across a temporal cut
 # ---------------------------------------------------------------------------
-
-
-def _left_grams(pt: ProcessTensorMPDO, up_to: int) -> list[np.ndarray]:
-    """Gram matrices of the left blocks at bonds 0..up_to, 4-axis form
-    ``[bra_bond, bra_bond', ket_bond, ket_bond']``."""
-    l = np.einsum("oOxX,oOyY->xXyY", pt.rho0.conj(), pt.rho0)
-    grams = [l]
-    for m in range(up_to):
-        w = pt.sites[m]
-        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l, w)
-        l = np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, w.conj())
-        grams.append(l)
-    return grams
-
-
-def _right_gram(pt: ProcessTensorMPDO, at_bond: int) -> np.ndarray:
-    """Gram matrix of the right block at the given bond (4-axis form); the
-    final environment trace is the boundary vector."""
-    D = pt.D
-    r = np.einsum("xX,yY->xXyY", np.eye(D), np.eye(D)).astype(complex)
-    for m in range(pt.k - 1, at_bond - 1, -1):
-        w = pt.sites[m]
-        tmp = np.einsum("iIoOyYqQ,pPqQ->iIoOyYpP", w, r)
-        r = np.einsum("iIoOxXpP,iIoOyYpP->xXyY", w.conj(), tmp)
-    return r
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -146,24 +128,22 @@ def osee(
     if cut == "bond":
         if not 1 <= j <= pt.k - 1:
             raise ValueError(f"bond cut needs 1 <= j <= {pt.k - 1}, got {j}")
-        gl = _left_grams(pt, j)[j]
-        gr = _right_gram(pt, j)
+        gl = _left_sweep(pt.rho0, pt.sites[:j], pt.rho0, pt.sites[:j])[-1]
+        gr = _right_sweep(pt.sites[j:], pt.sites[j:])[0]
         spectrum = _cut_spectrum(gl, gr)
     elif cut == "site":
         if not 1 <= j <= pt.k:
             raise ValueError(f"site cut needs 1 <= j <= {pt.k}, got {j}")
-        gl4 = _left_grams(pt, j - 1)[j - 1]
+        gl4 = _left_sweep(pt.rho0, pt.sites[: j - 1], pt.rho0, pt.sites[: j - 1])[-1]
         left_half, right_half = _split_site(pt.sites[j - 1])
         gl = np.einsum("iIxXu,xXyY,iIyYv->uv", left_half.conj(), gl4, left_half)
-        r4 = _right_gram(pt, j)
+        # the sweep from site j-1 keeps the sites' bond dimensions when j = k
+        r4 = _right_sweep(pt.sites[j - 1 :], pt.sites[j - 1 :])[1]
         gr = np.einsum("uoOpP,pPqQ,voOqQ->uv", right_half.conj(), r4, right_half)
         spectrum = _cut_spectrum(gl, gr)
     else:
         raise ValueError(f"unknown cut {cut!r}; expected 'bond' or 'site'")
-    values = Spectrum.from_values(spectrum)
-    if alpha is None:
-        return von_neumann_entropy(values) / 2.0
-    return renyi_entropy(values, alpha) / 2.0
+    return _entropy(spectrum, alpha) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -238,34 +218,21 @@ def measure_series(
 
     ``kind`` is ``"osee"`` (steps ``1..k-1``, right-boundary points flagged
     within ``boundary_margin`` of ``k``, default ``k/5``) or ``"ee"``
-    (steps ``1..k``).
+    (steps ``1..k``). Either costs one pass over the sites: ``osee`` one
+    left and one right boundary sweep, ``ee`` one environment recursion.
     """
     if kind == "osee":
         steps = tuple(range(1, pt.k))
-        grams = _left_grams(pt, pt.k - 1)
-        values = []
-        for j in steps:
-            spectrum = Spectrum.from_values(_cut_spectrum(grams[j], _right_gram(pt, j)))
-            if alpha is None:
-                values.append(von_neumann_entropy(spectrum) / 2.0)
-            else:
-                values.append(renyi_entropy(spectrum, alpha) / 2.0)
+        lefts = _left_sweep(pt.rho0, pt.sites, pt.rho0, pt.sites)
+        rights = _right_sweep(pt.sites, pt.sites)
+        values = [_entropy(_cut_spectrum(lefts[j], rights[j]), alpha) / 2.0 for j in steps]
         margin = pt.k / 5.0 if boundary_margin is None else float(boundary_margin)
         flagged = tuple(j for j in steps if pt.k - j <= margin)
         return MeasureSeries(kind, steps, tuple(values), flagged)
     if kind == "ee":
-        steps = tuple(range(1, pt.k + 1))
-        values = []
-        env = np.einsum("ooaA->aA", pt.rho0)
-        env = (env + env.conj().T) / 2.0
-        for m in range(pt.k):
-            env = np.einsum("iiooaAbB,aA->bB", pt.sites[m], env) / pt.d
-            trace = float(np.trace(env).real)
-            if abs(trace - 1.0) > trace_tol:
-                raise ValueError(
-                    f"environment-state trace drifted to {trace!r} at step {m + 1}"
-                )
-            env = (env + env.conj().T) / (2.0 * trace)
-            values.append(_entropy_of_state(env, alpha))
-        return MeasureSeries(kind, steps, tuple(values))
+        values = tuple(
+            _entropy_of_state(env, alpha)
+            for env in itertools.islice(_env_states(pt, trace_tol), 1, None)
+        )
+        return MeasureSeries(kind, tuple(range(1, pt.k + 1)), values)
     raise ValueError(f"unknown measure kind {kind!r}; expected 'osee' or 'ee'")

@@ -14,6 +14,8 @@ preparation)`` operator pairs realizing ``rho -> tr(M rho) * P``.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +57,11 @@ class ProcessTensorMPDO:
         )
         if not sites:
             raise ValueError("a process tensor needs at least one step")
+        checked = set()
         for m, w in enumerate(sites):
+            if id(w) in checked:  # build and predict repeat one object k times
+                continue
+            checked.add(id(w))
             if w.shape != (d, d, d, d, D, D, D, D):
                 raise ValueError(
                     f"site {m} has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}"
@@ -232,23 +238,21 @@ def expectation_do_nothing(pt: ProcessTensorMPDO, measurement: np.ndarray, j: in
     return float(value.real)
 
 
-def _env_state_recursion(
-    pt: ProcessTensorMPDO, j: int, trace_tol: float = SITE_TOL
-) -> np.ndarray:
-    """Effective environment state after ``j`` steps under trace-averaged
-    interventions.
+def _env_states(pt: ProcessTensorMPDO, trace_tol: float = SITE_TOL) -> Iterator[np.ndarray]:
+    """Effective environment states ``rho_E_0, rho_E_1, ..., rho_E_k`` under
+    trace-averaged interventions, yielded one step at a time.
 
     Each step contracts the site with the identity on the system input pair,
     divides by ``d``, and renormalizes; the pre-normalization trace must stay
     within ``trace_tol`` of one, which holds exactly for trace-preserving
-    sites and flags convention bugs or badly unnormalized fitted tensors.
+    sites and flags convention bugs or badly unnormalized fitted tensors. A
+    drift raises ``ValueError`` in place of the step's state.
     """
-    if not 0 <= j <= pt.k:
-        raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
     env = np.einsum("ooaA->aA", pt.rho0)
     env = (env + env.conj().T) / 2.0
-    for m in range(j):
-        env = np.einsum("iiooaAbB,aA->bB", pt.sites[m], env) / pt.d
+    yield env
+    for m, w in enumerate(pt.sites):
+        env = np.einsum("iiooaAbB,aA->bB", w, env) / pt.d
         trace = float(np.trace(env).real)
         if abs(trace - 1.0) > trace_tol:
             raise ValueError(
@@ -256,7 +260,7 @@ def _env_state_recursion(
                 "site tensors are too far from trace preserving"
             )
         env = (env + env.conj().T) / (2.0 * trace)
-    return env
+        yield env
 
 
 def local_expectation_averaged(
@@ -279,7 +283,7 @@ def local_expectation_averaged(
     if j == 0:
         rho_s = np.einsum("oOaa->oO", pt.rho0)
         return float(np.einsum("Oo,oO->", m_op, rho_s).real)
-    env = _env_state_recursion(pt, j - 1, trace_tol=trace_tol)
+    env = next(itertools.islice(_env_states(pt, trace_tol), j - 1, None))
     x = np.einsum("iI,aA->iIaA", np.eye(pt.d), env)
     y = np.einsum("iIoOaAbB,iIaA->oObB", pt.sites[j - 1], x)
     return float(np.einsum("Oo,oObb->", m_op, y).real)
@@ -363,15 +367,38 @@ def check_containment(
     return ContainmentReport(residual, residual <= tol)
 
 
+def _left_sweep(rho_bra, sites_bra, rho_ket, sites_ket) -> list[np.ndarray]:
+    """Two-layer left boundaries ``[l_0, ..., l_k]``: ``l_m`` contracts the
+    initial tensors and the first ``m`` sites, with axes ``[bra_bond,
+    bra_bond', ket_bond, ket_bond']``. The bra layer is conjugated."""
+    l = [np.einsum("oOxX,oOyY->xXyY", rho_bra.conj(), rho_ket)]
+    for wb, wk in zip(sites_bra, sites_ket):
+        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l[-1], wk)
+        l.append(np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, wb.conj()))
+    return l
+
+
+def _right_sweep(sites_bra, sites_ket) -> list[np.ndarray]:
+    """Two-layer right boundaries ``[r_0, ..., r_k]``: ``r_m`` contracts
+    sites ``m..k-1`` and the final environment trace, in the axis order of
+    :func:`_left_sweep`; ``r_k`` is the trace itself. Needs at least one
+    site, which fixes the bond dimensions."""
+    db = sites_bra[0].shape[4]
+    dk = sites_ket[0].shape[4]
+    r = [np.einsum("cC,bB->cCbB", np.eye(db, dtype=complex), np.eye(dk, dtype=complex))]
+    for wb, wk in zip(reversed(sites_bra), reversed(sites_ket)):
+        tmp = np.einsum("iIoOyYbB,cCbB->iIoOyYcC", wk, r[-1])
+        r.append(np.einsum("iIoOxXcC,iIoOyYcC->xXyY", wb.conj(), tmp))
+    r.reverse()
+    return r
+
+
 def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
     """``<a|b>`` over all physical slots, contracted step by step through the
     bond pairs, never materializing either tensor."""
     if a.k != b.k or a.d != b.d:
         raise ValueError("process tensors must share step count and system dimension")
-    l = np.einsum("oOxX,oOyY->xXyY", a.rho0.conj(), b.rho0)
-    for wa, wb in zip(a.sites, b.sites):
-        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l, wb)
-        l = np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, wa.conj())
+    l = _left_sweep(a.rho0, a.sites, b.rho0, b.sites)[-1]
     return complex(np.einsum("xxaa->", l))
 
 

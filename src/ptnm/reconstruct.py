@@ -30,7 +30,7 @@ import numpy as np
 import scipy.optimize
 
 from .channels import KrausChannel, kraus_to_w
-from .process_tensor import ProcessTensorMPDO, norm_sq
+from .process_tensor import ProcessTensorMPDO, _left_sweep, _right_sweep, norm_sq
 
 PSI_NORM_TOL = 1e-10
 
@@ -141,26 +141,7 @@ def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
 # All two-layer contractions put the (conjugated) bra layer's bond pair first
 # and the ket layer's second, matching inner_product. Left caches l[m] hold
 # the network left of site m; right caches r[m] hold everything from site m
-# rightward including the final double trace.
-
-
-def _left_caches(rho_bra, sites_bra, rho_ket, sites_ket, k):
-    l = [np.einsum("oOxX,oOyY->xXyY", rho_bra.conj(), rho_ket)]
-    for m in range(k):
-        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l[-1], sites_ket[m])
-        l.append(np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, sites_bra[m].conj()))
-    return l
-
-
-def _right_caches(sites_bra, sites_ket, k):
-    db = sites_bra[0].shape[4]
-    dk = sites_ket[0].shape[4]
-    cap = np.einsum("cC,bB->cCbB", np.eye(db, dtype=complex), np.eye(dk, dtype=complex))
-    r = [cap]
-    for m in range(k - 1, -1, -1):
-        tmp = np.einsum("iIoOyYbB,cCbB->iIoOyYcC", sites_ket[m], r[0])
-        r.insert(0, np.einsum("iIoOxXcC,iIoOyYcC->xXyY", sites_bra[m].conj(), tmp))
-    return r
+# rightward including the final double trace (the process_tensor sweeps).
 
 
 def _pair_value(l_last) -> complex:
@@ -261,12 +242,12 @@ class _Objective:
         k = self.k
 
         # cross term C = <Y_fit, Y_target>
-        lc = _left_caches(rho0, sites, self.t_rho0, self.t_sites, k)
-        rc = _right_caches(sites, self.t_sites, k)
+        lc = _left_sweep(rho0, sites, self.t_rho0, self.t_sites)
+        rc = _right_sweep(sites, self.t_sites)
         c_val = _pair_value(lc[k])
         # self term T1 = <Y_fit, Y_fit>
-        ls = _left_caches(rho0, sites, rho0, sites, k)
-        rs = _right_caches(sites, sites, k)
+        ls = _left_sweep(rho0, sites, rho0, sites)
+        rs = _right_sweep(sites, sites)
         t1_val = _pair_value(ls[k]).real
 
         value = t1_val - 2.0 * c_val.real + self.t0
@@ -459,7 +440,7 @@ def fit(
             )
             x = res.x
             iterations += res.nit
-            history = tuple(stopper.history)
+            history += tuple(stopper.history)
             final = res.fun
         if best is None or final < best[0]:
             best = (final, x, history, iterations)

@@ -10,6 +10,7 @@ import argparse
 import time
 
 import numpy as np
+import pytest
 
 from ptnm import cli
 from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
@@ -79,6 +80,7 @@ def test_markovian_model_measures_vanish_identically():
     )
 
 
+@pytest.mark.slow
 def test_dissipative_chain_limits_at_zero_filling():
     """Reconstructed two-spin chain at k=20, n=0: the undamped chain keeps
     both mid-range measures near one bit, strong damping pushes both
@@ -104,6 +106,7 @@ def test_dissipative_chain_limits_at_zero_filling():
     )
 
 
+@pytest.mark.slow
 def test_dissipative_chain_ordering_at_half_filling():
     """At n=0.5 the chain approaches a Markovian limit as damping grows:
     mid-range measures must order gamma=20 < gamma=10 < gamma=5 and stay

@@ -4,22 +4,29 @@ of repeated runs."""
 
 import argparse
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+import ptnm.cli
 from ptnm.cli import (
     EXIT_CONFIG,
     EXIT_FILE,
     EXIT_GUARD,
     EXIT_OK,
     ConfigError,
+    _measure_rows,
     config_hash,
     main,
     resolve_config,
 )
 from ptnm.io import load_json
+from ptnm.measures import nm_ee
+from ptnm.models import XXChainParams, xx_chain_model
+from ptnm.process_tensor import ProcessTensorMPDO, build
 
 
 def ns(**kwargs) -> argparse.Namespace:
@@ -262,3 +269,60 @@ def test_reconstruct_smoke_on_trivial_environment(tmp_path):
     assert ansatz["d"] == 2 and ansatz["D"] == 1
     table = open(os.path.join(out, "reconstruct_measures.csv")).read().splitlines()
     assert table[0] == "j,nm_osee,nm_ee,boundary_flag"
+
+
+# ---------------------------------------------------------------------------
+# Measure rows
+# ---------------------------------------------------------------------------
+
+
+def _chain_pt(k: int) -> ProcessTensorMPDO:
+    channel, rho0 = xx_chain_model(XXChainParams(gamma=5.0, n=0.5))
+    return build(channel, rho0, k)
+
+
+def _drifting_pt(k: int) -> ProcessTensorMPDO:
+    """A chain tensor whose step-7 site is scaled by 1.5: the environment
+    trace jumps to 1.5 at step 7."""
+    pt = _chain_pt(k)
+    sites = list(pt.sites)
+    sites[6] = sites[6] * 1.5
+    return ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
+
+
+def test_measure_rows_ee_column_equals_per_step_nm_ee():
+    pt = _chain_pt(40)
+    rows, note = _measure_rows(pt, trace_tol=0.1)
+    assert note is None
+    assert [r[0] for r in rows] == list(range(1, 40))
+    assert [r[2] for r in rows] == [nm_ee(pt, j, trace_tol=0.1) for j in range(1, 40)]
+
+
+def test_measure_rows_report_a_trace_drift():
+    pt = _drifting_pt(40)
+    rows, note = _measure_rows(pt, trace_tol=0.1)
+    ee = [r[2] for r in rows]
+    assert ee[:6] == [nm_ee(pt, j, trace_tol=0.1) for j in range(1, 7)]
+    assert all(math.isnan(v) for v in ee[6:])
+    for j in range(7, 40):
+        with pytest.raises(ValueError):
+            nm_ee(pt, j, trace_tol=0.1)
+    assert note.startswith("nm_ee is NaN at 33 of 39 steps from j = 7:")
+    drift = re.search(r"drifted to (\S+) at step 7;", note)
+    assert float(drift.group(1)) == pytest.approx(1.5)
+
+
+def test_measure_run_reports_nan_rows_only_when_present(tmp_path, monkeypatch, capsys):
+    argv = ["measure", "--gamma", "5", "--n", "0.5", "--k", "12"]
+    clean = str(tmp_path / "clean")
+    assert main(argv + ["--out", clean]) == EXIT_OK
+    assert "nan_measure_rows" not in load_json(os.path.join(clean, "measure.meta.json"))
+    assert "note:" not in capsys.readouterr().out
+
+    monkeypatch.setattr(ptnm.cli, "_model_process_tensor", lambda cfg, pure_system: _drifting_pt(12))
+    drift = str(tmp_path / "drift")
+    assert main(argv + ["--out", drift]) == EXIT_OK
+    meta = load_json(os.path.join(drift, "measure.meta.json"))
+    note = meta["nan_measure_rows"]["measure"]
+    assert note.startswith("nm_ee is NaN at 5 of 11 steps from j = 7:")
+    assert f"note: measure: {note}" in capsys.readouterr().out

@@ -11,6 +11,7 @@ import pytest
 
 from ptnm.channels import kraus_to_w, random_cptp_channel, unitary_channel
 from ptnm.measures import (
+    _cut_spectrum,
     env_state,
     measure_series,
     memory_complexity,
@@ -18,7 +19,8 @@ from ptnm.measures import (
     osee,
 )
 from ptnm.models import XXChainParams, ruqdm_channel, xx_chain_model, xx_chain_unitary
-from ptnm.process_tensor import build, gauge_transform_env, materialize
+from ptnm.process_tensor import ProcessTensorMPDO, build, gauge_transform_env, materialize
+from ptnm.tensorops import Spectrum, von_neumann_entropy
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -252,7 +254,47 @@ def test_measure_series_ee_covers_all_steps():
     series = measure_series(pt, "ee")
     assert series.steps == tuple(range(1, 7))
     assert series.boundary_flagged == ()
-    np.testing.assert_allclose(series.value_at(6), nm_ee(pt, 6), atol=1e-13)
+    # one recursion pass does what each nm_ee call does, to the last bit
+    assert series.values == tuple(nm_ee(pt, j) for j in series.steps)
+
+
+def _per_cut_osee_reference(pt):
+    """The osee series as an O(k^2) loop: left Grams grown step by step, and
+    the right Gram rebuilt from the final trace for every cut."""
+    D = pt.D
+    l = np.einsum("oOxX,oOyY->xXyY", pt.rho0.conj(), pt.rho0)
+    values = []
+    for j in range(1, pt.k):
+        w = pt.sites[j - 1]
+        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l, w)
+        l = np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, w.conj())
+        r = np.einsum("xX,yY->xXyY", np.eye(D), np.eye(D)).astype(complex)
+        for m in range(pt.k - 1, j - 1, -1):
+            w = pt.sites[m]
+            tmp = np.einsum("iIoOyYqQ,pPqQ->iIoOyYpP", w, r)
+            r = np.einsum("iIoOxXpP,iIoOyYpP->xXyY", w.conj(), tmp)
+        values.append(von_neumann_entropy(Spectrum.from_values(_cut_spectrum(l, r))) / 2.0)
+    return tuple(values)
+
+
+def test_osee_series_equals_per_cut_reference_exactly():
+    """One left and one right sweep do the per-cut loop's arithmetic, so the
+    values agree to the last bit."""
+    pt = xx_pt(5.0, 40, n=0.5)
+    series = measure_series(pt, "osee")
+    assert series.values == _per_cut_osee_reference(pt)
+    assert [osee(pt, j) for j in (1, 20, 39)] == [series.value_at(j) for j in (1, 20, 39)]
+
+
+def test_ee_series_raises_on_trace_drift():
+    pt = xx_pt(1.0, 10)
+    sites = list(pt.sites)
+    sites[6] = sites[6] * 1.5  # the step-7 site
+    drifting = ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
+    with pytest.raises(ValueError, match="at step 7") as excinfo:
+        measure_series(drifting, "ee")
+    trace = float(str(excinfo.value).split("drifted to ")[1].split(" ")[0])
+    assert trace == pytest.approx(1.5)
 
 
 def test_measure_series_rejects_unknown_kind():

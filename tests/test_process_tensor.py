@@ -85,6 +85,20 @@ def test_process_tensor_rejects_non_trace_preserving_site():
     ProcessTensorMPDO(pt.rho0, (bad,), site_tol=None)
 
 
+def test_site_checks_name_the_first_step_of_a_bad_object():
+    pt = xx_pt(1.0, 2)
+    good = pt.sites[0]
+    bad = good * 1.01
+    # each distinct object is checked once, but the error still names the
+    # first step it appears at
+    with pytest.raises(ValueError, match="site 3 breaks trace preservation"):
+        ProcessTensorMPDO(pt.rho0, (good,) * 3 + (bad,) * 4 + (good,))
+    skewed = good.copy()
+    skewed[0, 1, 0, 0, 0, 0, 0, 0] += 1e-3
+    with pytest.raises(ValueError, match="site 1 breaks prime-swap Hermiticity"):
+        ProcessTensorMPDO(pt.rho0, (good, skewed, skewed), site_tol=None)
+
+
 def test_rho0_matrix_round_trip():
     pt = xx_pt(0.5, 1)
     m = pt.rho0_matrix()

@@ -254,6 +254,8 @@ def test_fit_report_fields_are_consistent():
     assert report.converged == (report.final_loss < 1e-8)
     assert report.iterations > 0
     assert len(report.loss_history) > 0
+    # the stall callback records one loss per iteration, over every stage
+    assert len(report.loss_history) == report.iterations
     assert report.normalization_residual >= 0.0
 
 
