@@ -9,9 +9,10 @@ Conventions, fixed once here:
 * Vectorization is row-major (C order): ``vec(rho)[i*n + j] = rho[i, j]``,
   hence ``vec(A rho B) = (A kron B^T) vec(rho)`` and a Kraus map has
   superoperator ``sum_s A_s kron conj(A_s)``.
-* The eight-index site tensor ``W`` of a channel carries labels
-  ``(i, i', o, o', a, a', b, b')``: system input pair, system output pair,
-  environment input pair, environment output pair, with
+* The eight-index site tensor ``W`` of a channel is a bare array in the
+  axis order :data:`W_LABELS`, ``(i, i', o, o', a, a', b, b')``: system
+  input pair, system output pair, environment input pair, environment
+  output pair, with
 
   ``W[i,i',o,o',a,a',b,b'] = sum_s A_s[(o,b),(i,a)] * conj(A_s[(o',b'),(i',a')])``.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import LabeledTensor, check_hermitian, check_unitary
+from .tensorops import check_hermitian, check_unitary
 
 W_LABELS = ("i", "i'", "o", "o'", "a", "a'", "b", "b'")
 
@@ -69,39 +70,28 @@ class KrausChannel:
 class ChannelTensor:
     """The eight-index site tensor of a channel, always normalized.
 
-    Instances satisfy Hermiticity under prime-swap and the trace-preservation
-    contraction within ``tol``; unnormalized site tensors (as produced during
-    variational reconstruction) are handled as bare arrays, not as
-    :class:`ChannelTensor`.
+    ``w`` is the bare ``(d, d, d, d, D, D, D, D)`` array in the
+    :data:`W_LABELS` axis order. Instances satisfy Hermiticity under
+    prime-swap and the trace-preservation contraction within ``tol``;
+    unnormalized site tensors (as produced during variational reconstruction)
+    are handled as bare arrays, not as :class:`ChannelTensor`.
     """
 
-    w: LabeledTensor
+    w: np.ndarray
     tol: float = TP_TOL
 
     def __post_init__(self):
-        if self.w.labels != W_LABELS:
-            raise ValueError(f"site tensor labels must be {W_LABELS}, got {self.w.labels}")
-        data = self.w.data
-        d = data.shape[0]
-        D = data.shape[4]
-        if data.shape != (d, d, d, d, D, D, D, D):
-            raise ValueError(f"inconsistent site tensor shape {data.shape}")
-        herm = np.abs(data.conj() - data.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max()
-        if herm > self.tol:
-            raise ValueError(f"site tensor breaks prime-swap Hermiticity: {herm:.3e}")
-        residual = _tp_residual(data)
-        if residual > self.tol:
-            raise ValueError(
-                f"site tensor breaks trace preservation: residual {residual:.3e}"
-            )
+        w = np.asarray(self.w, dtype=complex)
+        object.__setattr__(self, "w", w)
+        _check_site(w, w.shape[0], w.shape[-1], self.tol, self.tol)
 
     @property
     def d(self) -> int:
-        return self.w.data.shape[0]
+        return self.w.shape[0]
 
     @property
     def D(self) -> int:
-        return self.w.data.shape[4]
+        return self.w.shape[4]
 
 
 @dataclass(frozen=True)
@@ -134,6 +124,11 @@ class LindbladSpec:
                 raise ValueError(f"jump rate must be nonnegative, got {rate}")
 
 
+def _herm_residual(w: np.ndarray) -> float:
+    # swapping every unprimed index with its primed partner must conjugate W
+    return float(np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max())
+
+
 def _tp_residual(w: np.ndarray) -> float:
     # tracing the output pairs (o,o') and (b,b') must leave identity on (i,i')x(a,a')
     n = np.einsum("ijooaebb->ijae", w)
@@ -142,12 +137,28 @@ def _tp_residual(w: np.ndarray) -> float:
     return float(np.abs(n - target).max())
 
 
+def _check_site(w: np.ndarray, d: int, D: int, herm_tol: float, tp_tol: float | None,
+                name: str = "site tensor") -> None:
+    """Raise unless ``w`` has the site shape for ``(d, D)``, is prime-swap
+    Hermitian within ``herm_tol`` and trace preserving within ``tp_tol``
+    (``None`` skips the trace-preservation check)."""
+    if w.shape != (d, d, d, d, D, D, D, D):
+        raise ValueError(f"{name} has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}")
+    herm = _herm_residual(w)
+    if herm > herm_tol:
+        raise ValueError(f"{name} breaks prime-swap Hermiticity: {herm:.3e}")
+    if tp_tol is not None:
+        residual = _tp_residual(w)
+        if residual > tp_tol:
+            raise ValueError(f"{name} breaks trace preservation: residual {residual:.3e}")
+
+
 def kraus_to_w(channel: KrausChannel) -> ChannelTensor:
     """Assemble the eight-index site tensor from a Kraus set."""
     d, D = channel.d, channel.D
     k = np.stack([a.reshape(d, D, d, D) for a in channel.kraus])  # [s, o, b, i, a]
     w = np.einsum("sobia,spcje->ijopaebc", k, k.conj())
-    return ChannelTensor(LabeledTensor(w, W_LABELS))
+    return ChannelTensor(w)
 
 
 def unitary_channel(u: np.ndarray, d: int, D: int) -> KrausChannel:
@@ -235,7 +246,7 @@ def apply_channel(ct: ChannelTensor, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (d * D, d * D):
         raise ValueError(f"state has shape {rho.shape}, expected {(d * D, d * D)}")
     rho4 = rho.reshape(d, D, d, D)
-    out = np.einsum("ijopaebc,iaje->obpc", ct.w.data, rho4)
+    out = np.einsum("ijopaebc,iaje->obpc", ct.w, rho4)
     return out.reshape(d * D, d * D)
 
 
@@ -255,10 +266,10 @@ def check_cptp(ct: ChannelTensor | np.ndarray, tol: float = TP_TOL) -> CPTPRepor
     smallest eigenvalue of the tensor read as a Choi operator over the
     ``(o, b, i, a)`` pairing.
     """
-    w = ct.w.data if isinstance(ct, ChannelTensor) else np.asarray(ct, dtype=complex)
+    w = ct.w if isinstance(ct, ChannelTensor) else np.asarray(ct, dtype=complex)
     d, D = w.shape[0], w.shape[4]
     tp = _tp_residual(w)
-    herm = float(np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max())
+    herm = _herm_residual(w)
     choi = w.transpose(2, 6, 0, 4, 3, 7, 1, 5).reshape(d * D * d * D, d * D * d * D)
     eig_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min())
     passed = tp <= tol and herm <= tol and eig_min >= -tol

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import random_cptp_channel
+from .channels import kraus_to_w, random_cptp_channel
 from .io import (
     ansatz_to_dict,
     channel_from_dict,
@@ -44,12 +46,13 @@ from .models import UQDMParams, XXChainParams, ruqdm_channel, uqdm_memory_series
 from .process_tensor import (
     MaterializationLimitError,
     ProcessTensorMPDO,
+    _as_matrix,
     _env_states,
     build,
     materialize,
     norm_sq,
 )
-from .reconstruct import FitReport, ReconstructionAnsatz, fit, predict
+from .reconstruct import FTOL, FitReport, ReconstructionAnsatz, fit, predict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,34 +110,81 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-_FILE_KEYS = {
-    "gamma", "gammas", "n", "delta", "coupling", "g", "k", "j_max",
-    "grid_points", "D", "R", "k_schedule", "restarts", "max_iter", "seed",
-    "output_dir", "output_format", "model", "env_dim", "kraus_rank",
-    "channel_file", "paper_scale",
-}
-
 _DEFAULT_GAMMAS = {
     "fig2a": (0.0, 1.0, 5.0),
     "fig2b": (5.0, 10.0, 20.0),
     "fig3": (0.5, 1.0, 2.0),
 }
 
+# flag -> config field; argparse has already typed each flag's value
+_FLAG_KEYS = {"gamma": "gammas", "n": "n", "delta": "delta", "k": "k", "seed": "seed",
+              "out": "output_dir", "format": "output_format", "env_dim": "env_dim",
+              "kraus_rank": "kraus_rank"}
 
-def _parse_gammas(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = [value]
+
+def _to_int(key: str, value) -> int:
+    """An integer, or an integral float such as ``12.0``; never a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _to_float(key: str, value) -> float:
     try:
-        gammas = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"gamma list {value!r} is not numeric") from None
-    if not gammas:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # a non-number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _to_str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _to_bool(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _to_gammas(key: str, value) -> tuple[float, ...]:
+    """A comma-separated string (the ``--gamma`` form), a list, or one number."""
+    if isinstance(value, str):
+        try:
+            value = [float(p) for p in value.split(",") if p.strip()]
+        except ValueError:
+            raise ConfigError(f"gamma list {value!r} is not numeric") from None
+    parts = list(value) if isinstance(value, (list, tuple)) else [value]
+    if not parts:
         raise ConfigError("gamma list is empty")
-    return gammas
+    return tuple(_to_float("gamma", p) for p in parts)
+
+
+def _to_ints(key: str, value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"config key {key!r} must be a nonempty list, got {value!r}")
+    return tuple(_to_int(key, v) for v in value)
+
+
+# one coercion per ExperimentConfig field, keyed by its annotation
+_COERCE = {
+    "str": _to_str,
+    "str | None": lambda key, value: None if value is None else _to_str(key, value),
+    "int": _to_int,
+    "float": _to_float,
+    "bool": _to_bool,
+    "tuple[float, ...]": _to_gammas,
+    "tuple[int, ...]": _to_ints,
+}
+_FIELDS = dataclasses.fields(ExperimentConfig)
+_FILE_KEYS = {f.name for f in _FIELDS} - {"experiment"} | {"gamma"}
+_POSITIVE_INTS = [f.name for f in _FIELDS if f.type == "int" and f.name != "seed"]
 
 
 def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
@@ -142,7 +192,8 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-    paper = bool(getattr(args, "paper_scale", False) or file_cfg.get("paper_scale", False))
+    paper = _to_bool("paper_scale", file_cfg.get("paper_scale", False))
+    paper = paper or getattr(args, "paper_scale", False)
     values = {
         "experiment": experiment,
         "gammas": _DEFAULT_GAMMAS.get(experiment, (5.0,)),
@@ -167,53 +218,22 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
         "channel_file": None,
         "paper_scale": paper,
     }
-
     for key, value in file_cfg.items():
-        if key == "paper_scale":
-            continue
-        if key in ("gamma", "gammas"):
-            values["gammas"] = _parse_gammas(value)
-        elif key == "k_schedule":
-            values["k_schedule"] = tuple(int(v) for v in value)
-        else:
-            values[key] = value
-
-    flag_map = {
-        "gamma": ("gammas", _parse_gammas),
-        "n": ("n", float),
-        "delta": ("delta", float),
-        "k": ("k", int),
-        "seed": ("seed", int),
-        "out": ("output_dir", str),
-        "format": ("output_format", str),
-        "env_dim": ("env_dim", int),
-        "kraus_rank": ("kraus_rank", int),
-    }
-    for flag, (key, cast) in flag_map.items():
+        if key != "paper_scale":
+            values["gammas" if key == "gamma" else key] = value
+    for flag, key in _FLAG_KEYS.items():
         raw = getattr(args, flag, None)
         if raw is not None:
-            values[key] = cast(raw)
-
+            values[key] = raw
     if values["delta"] is None:
         uqdm_like = experiment == "fig3" or values["model"] == "ruqdm"
         values["delta"] = 0.1 if uqdm_like else 0.3
 
-    for key in ("k", "j_max", "grid_points", "D", "R", "restarts", "max_iter", "env_dim", "kraus_rank"):
-        try:
-            values[key] = int(values[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} must be an integer, got {values[key]!r}") from None
-        if values[key] < 1:
-            raise ConfigError(f"config key {key!r} must be positive, got {values[key]}")
-    for key in ("n", "delta", "coupling", "g"):
-        try:
-            values[key] = float(values[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} must be a number, got {values[key]!r}") from None
+    cfg = ExperimentConfig(**{f.name: _COERCE[f.type](f.name, values[f.name]) for f in _FIELDS})
 
-    values["gammas"] = _parse_gammas(values["gammas"])
-    cfg = ExperimentConfig(**values)
-
+    for key in _POSITIVE_INTS:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"config key {key!r} must be positive, got {getattr(cfg, key)}")
     if cfg.output_format not in ("csv", "json"):
         raise ConfigError(f"output_format must be 'csv' or 'json', got {cfg.output_format!r}")
     if cfg.model not in MODELS:
@@ -254,8 +274,6 @@ class ResultBundle:
         return {k: v for k, v in self.metadata.items() if k != "wall_time_s"}
 
     def write(self, out_dir: str, fmt: str) -> list[str]:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         meta = self.file_metadata()
         written: list[str] = []
@@ -311,6 +329,13 @@ def _xx_target(cfg: ExperimentConfig, gamma: float, k: int, pure_system: bool) -
     return build(channel, rho0, k)
 
 
+def _pure0_joint(dim: int) -> np.ndarray:
+    """|0><0| on the joint system-environment space of dimension ``dim``."""
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    return rho0
+
+
 def _model_process_tensor(cfg: ExperimentConfig, pure_system: bool) -> ProcessTensorMPDO:
     if cfg.channel_file is not None:
         return _target_from_file(cfg)
@@ -321,12 +346,7 @@ def _model_process_tensor(cfg: ExperimentConfig, pure_system: bool) -> ProcessTe
         return build(channel, np.eye(2, dtype=complex) / 2.0, cfg.k)
     rng = np.random.default_rng(_seed_seq(cfg.seed, 71))
     channel = random_cptp_channel(2, cfg.env_dim, cfg.kraus_rank, rng)
-    dim = 2 * cfg.env_dim
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    from .channels import kraus_to_w
-
-    return build(kraus_to_w(channel), rho0, cfg.k)
+    return build(kraus_to_w(channel), _pure0_joint(2 * cfg.env_dim), cfg.k)
 
 
 def _target_from_file(cfg: ExperimentConfig) -> ProcessTensorMPDO:
@@ -338,10 +358,7 @@ def _target_from_file(cfg: ExperimentConfig) -> ProcessTensorMPDO:
         if rho0.shape != (dim, dim):
             raise ValueError(f"field 'rho0' has shape {rho0.shape}, expected {(dim, dim)}")
     else:
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[0, 0] = 1.0
-    from .channels import kraus_to_w
-
+        rho0 = _pure0_joint(dim)
     return build(kraus_to_w(channel), rho0, cfg.k)
 
 
@@ -391,7 +408,6 @@ def _fit_selected(
     target: ProcessTensorMPDO,
     cfg: ExperimentConfig,
     curve_index: int,
-    ftol: float = 1e-8,
 ) -> tuple[ReconstructionAnsatz, FitReport, int]:
     """Fit with ``cfg.restarts`` independent starts and pick the candidate
     with the least environment use among (near-)ties in loss.
@@ -399,7 +415,7 @@ def _fit_selected(
     The loss alone does not identify the model: representations far apart in
     environment entropy can reproduce the same process. Reconstruction is
     after the smallest environment consistent with the data, so among
-    candidates converged to ``ftol`` -- or, when nothing converges, within a
+    candidates converged to ``FTOL`` -- or, when nothing converges, within a
     factor 2 of the best achieved loss -- the one with the smallest mid-range
     environment entropy wins. Starts alternate between a perturbed memoryless
     model and a generic Gaussian draw, and every fit carries a unit
@@ -420,14 +436,13 @@ def _fit_selected(
             seed=_seed_seq(cfg.seed, curve_index, r),
             init=init,
             penalty=1.0,
-            ftol=ftol,
         )
         candidates.append((ansatz, report, r))
     best_loss = min(rep.final_loss for _, rep, _ in candidates)
     tied = [
         (ans, rep, r)
         for ans, rep, r in candidates
-        if rep.final_loss < ftol or rep.final_loss <= 2.0 * best_loss
+        if rep.final_loss < FTOL or rep.final_loss <= 2.0 * best_loss
     ]
     scored = [
         (_mid_entropy(ans, target.k), rep.final_loss, r, ans, rep) for ans, rep, r in tied
@@ -523,14 +538,14 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
 def run_build(cfg: ExperimentConfig) -> ResultBundle:
     t0 = time.perf_counter()
     pt = _model_process_tensor(cfg, pure_system=False)
-    choi = materialize(pt, k_max=MATERIALIZE_GUARD)
+    dense = materialize(pt, k_max=MATERIALIZE_GUARD)
     metadata = _metadata(cfg)
     report = {
         "d": pt.d,
         "D": pt.D,
         "k": pt.k,
         "norm_sq": float(format_float(norm_sq(pt))),
-        "upsilon": complex_to_pairs(choi.as_matrix()),
+        "upsilon": complex_to_pairs(_as_matrix(dense)),
     }
     metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(metadata, {}, {"build": report})
@@ -560,7 +575,9 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once on first use."""
     parser = argparse.ArgumentParser(
         prog="ptnm",
         description="Process-tensor non-Markovianity experiments",

@@ -97,53 +97,19 @@ def _cut_spectrum(gram_left: np.ndarray, gram_right: np.ndarray) -> np.ndarray:
     return eigs / total
 
 
-def _split_site(w: np.ndarray):
-    """SVD a site tensor between its input pair and output pair, returning
-    half-site tensors ``[i, i', a, a', m]`` and ``[m, o, o', b, b']``."""
-    d, D = w.shape[0], w.shape[4]
-    mat = w.transpose(0, 1, 4, 5, 2, 3, 6, 7).reshape(d * d * D * D, d * d * D * D)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > s[0] * 1e-14 if s[0] > 0 else slice(0, 1)
-    u, s, vh = u[:, keep], s[keep], vh[keep]
-    left = (u * np.sqrt(s)).reshape(d, d, D, D, s.size)
-    right = (np.sqrt(s)[:, None] * vh).reshape(s.size, d, d, D, D)
-    return left, right
-
-
-def osee(
-    pt: ProcessTensorMPDO,
-    j: int,
-    alpha: float | None = None,
-    cut: str = "bond",
-) -> float:
+def osee(pt: ProcessTensorMPDO, j: int, alpha: float | None = None) -> float:
     """Operational measure: half the entanglement entropy of the vectorized
     process tensor across the temporal cut at step ``j``, in bits.
 
-    ``cut="bond"`` (default) places the cut on the environment bond between
-    the step-``j`` and step-``j+1`` site tensors, keeping slots up to ``o_j``
-    on the left; ``cut="site"`` instead splits the step-``j`` site between
-    its input and output pairs. ``alpha`` switches the entropy to the Renyi
-    family.
+    The cut sits on the environment bond between the step-``j`` and
+    step-``j+1`` site tensors, keeping slots up to ``o_j`` on the left.
+    ``alpha`` switches the entropy to the Renyi family.
     """
-    if cut == "bond":
-        if not 1 <= j <= pt.k - 1:
-            raise ValueError(f"bond cut needs 1 <= j <= {pt.k - 1}, got {j}")
-        gl = _left_sweep(pt.rho0, pt.sites[:j], pt.rho0, pt.sites[:j])[-1]
-        gr = _right_sweep(pt.sites[j:], pt.sites[j:])[0]
-        spectrum = _cut_spectrum(gl, gr)
-    elif cut == "site":
-        if not 1 <= j <= pt.k:
-            raise ValueError(f"site cut needs 1 <= j <= {pt.k}, got {j}")
-        gl4 = _left_sweep(pt.rho0, pt.sites[: j - 1], pt.rho0, pt.sites[: j - 1])[-1]
-        left_half, right_half = _split_site(pt.sites[j - 1])
-        gl = np.einsum("iIxXu,xXyY,iIyYv->uv", left_half.conj(), gl4, left_half)
-        # the sweep from site j-1 keeps the sites' bond dimensions when j = k
-        r4 = _right_sweep(pt.sites[j - 1 :], pt.sites[j - 1 :])[1]
-        gr = np.einsum("uoOpP,pPqQ,voOqQ->uv", right_half.conj(), r4, right_half)
-        spectrum = _cut_spectrum(gl, gr)
-    else:
-        raise ValueError(f"unknown cut {cut!r}; expected 'bond' or 'site'")
-    return _entropy(spectrum, alpha) / 2.0
+    if not 1 <= j <= pt.k - 1:
+        raise ValueError(f"bond cut needs 1 <= j <= {pt.k - 1}, got {j}")
+    gl = _left_sweep(pt.rho0, pt.sites[:j], pt.rho0, pt.sites[:j])[-1]
+    gr = _right_sweep(pt.sites[j:], pt.sites[j:])[0]
+    return _entropy(_cut_spectrum(gl, gr), alpha) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +177,21 @@ def measure_series(
     pt: ProcessTensorMPDO,
     kind: str,
     alpha: float | None = None,
-    boundary_margin: float | None = None,
     trace_tol: float = TRACE_TOL,
 ) -> MeasureSeries:
     """Sweep a measure over all valid steps of the process tensor.
 
     ``kind`` is ``"osee"`` (steps ``1..k-1``, right-boundary points flagged
-    within ``boundary_margin`` of ``k``, default ``k/5``) or ``"ee"``
-    (steps ``1..k``). Either costs one pass over the sites: ``osee`` one
-    left and one right boundary sweep, ``ee`` one environment recursion.
+    within ``k/5`` of ``k``) or ``"ee"`` (steps ``1..k``). Either costs one
+    pass over the sites: ``osee`` one left and one right boundary sweep,
+    ``ee`` one environment recursion.
     """
     if kind == "osee":
         steps = tuple(range(1, pt.k))
         lefts = _left_sweep(pt.rho0, pt.sites, pt.rho0, pt.sites)
         rights = _right_sweep(pt.sites, pt.sites)
         values = [_entropy(_cut_spectrum(lefts[j], rights[j]), alpha) / 2.0 for j in steps]
-        margin = pt.k / 5.0 if boundary_margin is None else float(boundary_margin)
-        flagged = tuple(j for j in steps if pt.k - j <= margin)
+        flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values), flagged)
     if kind == "ee":
         values = tuple(

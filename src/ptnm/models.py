@@ -59,12 +59,15 @@ class XXChainParams:
     rho0_system: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
+        # written so that NaN fails every check
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if not 0.0 <= self.n <= 1.0:
             raise ValueError(f"n must lie in [0, 1], got {self.n}")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
         if self.rho0_system is not None:
             rho = np.asarray(self.rho0_system, dtype=complex)
             check_density_matrix(rho, name="initial system state")
@@ -128,7 +131,7 @@ def ruqdm_channel(gamma: float, delta: float) -> ChannelTensor:
     realized by the Kraus pair ``{sqrt(1-p) I, sqrt(p) sigma_z}`` with
     ``p = (1 - exp(-2*gamma*delta)) / 2``.
     """
-    if gamma < 0 or delta <= 0:
+    if not (gamma >= 0 and delta > 0):
         raise ValueError("gamma must be nonnegative and delta positive")
     p = (1.0 - math.exp(-2.0 * gamma * delta)) / 2.0
     ops = (math.sqrt(1.0 - p) * np.eye(2, dtype=complex), math.sqrt(p) * SIGMA_Z)
@@ -153,7 +156,7 @@ class UQDMParams:
     halfwidth_factor: float = 100.0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.delta <= 0 or self.g <= 0:
+        if not (self.gamma > 0 and self.delta > 0 and self.g > 0):
             raise ValueError("gamma, delta, and g must all be positive")
         if self.grid_points < 2:
             raise ValueError("grid needs at least two points")

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import W_LABELS, ChannelTensor, _tp_residual
-from .tensorops import LabeledTensor, check_density_matrix, check_hermitian, check_unitary
+from .channels import ChannelTensor, _check_site, _tp_residual
+from .tensorops import check_density_matrix, check_hermitian, check_unitary
 
 SITE_TOL = 1e-9
 
@@ -62,19 +62,7 @@ class ProcessTensorMPDO:
             if id(w) in checked:  # build and predict repeat one object k times
                 continue
             checked.add(id(w))
-            if w.shape != (d, d, d, d, D, D, D, D):
-                raise ValueError(
-                    f"site {m} has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}"
-                )
-            herm = np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max()
-            if herm > SITE_TOL:
-                raise ValueError(f"site {m} breaks prime-swap Hermiticity: {herm:.3e}")
-            if self.site_tol is not None:
-                residual = _tp_residual(w)
-                if residual > self.site_tol:
-                    raise ValueError(
-                        f"site {m} breaks trace preservation: residual {residual:.3e}"
-                    )
+            _check_site(w, d, D, SITE_TOL, self.site_tol, name=f"site {m}")
 
     @property
     def d(self) -> int:
@@ -115,7 +103,7 @@ def build(channel: ChannelTensor, rho0_se: np.ndarray, k: int) -> ProcessTensorM
         raise ValueError(f"rho0 has shape {rho0_se.shape}, expected {(d * D, d * D)}")
     check_density_matrix(rho0_se, name="initial joint state")
     rho0 = rho0_se.reshape(d, D, d, D).transpose(0, 2, 1, 3)
-    return ProcessTensorMPDO(rho0, (channel.w.data,) * k)
+    return ProcessTensorMPDO(rho0, (channel.w,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -294,34 +282,18 @@ def local_expectation_averaged(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChoiTensor:
-    """Dense multi-time tensor with interleaved labels
-    ``(o0, o0', i0, i0', o1, o1', ..., o_k, o_k')``."""
-
-    tensor: LabeledTensor
-    d: int = field(default=2)
-    k: int = field(default=1)
-
-    def as_matrix(self) -> np.ndarray:
-        """Flatten grouping all unprimed labels against all primed ones."""
-        data = self.tensor.data
-        n = data.ndim
-        perm = list(range(0, n, 2)) + list(range(1, n, 2))
-        side = self.d ** (n // 2)
-        return data.transpose(perm).reshape(side, side)
+def _as_matrix(t: np.ndarray) -> np.ndarray:
+    """Flatten a dense multi-time tensor, grouping all unprimed slots (rows)
+    against all primed ones (columns)."""
+    n = t.ndim
+    side = t.shape[0] ** (n // 2)
+    return t.transpose(list(range(0, n, 2)) + list(range(1, n, 2))).reshape(side, side)
 
 
-def _choi_labels(k: int) -> tuple[str, ...]:
-    labels: list[str] = ["o0", "o0'"]
-    for m in range(k):
-        labels += [f"i{m}", f"i{m}'"]
-        labels += [f"o{m + 1}", f"o{m + 1}'"]
-    return tuple(labels)
-
-
-def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> ChoiTensor:
-    """Contract the network into the dense multi-time tensor.
+def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> np.ndarray:
+    """Contract the network into the dense multi-time tensor, with axes in
+    the interleaved slot order ``(o0, o0', i0, i0', o1, o1', ..., i_{k-1},
+    i_{k-1}', o_k, o_k')``.
 
     The tensor has ``d**(2(2k+1))`` entries, so the contraction refuses to run
     past ``k_max`` steps; raise the limit explicitly if you mean it.
@@ -335,15 +307,14 @@ def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> ChoiTensor:
     for w in pt.sites:
         t = np.tensordot(t, w, axes=([-2, -1], [4, 5]))
     t = np.trace(t, axis1=-2, axis2=-1)
-    choi = ChoiTensor(LabeledTensor(t, _choi_labels(pt.k)), d=pt.d, k=pt.k)
-    mat = choi.as_matrix()
+    mat = _as_matrix(t)
     herm = np.abs(mat - mat.conj().T).max()
     if herm > SITE_TOL * max(np.abs(mat).max(), 1.0):
         raise ValueError(f"materialized tensor is not Hermitian: residual {herm:.3e}")
     eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     if eigs.min() < -SITE_TOL * max(1.0, eigs.max()):
         raise ValueError(f"materialized tensor is not positive: {eigs.min():.3e}")
-    return choi
+    return t
 
 
 @dataclass(frozen=True)
@@ -359,8 +330,8 @@ def check_containment(
     one tensored with an identity pair on the last input slot."""
     if pt.k < 2:
         raise ValueError("containment needs at least two steps")
-    full = materialize(pt, k_max=k_max).tensor.data
-    shorter = materialize(pt.truncated(pt.k - 1), k_max=k_max).tensor.data
+    full = materialize(pt, k_max=k_max)
+    shorter = materialize(pt.truncated(pt.k - 1), k_max=k_max)
     lhs = np.trace(full, axis1=-2, axis2=-1)
     rhs = np.multiply.outer(shorter, np.eye(pt.d, dtype=complex))
     residual = float(np.abs(lhs - rhs).max())

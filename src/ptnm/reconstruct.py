@@ -24,15 +24,23 @@ sphere's tangent space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from .channels import KrausChannel, kraus_to_w
+from .channels import KrausChannel, _tp_residual, random_cptp_channel
 from .process_tensor import ProcessTensorMPDO, _left_sweep, _right_sweep, norm_sq
 
 PSI_NORM_TOL = 1e-10
+
+# BFGS stage stopping rule: scipy's gradient-norm test at GTOL, or a stall of
+# less than STALL_TOL loss improvement over STALL_WINDOW iterations; a fit
+# whose final loss is below FTOL counts as converged.
+GTOL = 1e-8
+FTOL = 1e-8
+STALL_WINDOW = 50
+STALL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,14 +98,6 @@ class FitReport:
             raise ValueError("final_loss must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LossGradient:
-    d_re_a: np.ndarray
-    d_im_a: np.ndarray
-    d_re_psi: np.ndarray
-    d_im_psi: np.ndarray
-
-
 def _site_tensor(a_bar: np.ndarray) -> np.ndarray:
     # W[i,i',o,o',a,a',b,b'] = sum_s A[s,o,b,i,a] conj(A[s,o',b',i',a'])
     return np.einsum("sobia,spcje->ijopaebc", a_bar, a_bar.conj())
@@ -126,12 +126,7 @@ def ansatz_from_model(channel: KrausChannel, psi0: np.ndarray) -> Reconstruction
 
 def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
     """Largest deviation of the fitted site tensor from trace preservation."""
-    w = _site_tensor(ansatz.a_bar)
-    marginal = np.einsum("ijooaebb->ijae", w)
-    ident = np.einsum(
-        "ij,ae->ijae", np.eye(ansatz.d, dtype=complex), np.eye(ansatz.D, dtype=complex)
-    )
-    return float(np.abs(marginal - ident).max())
+    return _tp_residual(_site_tensor(ansatz.a_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -286,45 +281,17 @@ class _Objective:
         return value, grad
 
 
-def loss(ansatz: ReconstructionAnsatz, target: ProcessTensorMPDO, k: int,
-         penalty: float = 0.0) -> float:
-    """Squared distance between the ansatz prediction and the target over the
-    first ``k`` steps."""
-    obj = _Objective(target, k, ansatz.d, ansatz.D, ansatz.R, penalty=penalty)
-    value, _ = obj.value_and_grad(obj.pack(ansatz.a_bar, ansatz.psi0))
-    return max(value, 0.0)
-
-
-def loss_gradient(ansatz: ReconstructionAnsatz, target: ProcessTensorMPDO, k: int,
-                  penalty: float = 0.0) -> LossGradient:
-    """Analytic gradient of ``loss`` with respect to the real and imaginary
-    parts of the ansatz entries (state gradient tangentially projected)."""
-    obj = _Objective(target, k, ansatz.d, ansatz.D, ansatz.R, penalty=penalty)
-    _, grad = obj.value_and_grad(obj.pack(ansatz.a_bar, ansatz.psi0))
-    n = obj.n_a
-    shape = ansatz.a_bar.shape
-    m = ansatz.d * ansatz.D
-    return LossGradient(
-        d_re_a=grad[:n].reshape(shape),
-        d_im_a=grad[n : 2 * n].reshape(shape),
-        d_re_psi=grad[2 * n : 2 * n + m],
-        d_im_psi=grad[2 * n + m :],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Optimization driver
 # ---------------------------------------------------------------------------
 
 
 class _StallStopper:
-    """Stop a stage once the loss improves by less than ``tol`` over
-    ``window`` iterations."""
+    """Stop a stage once the loss improves by less than ``STALL_TOL`` over
+    ``STALL_WINDOW`` iterations."""
 
-    def __init__(self, objective: _Objective, window: int = 50, tol: float = 1e-10):
+    def __init__(self, objective: _Objective):
         self.objective = objective
-        self.window = window
-        self.tol = tol
         self.history: list[float] = []
 
     def __call__(self, xk):
@@ -332,8 +299,8 @@ class _StallStopper:
         if value is None:
             return
         self.history.append(value)
-        if len(self.history) > self.window:
-            if self.history[-self.window - 1] - self.history[-1] < self.tol:
+        if len(self.history) > STALL_WINDOW:
+            if self.history[-STALL_WINDOW - 1] - self.history[-1] < STALL_TOL:
                 raise StopIteration
 
 
@@ -358,8 +325,6 @@ def _decoupled_initial_point(
     demands, which biases converged representations toward carrying as
     little memory as the data requires.
     """
-    from .channels import random_cptp_channel
-
     system = random_cptp_channel(d, 1, min(r, d * d), rng)
     a_bar = np.zeros((r, d, dd, d, dd), dtype=complex)
     reset = np.zeros(dd)
@@ -384,13 +349,9 @@ def fit(
     R: int = 16,
     k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
     max_iter: int = 10000,
-    gtol: float = 1e-8,
-    ftol: float = 1e-8,
     restarts: int = 5,
     seed: int | None = None,
     penalty: float = 0.0,
-    stall_window: int = 50,
-    stall_tol: float = 1e-10,
     init: str = "gaussian",
 ) -> tuple[ReconstructionAnsatz, FitReport]:
     """Fit a hidden Markovian model to ``target``.
@@ -399,7 +360,7 @@ def fit(
     per entry of ``k_schedule``, warm-starting from the previous stage. The
     best restart by final loss wins. Non-convergence is reported through
     ``converged``, never raised: some targets genuinely cannot be descended
-    to ``ftol``.
+    to ``FTOL``.
 
     ``init`` selects the starting-point family: ``"gaussian"`` (generic) or
     ``"decoupled"`` (perturbed memoryless model; converges to representations
@@ -429,14 +390,14 @@ def fit(
             obj = _Objective(target, k, d, D, R, penalty=penalty)
             if x is None:
                 x = obj.pack(a_bar, phi)
-            stopper = _StallStopper(obj, window=stall_window, tol=stall_tol)
+            stopper = _StallStopper(obj)
             res = scipy.optimize.minimize(
                 obj.value_and_grad,
                 x,
                 jac=True,
                 method="BFGS",
                 callback=stopper,
-                options={"maxiter": max_iter, "gtol": gtol},
+                options={"maxiter": max_iter, "gtol": GTOL},
             )
             x = res.x
             iterations += res.nit
@@ -456,72 +417,6 @@ def fit(
         k_schedule=tuple(k_schedule),
         normalization_residual=normalization_residual(ansatz),
         iterations=iterations,
-        converged=final_loss < ftol,
+        converged=final_loss < FTOL,
     )
     return ansatz, report
-
-
-class MarkovianEmbeddingReconstructor:
-    """Estimator-style wrapper around :func:`fit`.
-
-    ``fit`` consumes a target process tensor and stores the fitted ansatz and
-    its report; ``predict`` emits the fitted model's process tensor for any
-    number of steps.
-    """
-
-    def __init__(self, D: int = 2, R: int = 16, k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
-                 max_iter: int = 10000, gtol: float = 1e-8, ftol: float = 1e-8,
-                 restarts: int = 5, seed: int | None = None, penalty: float = 0.0,
-                 init: str = "gaussian"):
-        self.D = D
-        self.R = R
-        self.k_schedule = k_schedule
-        self.max_iter = max_iter
-        self.gtol = gtol
-        self.ftol = ftol
-        self.restarts = restarts
-        self.seed = seed
-        self.penalty = penalty
-        self.init = init
-
-    def get_params(self) -> dict:
-        return {
-            "D": self.D,
-            "R": self.R,
-            "k_schedule": self.k_schedule,
-            "max_iter": self.max_iter,
-            "gtol": self.gtol,
-            "ftol": self.ftol,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "penalty": self.penalty,
-            "init": self.init,
-        }
-
-    def set_params(self, **params) -> "MarkovianEmbeddingReconstructor":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, target: ProcessTensorMPDO) -> "MarkovianEmbeddingReconstructor":
-        self.ansatz_, self.report_ = fit(
-            target,
-            D=self.D,
-            R=self.R,
-            k_schedule=self.k_schedule,
-            max_iter=self.max_iter,
-            gtol=self.gtol,
-            ftol=self.ftol,
-            restarts=self.restarts,
-            seed=self.seed,
-            penalty=self.penalty,
-            init=self.init,
-        )
-        return self
-
-    def predict(self, k: int) -> ProcessTensorMPDO:
-        if not hasattr(self, "ansatz_"):
-            raise ValueError("predict called before fit")
-        return predict(self.ansatz_, k)

@@ -1,130 +1,19 @@
-"""Dense labeled tensors and the small linear-algebra kernel used everywhere else.
+"""The small linear-algebra kernel used everywhere else.
 
 Conventions fixed here and relied on by the rest of the package:
 
 * every entropy is reported in bits (base-2 logarithms),
-* eigenvalues of nominally positive operators are clipped at ``CLIP_TOL``,
-* a :class:`LabeledTensor` carries one distinct string label per axis and all
-  index bookkeeping goes through labels, never through bare axis positions.
+* eigenvalues of nominally positive operators are clipped at ``CLIP_TOL``.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 CLIP_TOL = 1e-12
 HERMITICITY_TOL = 1e-9
-
-_EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
-
-
-@dataclass(frozen=True)
-class LabeledTensor:
-    """Dense complex tensor with a distinct string label per axis.
-
-    Parameters
-    ----------
-    data:
-        Complex ndarray holding the coefficients.
-    labels:
-        One label per axis of ``data``; labels must be unique within the
-        tensor so that contractions can be specified unambiguously by name.
-    """
-
-    data: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if data.ndim != len(self.labels):
-            raise ValueError(
-                f"tensor has {data.ndim} axes but {len(self.labels)} labels"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"labels must be unique, got {self.labels}")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no axis labeled {label!r} in {self.labels}") from None
-
-    def dim(self, label: str) -> int:
-        return self.data.shape[self.axis(label)]
-
-    def transposed(self, labels: Sequence[str]) -> "LabeledTensor":
-        """Return a copy with axes permuted into the given label order."""
-        if set(labels) != set(self.labels) or len(labels) != len(self.labels):
-            raise ValueError(f"{tuple(labels)} is not a permutation of {self.labels}")
-        perm = [self.axis(l) for l in labels]
-        return LabeledTensor(self.data.transpose(perm), tuple(labels))
-
-    def renamed(self, mapping: dict[str, str]) -> "LabeledTensor":
-        new = tuple(mapping.get(l, l) for l in self.labels)
-        return LabeledTensor(self.data, new)
-
-    def to_matrix(self, row_labels: Sequence[str]) -> np.ndarray:
-        """Flatten to a matrix with ``row_labels`` composing the row index.
-
-        The remaining labels compose the column index in their current order.
-        """
-        row_labels = tuple(row_labels)
-        cols = tuple(l for l in self.labels if l not in row_labels)
-        t = self.transposed(row_labels + cols)
-        r = int(np.prod([t.dim(l) for l in row_labels], initial=1))
-        return t.data.reshape(r, -1)
-
-
-def contract(
-    a: LabeledTensor, b: LabeledTensor, pairs: Iterable[tuple[str, str]]
-) -> LabeledTensor:
-    """Contract two labeled tensors over the given ``(label_in_a, label_in_b)`` pairs.
-
-    Uncontracted labels survive, ``a``'s first; a label collision in the
-    result or a dimension mismatch along a contracted pair is an error.
-    """
-    pairs = list(pairs)
-    a_contracted = [p[0] for p in pairs]
-    b_contracted = [p[1] for p in pairs]
-    for la, lb in pairs:
-        if a.dim(la) != b.dim(lb):
-            raise ValueError(
-                f"dimension mismatch contracting {la!r} ({a.dim(la)}) "
-                f"with {lb!r} ({b.dim(lb)})"
-            )
-    out_labels = tuple(l for l in a.labels if l not in a_contracted) + tuple(
-        l for l in b.labels if l not in b_contracted
-    )
-    if len(set(out_labels)) != len(out_labels):
-        raise ValueError(f"contraction result has duplicate labels: {out_labels}")
-
-    letters = iter(_EINSUM_LETTERS)
-    a_sub = {l: next(letters) for l in a.labels}
-    b_sub: dict[str, str] = {}
-    for la, lb in pairs:
-        b_sub[lb] = a_sub[la]
-    for l in b.labels:
-        if l not in b_sub:
-            b_sub[l] = next(letters)
-    sub_a = "".join(a_sub[l] for l in a.labels)
-    sub_b = "".join(b_sub[l] for l in b.labels)
-    sub_out = "".join(
-        [a_sub[l] for l in a.labels if l not in a_contracted]
-        + [b_sub[l] for l in b.labels if l not in b_contracted]
-    )
-    data = np.einsum(f"{sub_a},{sub_b}->{sub_out}", a.data, b.data)
-    return LabeledTensor(data, out_labels)
 
 
 @dataclass(frozen=True)
@@ -145,57 +34,6 @@ class Spectrum:
     def from_values(cls, values: np.ndarray) -> "Spectrum":
         v = np.sort(np.asarray(values, dtype=float))[::-1]
         return cls(v)
-
-
-def eig_hermitian(m: np.ndarray | LabeledTensor, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a (near-)Hermitian matrix.
-
-    The input is symmetrized as ``(m + m†)/2`` before the decomposition; a
-    Hermiticity residual beyond ``tol`` (relative to the largest entry) is an
-    error rather than silently averaged away.
-
-    Returns
-    -------
-    (Spectrum, ndarray):
-        Eigenvalues descending and the matching eigenvector columns.
-    """
-    if isinstance(m, LabeledTensor):
-        m = m.data
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    order = np.argsort(w)[::-1]
-    return Spectrum(w[order]), v[:, order]
-
-
-def svd_split(
-    t: LabeledTensor, left_labels: Sequence[str], bond_label: str = "bond"
-):
-    """Split a tensor across a bipartition by singular value decomposition.
-
-    Returns ``(u, s, v)`` with ``u`` carrying ``left_labels + (bond_label,)``,
-    ``v`` carrying ``(bond_label,) + right_labels``, and ``s`` the singular
-    values, so that contracting ``u·diag(s)·v`` over the bond restores ``t``.
-    """
-    left_labels = tuple(left_labels)
-    for l in left_labels:
-        t.axis(l)  # raises on unknown label
-    right_labels = tuple(l for l in t.labels if l not in left_labels)
-    if not left_labels or not right_labels:
-        raise ValueError("both sides of the split must contain at least one label")
-    if bond_label in t.labels:
-        raise ValueError(f"bond label {bond_label!r} collides with an existing label")
-    mat = t.to_matrix(left_labels)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    left_dims = tuple(t.dim(l) for l in left_labels)
-    right_dims = tuple(t.dim(l) for l in right_labels)
-    u_t = LabeledTensor(u.reshape(left_dims + (s.size,)), left_labels + (bond_label,))
-    v_t = LabeledTensor(vh.reshape((s.size,) + right_dims), (bond_label,) + right_labels)
-    return u_t, s, v_t
 
 
 def _as_probabilities(
@@ -237,27 +75,12 @@ def renyi_entropy(spectrum, alpha: float, clip_tol: float = CLIP_TOL) -> float:
 
 
 def matrix_exp(m: np.ndarray, t: float | complex = 1.0) -> np.ndarray:
-    """Evaluate ``exp(m·t)``.
-
-    Normal operators go through an exact eigendecomposition (Hermitian input
-    through ``eigh``, other normal input through a complex Schur form, which
-    is diagonal in that case); everything else falls back to the
-    scaling-and-squaring Pade machinery of :func:`scipy.linalg.expm`.
-    """
+    """Evaluate ``exp(m·t)`` for a Hermitian ``m`` through its exact
+    eigendecomposition; non-Hermitian input is rejected."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() <= 1e-12 * scale:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        return (v * np.exp(w * t)) @ v.conj().T
-    comm = m @ m.conj().T - m.conj().T @ m
-    if np.abs(comm).max() <= 1e-12 * scale**2:
-        t_schur, q = scipy.linalg.schur(m, output="complex")
-        off = t_schur - np.diag(np.diag(t_schur))
-        if np.abs(off).max() <= 1e-10 * scale:
-            return (q * np.exp(np.diag(t_schur) * t)) @ q.conj().T
-    return scipy.linalg.expm(m * t)
+    check_hermitian(m, tol=1e-12, name="exponent")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return (v * np.exp(w * t)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,8 @@ def test_streaming_oracles_agree_with_dense_references():
     worst_ip, worst_osee = 0.0, 0.0
     for k in (2, 3):
         a, b = _random_pt(rng, k), _random_pt(rng, k)
-        da = materialize(a, k_max=3).tensor.data.ravel()
-        db = materialize(b, k_max=3).tensor.data.ravel()
+        da = materialize(a, k_max=3).ravel()
+        db = materialize(b, k_max=3).ravel()
         dense_ip = complex(np.vdot(da, db))
         worst_ip = max(worst_ip, abs(inner_product(a, b) - dense_ip) / abs(dense_ip))
         vec = da / np.linalg.norm(da)
@@ -315,14 +315,14 @@ def test_random_model_is_recovered_by_reconstruction():
     psi = psi / np.linalg.norm(psi)
     truth = ReconstructionAnsatz(a_bar, psi)
     target = predict(truth, 4)
-    dense3 = materialize(predict(truth, 3), k_max=3).tensor.data
+    dense3 = materialize(predict(truth, 3), k_max=3)
     outcomes = []
     for restart in range(5):
         ansatz, report = fit(
             target, D=2, R=4, k_schedule=(2, 4), restarts=1, seed=900 + restart
         )
         frob = float(
-            np.linalg.norm(materialize(predict(ansatz, 3), k_max=3).tensor.data - dense3)
+            np.linalg.norm(materialize(predict(ansatz, 3), k_max=3) - dense3)
         )
         outcomes.append((report.final_loss, frob))
     wins = sum(1 for loss, frob in outcomes if loss < 1e-8 and frob < 1e-6)

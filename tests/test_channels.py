@@ -18,7 +18,6 @@ from ptnm.channels import (
     unitary_channel,
 )
 from ptnm.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
-from ptnm.tensorops import LabeledTensor
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -59,14 +58,14 @@ def test_kraus_to_w_identity_channel_is_delta_pattern():
     expected = np.einsum(
         "oi,OI,ba,BA->iIoOaAbB", np.eye(2), np.eye(2), np.eye(2), np.eye(2)
     ).astype(complex)
-    np.testing.assert_allclose(ct.w.data, expected, atol=1e-14)
+    np.testing.assert_allclose(ct.w, expected, atol=1e-14)
 
 
 def test_channel_tensor_invariants_hold_for_random_channels():
     rng = np.random.default_rng(31)
     for _ in range(5):
         ct = kraus_to_w(random_cptp_channel(2, 2, 4, rng))
-        w = ct.w.data
+        w = ct.w
         swap = w.transpose(1, 0, 3, 2, 5, 4, 7, 6)
         np.testing.assert_allclose(w.conj(), swap, atol=1e-12)
         report = check_cptp(ct)
@@ -75,10 +74,10 @@ def test_channel_tensor_invariants_hold_for_random_channels():
 
 def test_channel_tensor_rejects_broken_hermiticity():
     ct = kraus_to_w(identity_channel(2, 1))
-    w = ct.w.data.copy()
+    w = ct.w.copy()
     w[0, 0, 0, 1] += 0.01
     with pytest.raises(ValueError):
-        ChannelTensor(LabeledTensor(w, ct.w.labels))
+        ChannelTensor(w)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_apply_channel_matches_kraus_sum():
 def test_check_cptp_flags_scaled_tensor():
     ct = kraus_to_w(identity_channel(2, 2))
     assert check_cptp(ct).passed
-    report = check_cptp(ct.w.data * 1.01)
+    report = check_cptp(ct.w * 1.01)
     assert not report.passed
     assert report.tp_residual > 1e-3
 

@@ -60,6 +60,7 @@ def test_paper_scale_switches_sizes():
     assert cfg.k == 51 and cfg.restarts == 5 and cfg.max_iter == 10000
     assert cfg.grid_points == 5000
     assert cfg.paper_scale is True
+    assert resolve_config("fig2a", {"paper_scale": True}, ns()).k == 51
 
 
 def test_file_overrides_defaults_and_flags_override_file():
@@ -95,11 +96,38 @@ def test_ruqdm_model_gets_short_step_default():
         {"k": "many"},
         {"output_format": "xml"},
         {"model": "ising"},
+        # typed coercion: no truthy strings, truncated floats or bools as ints
+        {"paper_scale": "false"},
+        {"k": 12.9},
+        {"restarts": 2.5},
+        {"k": True},
+        {"seed": 1.5},
+        {"k": "12"},
+        {"k_schedule": []},
+        {"model": 1},
+        {"output_dir": 7},
+        {"channel_file": 3},
+        # non-finite rates and step lengths
+        {"gamma": "nan"},
+        {"gamma": [1.0, math.inf]},
+        {"n": math.nan},
+        {"delta": math.inf},
+        {"coupling": math.nan},
+        {"g": math.inf},
     ],
 )
 def test_config_validation_errors(file_cfg):
     with pytest.raises(ConfigError):
         resolve_config("measure", file_cfg, ns())
+
+
+def test_integral_floats_are_accepted_as_integers():
+    cfg = resolve_config("measure", {"k": 12.0, "seed": 3.0, "k_schedule": [2.0, 3]}, ns())
+    assert cfg.k == 12 and type(cfg.k) is int
+    assert cfg.k_schedule == (2, 3)
+    assert config_hash(cfg) == config_hash(
+        resolve_config("measure", {"k": 12, "seed": 3, "k_schedule": [2, 3]}, ns())
+    )
 
 
 def test_fig2_needs_enough_steps():
@@ -128,6 +156,19 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     code = main(["measure", "--n", "2.0", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--n", "--delta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_rejects_non_finite_flags(tmp_path, capsys, flag, value):
+    code = main(["measure", flag, value, "--k", "12", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_parser_is_built_once():
+    assert ptnm.cli._build_parser() is ptnm.cli._build_parser()
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_osee_matches_dense_schmidt_spectrum():
     rng = np.random.default_rng(65)
     for _ in range(3):
         pt = random_pt(rng, 3)
-        t = materialize(pt).tensor.data  # (o0,o0',i0,i0',o1,o1',i1,i1',...)
+        t = materialize(pt)  # (o0,o0',i0,i0',o1,o1',i1,i1',...)
         vec = t.reshape(-1)
         vec = vec / np.linalg.norm(vec)
         for j in (1, 2):
@@ -187,17 +187,6 @@ def test_osee_bounded_by_bond_capacity():
     pt = random_pt(rng, 4)
     for j in range(1, 4):
         assert osee(pt, j) <= np.log2(pt.D) + 1e-12
-
-
-def test_osee_site_cut_runs_and_validates():
-    pt = xx_pt(1.0, 3)
-    assert osee(pt, 3, cut="site") >= 0.0
-    with pytest.raises(ValueError):
-        osee(pt, 0, cut="site")
-    with pytest.raises(ValueError):
-        osee(pt, 4, cut="site")
-    with pytest.raises(ValueError):
-        osee(pt, 1, cut="diagonal")
 
 
 def test_osee_bond_cut_validates_range():
@@ -309,9 +298,3 @@ def test_osee_midrange_is_stable_in_k():
     b = xx_pt(0.0, 16)
     for j in (4, 5, 6):
         assert abs(osee(a, j) - osee(b, j)) < 0.02
-
-
-def test_custom_boundary_margin():
-    pt = xx_pt(1.0, 10)
-    series = measure_series(pt, "osee", boundary_margin=4.0)
-    assert series.boundary_flagged == (6, 7, 8, 9)

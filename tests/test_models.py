@@ -38,7 +38,7 @@ def random_density(rng, n):
 def channel_action(ct, rho):
     """Evolve a joint 4x4 state through the channel's site-ready tensor."""
     r = rho.reshape(2, 2, 2, 2)
-    out = np.einsum("iIoOaAbB,iaIA->obOB", ct.w.data, r)
+    out = np.einsum("iIoOaAbB,iaIA->obOB", ct.w, r)
     return out.reshape(4, 4)
 
 
@@ -54,6 +54,11 @@ def channel_action(ct, rho):
         {"gamma": 1.0, "n": -0.1},
         {"gamma": 1.0, "n": 1.1},
         {"gamma": 1.0, "delta": 0.0},
+        # NaN fails every range check
+        {"gamma": math.nan},
+        {"gamma": 1.0, "n": math.nan},
+        {"gamma": 1.0, "delta": math.nan},
+        {"gamma": 1.0, "coupling": math.nan},
     ],
 )
 def test_xx_params_validation(kwargs):
@@ -141,7 +146,7 @@ def test_ruqdm_step_damps_coherence():
 
 def channel_action_on_system(ct, rho):
     # trivial environment: single env level on both bond axes
-    out = np.einsum("iIoOaAbB,iI->oOaAbB", ct.w.data, rho)
+    out = np.einsum("iIoOaAbB,iI->oOaAbB", ct.w, rho)
     return out[:, :, 0, 0, 0, 0]
 
 
@@ -151,7 +156,9 @@ def test_ruqdm_zero_rate_is_identity():
     np.testing.assert_allclose(channel_action_on_system(ct, rho), rho, atol=1e-14)
 
 
-@pytest.mark.parametrize("gamma,delta", [(-0.1, 0.1), (1.0, 0.0), (1.0, -0.2)])
+@pytest.mark.parametrize(
+    "gamma,delta", [(-0.1, 0.1), (1.0, 0.0), (1.0, -0.2), (math.nan, 0.1), (1.0, math.nan)]
+)
 def test_ruqdm_validation(gamma, delta):
     with pytest.raises(ValueError):
         ruqdm_channel(gamma, delta)
@@ -170,6 +177,9 @@ def test_ruqdm_validation(gamma, delta):
         {"gamma": 1.0, "delta": 0.0},
         {"gamma": 1.0, "g": 0.0},
         {"gamma": 1.0, "grid_points": 1},
+        {"gamma": math.nan},
+        {"gamma": 1.0, "delta": math.nan},
+        {"gamma": 1.0, "g": math.nan},
     ],
 )
 def test_uqdm_params_validation(kwargs):

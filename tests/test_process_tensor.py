@@ -18,6 +18,7 @@ from ptnm.process_tensor import (
     MaterializationLimitError,
     OperationSequence,
     ProcessTensorMPDO,
+    _as_matrix,
     apply,
     build,
     check_containment,
@@ -201,7 +202,7 @@ def test_expectation_matches_dense_contraction():
     seq = OperationSequence(tuple(ops), final_measurement=m)
     value = expectation(pt, seq)
 
-    t = materialize(pt).tensor.data  # (o0,o0',i1,i1',o1,o1',i2,i2',o2,o2')
+    t = materialize(pt)  # (o0,o0',i1,i1',o1,o1',i2,i2',o2,o2')
     l0 = ops[0].reshape(2, 2, 2, 2)
     l1 = ops[1].reshape(2, 2, 2, 2)
     dense = np.einsum("aAbBcCdDeE,bBaA,dDcC,Ee->", t, l0, l1, m)
@@ -276,8 +277,8 @@ def test_materialize_single_step_identity_channel():
     initial state tensored with a perfect input-output correlator."""
     rho0 = PLUS
     pt = build(kraus_to_w(identity_channel(2, 1)), rho0, 1)
-    t = materialize(pt).tensor
-    assert t.labels == ("o0", "o0'", "i0", "i0'", "o1", "o1'")
+    t = materialize(pt)  # (o0, o0', i0, i0', o1, o1')
+    assert t.shape == (2, 2, 2, 2, 2, 2)
     # the step copies its input: T[o0,o0',i0,i0',o1,o1'] =
     # rho0[o0,o0'] delta[i0,o1] delta[i0',o1']
     build_expected = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
@@ -286,12 +287,12 @@ def test_materialize_single_step_identity_channel():
             for i in range(2):
                 for I in range(2):
                     build_expected[o, O, i, I, i, I] = rho0[o, O]
-    np.testing.assert_allclose(t.data, build_expected, atol=1e-13)
+    np.testing.assert_allclose(t, build_expected, atol=1e-13)
 
 
 def test_materialize_is_positive_and_hermitian():
     rng = np.random.default_rng(53)
-    mat = materialize(random_pt(rng, 3)).as_matrix()
+    mat = _as_matrix(materialize(random_pt(rng, 3)))
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-11)
     assert np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min() > -1e-10
 
@@ -341,8 +342,8 @@ def test_inner_product_matches_dense_contraction():
     for k in (1, 2, 3):
         a = random_pt(rng, k)
         b = random_pt(rng, k)
-        dense_a = materialize(a).tensor.data
-        dense_b = materialize(b).tensor.data
+        dense_a = materialize(a)
+        dense_b = materialize(b)
         expected = np.vdot(dense_a, dense_b)
         np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-11, atol=1e-12)
 
@@ -381,7 +382,7 @@ def test_gauge_transform_preserves_observable_content():
     u, _ = np.linalg.qr(g)
     moved = gauge_transform_env(pt, u)
     np.testing.assert_allclose(
-        materialize(moved).tensor.data, materialize(pt).tensor.data, atol=1e-11
+        materialize(moved), materialize(pt), atol=1e-11
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the hidden-model ansatz, its loss/gradient, and the fitter.
+"""Tests for the hidden-model ansatz, its objective, and the fitter.
 
 The analytic gradient is validated against central finite differences on
 random instances, which is the load-bearing check for everything the
@@ -12,15 +12,12 @@ from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
 from ptnm.process_tensor import build, inner_product, norm_sq
 from ptnm.reconstruct import (
     FitReport,
-    MarkovianEmbeddingReconstructor,
     ReconstructionAnsatz,
     _decoupled_initial_point,
     _initial_point,
     _Objective,
     ansatz_from_model,
     fit,
-    loss,
-    loss_gradient,
     normalization_residual,
     predict,
 )
@@ -121,22 +118,27 @@ def test_normalization_residual_detects_scaling():
 # ---------------------------------------------------------------------------
 
 
+def value_and_grad_at(ansatz, target, k):
+    """The objective's loss and packed gradient at an ansatz."""
+    obj = _Objective(target, k, ansatz.d, ansatz.D, ansatz.R)
+    return obj.value_and_grad(obj.pack(ansatz.a_bar, ansatz.psi0))
+
+
 def test_loss_vanishes_at_the_generating_model():
     rng = np.random.default_rng(105)
     channel, psi = model_pair(rng, kraus_rank=3)
     target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 4)
     ansatz = ansatz_from_model(channel, psi)
-    assert loss(ansatz, target, 4) < 1e-16 * norm_sq(target)
+    value, _ = value_and_grad_at(ansatz, target, 4)
+    assert value < 1e-16 * norm_sq(target)
 
 
 def test_gradient_vanishes_at_the_generating_model():
     rng = np.random.default_rng(106)
     channel, psi = model_pair(rng, kraus_rank=3)
     target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 3)
-    g = loss_gradient(ansatz_from_model(channel, psi), target, 3)
-    scale = norm_sq(target)
-    for part in (g.d_re_a, g.d_im_a, g.d_re_psi, g.d_im_psi):
-        assert np.max(np.abs(part)) < 1e-10 * scale
+    _, grad = value_and_grad_at(ansatz_from_model(channel, psi), target, 3)
+    assert np.max(np.abs(grad)) < 1e-10 * norm_sq(target)
 
 
 def test_loss_decreases_toward_the_truth():
@@ -149,7 +151,7 @@ def test_loss_decreases_toward_the_truth():
     losses = []
     for t in (1.0, 0.5, 0.1, 0.0):
         ansatz = ReconstructionAnsatz(a_true + 0.2 * t * noise, psi)
-        losses.append(loss(ansatz, target, 3))
+        losses.append(value_and_grad_at(ansatz, target, 3)[0])
     assert losses[0] > losses[1] > losses[2] > losses[3]
 
 
@@ -175,20 +177,6 @@ def test_analytic_gradient_matches_finite_differences():
             fd[i] = (f_plus - f_minus) / (2.0 * h)
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-5, f"instance {case}: relative gradient error {rel:.2e}"
-
-
-def test_public_gradient_agrees_with_objective():
-    rng = np.random.default_rng(109)
-    channel, psi = model_pair(rng, kraus_rank=3)
-    target = random_target(rng, 2)
-    ansatz = ansatz_from_model(channel, psi)
-    g = loss_gradient(ansatz, target, 2)
-    obj = _Objective(target, 2, 2, 2, 3)
-    _, packed = obj.value_and_grad(obj.pack(ansatz.a_bar, ansatz.psi0))
-    stacked = np.concatenate(
-        [g.d_re_a.ravel(), g.d_im_a.ravel(), g.d_re_psi, g.d_im_psi]
-    )
-    np.testing.assert_allclose(np.sort(stacked), np.sort(packed), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -280,34 +268,3 @@ def test_fit_report_rejects_negative_loss():
             iterations=1,
             converged=False,
         )
-
-
-# ---------------------------------------------------------------------------
-# Estimator wrapper
-# ---------------------------------------------------------------------------
-
-
-def test_estimator_params_round_trip():
-    est = MarkovianEmbeddingReconstructor(R=4, restarts=2, seed=11)
-    params = est.get_params()
-    clone = MarkovianEmbeddingReconstructor(**params)
-    assert clone.get_params() == params
-    est.set_params(restarts=3, penalty=0.5)
-    assert est.restarts == 3 and est.penalty == 0.5
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)
-
-
-def test_estimator_fit_predict_cycle():
-    rng = np.random.default_rng(115)
-    target = random_target(rng, 3)
-    est = MarkovianEmbeddingReconstructor(
-        R=4, k_schedule=(2,), restarts=1, seed=2, max_iter=300
-    )
-    with pytest.raises(ValueError):
-        est.predict(2)
-    est.fit(target)
-    assert est.report_.final_loss >= 0.0
-    pt = est.predict(5)
-    assert pt.k == 5
-    assert pt.d == 2

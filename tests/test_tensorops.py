@@ -1,19 +1,15 @@
-"""Tests for the labeled-tensor primitives and spectral helpers."""
+"""Tests for the spectral helpers, the matrix exponential and the validators."""
 
 import numpy as np
 import pytest
 
 from ptnm.tensorops import (
-    LabeledTensor,
     Spectrum,
     check_density_matrix,
     check_hermitian,
     check_unitary,
-    contract,
-    eig_hermitian,
     matrix_exp,
     renyi_entropy,
-    svd_split,
     von_neumann_entropy,
 )
 
@@ -23,156 +19,13 @@ def random_complex(rng, *shape):
 
 
 # ---------------------------------------------------------------------------
-# LabeledTensor and contract
+# Spectra
 # ---------------------------------------------------------------------------
-
-
-def test_labeled_tensor_rejects_duplicate_labels():
-    with pytest.raises(ValueError):
-        LabeledTensor(np.zeros((2, 2)), ("a", "a"))
-
-
-def test_labeled_tensor_rejects_label_count_mismatch():
-    with pytest.raises(ValueError):
-        LabeledTensor(np.zeros((2, 2, 2)), ("a", "b"))
-
-
-def test_labeled_tensor_lookups():
-    t = LabeledTensor(np.zeros((2, 3, 4)), ("i", "j", "k"))
-    assert t.dims == (2, 3, 4)
-    assert t.axis("j") == 1
-    assert t.dim("k") == 4
-
-
-def test_contract_reproduces_matrix_product():
-    rng = np.random.default_rng(7)
-    a = random_complex(rng, 3, 4)
-    b = random_complex(rng, 4, 5)
-    ta = LabeledTensor(a, ("i", "j"))
-    tb = LabeledTensor(b, ("j", "k"))
-    out = contract(ta, tb, [("j", "j")])
-    assert out.labels == ("i", "k")
-    np.testing.assert_allclose(out.data, a @ b, atol=1e-13)
-
-
-def test_contract_full_trace_gives_norm():
-    rng = np.random.default_rng(8)
-    a = random_complex(rng, 2, 3, 4)
-    t = LabeledTensor(a, ("x", "y", "z"))
-    tc = LabeledTensor(a.conj(), ("X", "Y", "Z"))
-    out = contract(tc, t, [("X", "x"), ("Y", "y"), ("Z", "z")])
-    np.testing.assert_allclose(out.data, np.vdot(a, a), atol=1e-12)
-
-
-def test_contract_is_associative_on_chains():
-    rng = np.random.default_rng(9)
-    a = LabeledTensor(random_complex(rng, 2, 3), ("i", "j"))
-    b = LabeledTensor(random_complex(rng, 3, 4), ("j", "k"))
-    c = LabeledTensor(random_complex(rng, 4, 2), ("k", "l"))
-    left = contract(contract(a, b, [("j", "j")]), c, [("k", "k")])
-    right = contract(a, contract(b, c, [("k", "k")]), [("j", "j")])
-    np.testing.assert_allclose(left.data, right.data, atol=1e-12)
-
-
-def test_contract_rejects_dimension_mismatch():
-    a = LabeledTensor(np.zeros((2, 3)), ("i", "j"))
-    b = LabeledTensor(np.zeros((4, 5)), ("j", "k"))
-    with pytest.raises(ValueError):
-        contract(a, b, [("j", "j")])
-
-
-def test_contract_rejects_colliding_output_labels():
-    a = LabeledTensor(np.zeros((2, 3)), ("i", "j"))
-    b = LabeledTensor(np.zeros((3, 2)), ("j", "i"))
-    with pytest.raises(ValueError):
-        contract(a, b, [("j", "j")])
-
-
-# ---------------------------------------------------------------------------
-# Hermitian eigendecomposition
-# ---------------------------------------------------------------------------
-
-
-def test_eig_hermitian_sorts_descending():
-    spectrum, vectors = eig_hermitian(np.diag([1.0, 3.0, 2.0]))
-    np.testing.assert_allclose(spectrum.values, [3.0, 2.0, 1.0])
-    # eigenvector columns follow the sorted order
-    np.testing.assert_allclose(np.abs(vectors[:, 0]), [0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_eig_hermitian_reconstructs_matrix():
-    rng = np.random.default_rng(11)
-    g = random_complex(rng, 4, 4)
-    m = g + g.conj().T
-    spectrum, v = eig_hermitian(m)
-    np.testing.assert_allclose(v @ np.diag(spectrum.values) @ v.conj().T, m, atol=1e-11)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_spectrum_from_values_sorts():
     s = Spectrum.from_values([0.1, 0.7, 0.2])
     np.testing.assert_allclose(s.values, [0.7, 0.2, 0.1])
-
-
-# ---------------------------------------------------------------------------
-# SVD bipartition
-# ---------------------------------------------------------------------------
-
-
-def test_svd_split_product_state_has_rank_one():
-    rng = np.random.default_rng(13)
-    u = random_complex(rng, 3)
-    v = random_complex(rng, 4)
-    t = LabeledTensor(np.multiply.outer(u, v), ("a", "b"))
-    _, s, _ = svd_split(t, ("a",))
-    assert (s > s[0] * 1e-12).sum() == 1
-
-
-def test_svd_split_bell_state_spectrum():
-    bell = np.zeros((2, 2), dtype=complex)
-    bell[0, 0] = bell[1, 1] = 1.0 / np.sqrt(2.0)
-    t = LabeledTensor(bell, ("a", "b"))
-    _, s, _ = svd_split(t, ("a",))
-    np.testing.assert_allclose(s, [1.0 / np.sqrt(2.0)] * 2, atol=1e-12)
-
-
-def test_svd_split_recontracts_to_original():
-    rng = np.random.default_rng(14)
-    t = LabeledTensor(random_complex(rng, 2, 3, 4), ("a", "b", "c"))
-    u, s, v = svd_split(t, ("a", "c"), bond_label="m")
-    us = LabeledTensor(u.data * s, u.labels)
-    back = contract(us, v, [("m", "m")])
-    # restore the original axis order before comparing
-    perm = tuple(back.labels.index(l) for l in ("a", "b", "c"))
-    np.testing.assert_allclose(back.data.transpose(perm), t.data, atol=1e-12)
-
-
-def test_svd_split_singular_values_are_gauge_invariant():
-    """A unitary acting inside one block must not move the spectrum."""
-    rng = np.random.default_rng(15)
-    t = random_complex(rng, 4, 5)
-    q, _ = np.linalg.qr(random_complex(rng, 4, 4))
-    _, s0, _ = svd_split(LabeledTensor(t, ("a", "b")), ("a",))
-    _, s1, _ = svd_split(LabeledTensor(q @ t, ("a", "b")), ("a",))
-    np.testing.assert_allclose(s0, s1, atol=1e-11)
-
-
-def test_svd_split_rejects_empty_and_full_splits():
-    t = LabeledTensor(np.zeros((2, 2)), ("a", "b"))
-    with pytest.raises(ValueError):
-        svd_split(t, ())
-    with pytest.raises(ValueError):
-        svd_split(t, ("a", "b"))
-
-
-def test_svd_split_rejects_bond_label_collision():
-    t = LabeledTensor(np.zeros((2, 2)), ("a", "b"))
-    with pytest.raises(ValueError):
-        svd_split(t, ("a",), bond_label="b")
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +102,9 @@ def test_matrix_exp_additivity():
     )
 
 
-def taylor_exp(m, terms=60):
-    """Scaled Taylor series with repeated squaring, as an independent check."""
-    scale = max(int(np.ceil(np.log2(max(np.abs(m).sum(axis=1).max(), 1.0)))) + 4, 0)
-    x = m / (2.0**scale)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for n in range(1, terms):
-        term = term @ x / n
-        out = out + term
-    for _ in range(scale):
-        out = out @ out
-    return out
-
-
-def test_matrix_exp_matches_taylor_on_non_normal_input():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        m = random_complex(rng, 4, 4)
-        np.testing.assert_allclose(matrix_exp(m), taylor_exp(m), atol=1e-10)
+def test_matrix_exp_rejects_non_hermitian_input():
+    with pytest.raises(ValueError):
+        matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
