@@ -9,21 +9,15 @@ descent on the ansatz tensors.
 
 from .channels import (
     ChannelTensor,
-    CPTPReport,
     KrausChannel,
     LindbladSpec,
-    apply_channel,
-    check_cptp,
     choi_matrix,
-    identity_channel,
     kraus_to_w,
     lindblad_superoperator,
     random_cptp_channel,
     superop_to_kraus,
-    unitary_channel,
 )
 from .measures import (
-    EnvState,
     MeasureSeries,
     env_state,
     measure_series,
@@ -54,19 +48,11 @@ from .models import (
 from .process_tensor import (
     ContainmentReport,
     MaterializationLimitError,
-    OperationSequence,
     ProcessTensorMPDO,
-    apply,
     build,
     check_containment,
-    expectation,
-    expectation_do_nothing,
-    gauge_transform_env,
-    identity_superop,
     inner_product,
-    local_expectation_averaged,
     materialize,
-    measure_prepare_superop,
     norm_sq,
 )
 from .tensorops import (
@@ -84,13 +70,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelTensor",
     "ContainmentReport",
-    "CPTPReport",
-    "EnvState",
     "KrausChannel",
     "LindbladSpec",
     "MaterializationLimitError",
     "MeasureSeries",
-    "OperationSequence",
     "ProcessTensorMPDO",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
@@ -101,28 +84,18 @@ __all__ = [
     "UQDMModel",
     "UQDMParams",
     "XXChainParams",
-    "apply",
-    "apply_channel",
     "build",
     "check_containment",
-    "check_cptp",
     "check_density_matrix",
     "check_hermitian",
     "check_unitary",
     "choi_matrix",
     "env_state",
-    "expectation",
-    "expectation_do_nothing",
-    "gauge_transform_env",
-    "identity_channel",
-    "identity_superop",
     "inner_product",
     "kraus_to_w",
     "lindblad_superoperator",
-    "local_expectation_averaged",
     "materialize",
     "matrix_exp",
-    "measure_prepare_superop",
     "measure_series",
     "memory_complexity",
     "nm_ee",
@@ -132,7 +105,6 @@ __all__ = [
     "renyi_entropy",
     "ruqdm_channel",
     "superop_to_kraus",
-    "unitary_channel",
     "uqdm_coherence",
     "uqdm_env_entropy",
     "uqdm_memory_series",

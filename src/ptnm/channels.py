@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import check_hermitian, check_unitary
+from .tensorops import check_hermitian
 
 W_LABELS = ("i", "i'", "o", "o'", "a", "a'", "b", "b'")
 
@@ -161,18 +161,6 @@ def kraus_to_w(channel: KrausChannel) -> ChannelTensor:
     return ChannelTensor(w)
 
 
-def unitary_channel(u: np.ndarray, d: int, D: int) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u, name="channel unitary")
-    if u.shape != (d * D, d * D):
-        raise ValueError(f"unitary has shape {u.shape}, expected {(d * D, d * D)}")
-    return KrausChannel((u,), d, D)
-
-
-def identity_channel(d: int, D: int) -> KrausChannel:
-    return KrausChannel((np.eye(d * D, dtype=complex),), d, D)
-
-
 def lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
     """Vectorized generator for the convention documented on :class:`LindbladSpec`.
 
@@ -237,43 +225,6 @@ def superop_to_kraus(
         if lam > drop_tol:
             ops.append(np.sqrt(lam) * vec.reshape(m, m).T)
     return KrausChannel(tuple(ops), d, D, tol=tol)
-
-
-def apply_channel(ct: ChannelTensor, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a joint density matrix of shape ``(d*D, d*D)``."""
-    d, D = ct.d, ct.D
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * D, d * D):
-        raise ValueError(f"state has shape {rho.shape}, expected {(d * D, d * D)}")
-    rho4 = rho.reshape(d, D, d, D)
-    out = np.einsum("ijopaebc,iaje->obpc", ct.w, rho4)
-    return out.reshape(d * D, d * D)
-
-
-@dataclass(frozen=True)
-class CPTPReport:
-    tp_residual: float
-    cp_min_eigenvalue: float
-    hermiticity_residual: float
-    passed: bool
-
-
-def check_cptp(ct: ChannelTensor | np.ndarray, tol: float = TP_TOL) -> CPTPReport:
-    """Check a site tensor for trace preservation, Hermiticity, and positivity.
-
-    ``tp_residual`` is the max-abs deviation of the trace-preservation
-    contraction from the identity pattern; ``cp_min_eigenvalue`` is the
-    smallest eigenvalue of the tensor read as a Choi operator over the
-    ``(o, b, i, a)`` pairing.
-    """
-    w = ct.w if isinstance(ct, ChannelTensor) else np.asarray(ct, dtype=complex)
-    d, D = w.shape[0], w.shape[4]
-    tp = _tp_residual(w)
-    herm = _herm_residual(w)
-    choi = w.transpose(2, 6, 0, 4, 3, 7, 1, 5).reshape(d * D * d * D, d * D * d * D)
-    eig_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min())
-    passed = tp <= tol and herm <= tol and eig_min >= -tol
-    return CPTPReport(tp, eig_min, herm, passed)
 
 
 def random_cptp_channel(

@@ -234,6 +234,10 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
     for key in _POSITIVE_INTS:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"config key {key!r} must be positive, got {getattr(cfg, key)}")
+    if min(cfg.k_schedule) < 1:
+        raise ConfigError(f"k_schedule entries must be positive, got {list(cfg.k_schedule)}")
+    if cfg.seed < 0:
+        raise ConfigError(f"config key 'seed' must be nonnegative, got {cfg.seed}")
     if cfg.output_format not in ("csv", "json"):
         raise ConfigError(f"output_format must be 'csv' or 'json', got {cfg.output_format!r}")
     if cfg.model not in MODELS:
@@ -381,7 +385,7 @@ def _measure_rows(pt: ProcessTensorMPDO, trace_tol: float) -> tuple[list[tuple],
     note = None
     try:
         for env in itertools.islice(_env_states(pt, trace_tol), 1, pt.k):
-            ee.append(_entropy_of_state(env, None))
+            ee.append(_entropy_of_state(env))
     except ValueError as exc:
         steps = f"{len(series.steps) - len(ee)} of {len(series.steps)} steps"
         note = f"nm_ee is NaN at {steps} from j = {len(ee) + 1}: {exc}"
@@ -432,7 +436,6 @@ def _fit_selected(
             R=cfg.R,
             k_schedule=cfg.k_schedule,
             max_iter=cfg.max_iter,
-            restarts=1,
             seed=_seed_seq(cfg.seed, curve_index, r),
             init=init,
             penalty=1.0,

@@ -36,6 +36,14 @@ def pairs_to_complex(data, name: str = "array") -> np.ndarray:
     return stacked[..., 0] + 1j * stacked[..., 1]
 
 
+def _positive_int(data: dict, key: str) -> int:
+    """A dimension field: a JSON integer of at least one, never a bool."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"field {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
 def ansatz_to_dict(ansatz: ReconstructionAnsatz) -> dict:
     return {
         "d": ansatz.d,
@@ -50,9 +58,10 @@ def ansatz_from_dict(data: dict) -> ReconstructionAnsatz:
     for key in ("d", "D", "R", "a_bar", "psi0"):
         if key not in data:
             raise ValueError(f"ansatz container is missing field {key!r}")
+    r, d, dd = (_positive_int(data, key) for key in ("R", "d", "D"))
     a_bar = pairs_to_complex(data["a_bar"], "a_bar")
     psi0 = pairs_to_complex(data["psi0"], "psi0")
-    expected = (data["R"], data["d"], data["D"], data["d"], data["D"])
+    expected = (r, d, dd, d, dd)
     if a_bar.shape != expected:
         raise ValueError(f"field 'a_bar' has shape {a_bar.shape}, expected {expected}")
     return ReconstructionAnsatz(a_bar, psi0)
@@ -70,16 +79,16 @@ def channel_from_dict(data: dict) -> KrausChannel:
     for key in ("d", "D", "kraus"):
         if key not in data:
             raise ValueError(f"channel container is missing field {key!r}")
+    d, dd = _positive_int(data, "d"), _positive_int(data, "D")
     ops = tuple(
         pairs_to_complex(op, f"kraus[{t}]") for t, op in enumerate(data["kraus"])
     )
-    dim = int(data["d"]) * int(data["D"])
     for t, op in enumerate(ops):
-        if op.shape != (dim, dim):
+        if op.shape != (d * dd, d * dd):
             raise ValueError(
-                f"field 'kraus[{t}]' has shape {op.shape}, expected {(dim, dim)}"
+                f"field 'kraus[{t}]' has shape {op.shape}, expected {(d * dd, d * dd)}"
             )
-    return KrausChannel(ops, int(data["d"]), int(data["D"]))
+    return KrausChannel(ops, d, dd)
 
 
 def fit_report_to_dict(report: FitReport) -> dict:

@@ -28,16 +28,9 @@ from .tensorops import (
 TRACE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """Effective environment state after a number of steps."""
-
-    rho: np.ndarray
-    step: int
-
-
-def env_state(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> EnvState:
-    """Effective environment state ``rho_E_j`` under trace-averaged histories.
+def env_state(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> np.ndarray:
+    """Effective environment state ``rho_E_j``, a ``(D, D)`` density matrix,
+    under trace-averaged histories.
 
     Step zero is the environment marginal of the initial joint state; each
     later step feeds the maximally mixed system through the site tensor and
@@ -46,7 +39,7 @@ def env_state(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> En
     """
     if not 0 <= j <= pt.k:
         raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
-    return EnvState(next(itertools.islice(_env_states(pt, trace_tol), j, None)), j)
+    return next(itertools.islice(_env_states(pt, trace_tol), j, None))
 
 
 def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float:
@@ -57,15 +50,16 @@ def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float:
     return renyi_entropy(spectrum, alpha)
 
 
-def _entropy_of_state(rho: np.ndarray, alpha: float | None) -> float:
-    return _entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), alpha)
+def _entropy_of_state(rho: np.ndarray) -> float:
+    """Von Neumann entropy of a density matrix, in bits."""
+    return _entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), None)
 
 
 def nm_ee(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> float:
     """Environment-entropy measure ``S(rho_E_j)`` in bits, ``1 <= j <= k``."""
     if not 1 <= j <= pt.k:
         raise ValueError(f"j must lie in [1, {pt.k}], got {j}")
-    return _entropy_of_state(env_state(pt, j, trace_tol=trace_tol).rho, None)
+    return _entropy_of_state(env_state(pt, j, trace_tol=trace_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +141,7 @@ def memory_complexity(
         if abs(trace - 1.0) > trace_tol:
             raise ValueError(f"environment trace drifted to {trace!r} at step {m + 1}")
         env = (env + env.conj().T) / (2.0 * trace)
-    return _entropy_of_state(env, None)
+    return _entropy_of_state(env)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +167,7 @@ class MeasureSeries:
         return self.values[self.steps.index(j)]
 
 
-def measure_series(
-    pt: ProcessTensorMPDO,
-    kind: str,
-    alpha: float | None = None,
-    trace_tol: float = TRACE_TOL,
-) -> MeasureSeries:
+def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
     """Sweep a measure over all valid steps of the process tensor.
 
     ``kind`` is ``"osee"`` (steps ``1..k-1``, right-boundary points flagged
@@ -190,13 +179,12 @@ def measure_series(
         steps = tuple(range(1, pt.k))
         lefts = _left_sweep(pt.rho0, pt.sites, pt.rho0, pt.sites)
         rights = _right_sweep(pt.sites, pt.sites)
-        values = [_entropy(_cut_spectrum(lefts[j], rights[j]), alpha) / 2.0 for j in steps]
+        values = [_entropy(_cut_spectrum(lefts[j], rights[j]), None) / 2.0 for j in steps]
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values), flagged)
     if kind == "ee":
         values = tuple(
-            _entropy_of_state(env, alpha)
-            for env in itertools.islice(_env_states(pt, trace_tol), 1, None)
+            _entropy_of_state(env) for env in itertools.islice(_env_states(pt, TRACE_TOL), 1, None)
         )
         return MeasureSeries(kind, tuple(range(1, pt.k + 1)), values)
     raise ValueError(f"unknown measure kind {kind!r}; expected 'osee' or 'ee'")

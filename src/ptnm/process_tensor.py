@@ -6,22 +6,17 @@ eight-index site tensors in the axis order of :data:`ptnm.channels.W_LABELS`;
 the environment pair of the final site is traced only when a quantity is
 actually evaluated, so the object itself stays a network, never a dense
 ``(2k+1)``-slot tensor, unless :func:`materialize` is explicitly asked for.
-
-Interventions are CP maps on the system, given either as ``d**2 x d**2``
-superoperators over row-major vectorization or as ``(measurement,
-preparation)`` operator pairs realizing ``rho -> tr(M rho) * P``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelTensor, _check_site, _tp_residual
-from .tensorops import check_density_matrix, check_hermitian, check_unitary
+from .tensorops import check_density_matrix
 
 SITE_TOL = 1e-9
 
@@ -76,10 +71,6 @@ class ProcessTensorMPDO:
     def k(self) -> int:
         return len(self.sites)
 
-    def rho0_matrix(self) -> np.ndarray:
-        d, D = self.d, self.D
-        return self.rho0.transpose(0, 2, 1, 3).reshape(d * D, d * D)
-
     def site_normalization_residual(self) -> float:
         return max(_tp_residual(w) for w in self.sites)
 
@@ -107,123 +98,8 @@ def build(channel: ChannelTensor, rho0_se: np.ndarray, k: int) -> ProcessTensorM
 
 
 # ---------------------------------------------------------------------------
-# Interventions
+# Environment recursion
 # ---------------------------------------------------------------------------
-
-
-def measure_prepare_superop(measurement: np.ndarray, preparation: np.ndarray) -> np.ndarray:
-    """Superoperator of ``rho -> tr(measurement rho) * preparation``."""
-    m = np.asarray(measurement, dtype=complex)
-    p = np.asarray(preparation, dtype=complex)
-    if m.shape != p.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("measurement and preparation must be square and same-shaped")
-    d = m.shape[0]
-    return np.einsum("iI,Oo->iIoO", p, m).reshape(d * d, d * d)
-
-
-def identity_superop(d: int) -> np.ndarray:
-    return np.einsum("io,IO->iIoO", np.eye(d), np.eye(d)).reshape(d * d, d * d)
-
-
-def _operation_tensor(op, d: int, cp_tol: float) -> np.ndarray:
-    if isinstance(op, tuple):
-        if len(op) != 2:
-            raise ValueError("operator-pair interventions must be (measurement, preparation)")
-        op = measure_prepare_superop(*op)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d * d, d * d):
-        raise ValueError(f"intervention has shape {op.shape}, expected {(d * d, d * d)}")
-    t = op.reshape(d, d, d, d)  # [i, i', o, o']
-    choi = t.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    herm = np.abs(choi - choi.conj().T).max()
-    if herm > cp_tol * max(np.abs(choi).max(), 1.0):
-        raise ValueError(f"intervention is not Hermiticity preserving: {herm:.3e}")
-    w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-    if w.min() < -cp_tol:
-        raise ValueError(f"intervention is not completely positive: {w.min():.3e}")
-    return t
-
-
-@dataclass(frozen=True)
-class OperationSequence:
-    """Time-ordered interventions, each CP within ``cp_tol``, plus an optional
-    final Hermitian measurement operator."""
-
-    ops: tuple
-    final_measurement: np.ndarray | None = None
-    d: int = 2
-    cp_tol: float = SITE_TOL
-
-    def __post_init__(self):
-        tensors = tuple(_operation_tensor(op, self.d, self.cp_tol) for op in self.ops)
-        object.__setattr__(self, "ops", tensors)
-        if self.final_measurement is not None:
-            m = np.asarray(self.final_measurement, dtype=complex)
-            check_hermitian(m, name="final measurement")
-            if m.shape != (self.d, self.d):
-                raise ValueError(
-                    f"final measurement has shape {m.shape}, expected {(self.d, self.d)}"
-                )
-            object.__setattr__(self, "final_measurement", m)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
-# ---------------------------------------------------------------------------
-# Contractions
-# ---------------------------------------------------------------------------
-
-
-def _evolve(pt: ProcessTensorMPDO, ops: tuple, steps: int) -> np.ndarray:
-    """Joint state after ``steps`` channel applications with the given
-    interventions applied before their step; returns axes ``(o, o', b, b')``."""
-    state = pt.rho0
-    for m in range(steps):
-        if m < len(ops):
-            state = np.einsum("iIoO,oOaA->iIaA", ops[m], state)
-        state = np.einsum("iIoOaAbB,iIaA->oObB", pt.sites[m], state)
-    return state
-
-
-def apply(pt: ProcessTensorMPDO, seq: OperationSequence) -> np.ndarray:
-    """Final system state after threading ``k`` interventions through the
-    process tensor: ``rho_k = tr_E(E Lambda_{k-1} ... E Lambda_0 rho0)``."""
-    if len(seq) != pt.k:
-        raise ValueError(f"need exactly {pt.k} interventions, got {len(seq)}")
-    if seq.d != pt.d:
-        raise ValueError(f"operation dimension {seq.d} does not match system {pt.d}")
-    state = _evolve(pt, seq.ops, pt.k)
-    return np.einsum("oOaa->oO", state)
-
-
-def expectation(pt: ProcessTensorMPDO, seq: OperationSequence) -> float:
-    """Expectation of the final measurement after ``j = len(seq)`` steps.
-
-    Only the first ``j`` sites enter (containment); with no interventions the
-    measurement reads the initial system state directly.
-    """
-    if seq.final_measurement is None:
-        raise ValueError("expectation needs a final measurement")
-    j = len(seq)
-    if j > pt.k:
-        raise ValueError(f"sequence has {j} interventions but the tensor has {pt.k} steps")
-    if seq.d != pt.d:
-        raise ValueError(f"operation dimension {seq.d} does not match system {pt.d}")
-    state = _evolve(pt, seq.ops, j)
-    value = np.einsum("Oo,oOaa->", seq.final_measurement, state)
-    return float(value.real)
-
-
-def expectation_do_nothing(pt: ProcessTensorMPDO, measurement: np.ndarray, j: int) -> float:
-    """Expectation at step ``j`` with open slots threaded through untouched,
-    i.e. the interventions replaced by identity maps."""
-    if not 0 <= j <= pt.k:
-        raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
-    check_hermitian(measurement, name="measurement")
-    state = _evolve(pt, (), j)
-    value = np.einsum("Oo,oOaa->", np.asarray(measurement, dtype=complex), state)
-    return float(value.real)
 
 
 def _env_states(pt: ProcessTensorMPDO, trace_tol: float = SITE_TOL) -> Iterator[np.ndarray]:
@@ -251,34 +127,8 @@ def _env_states(pt: ProcessTensorMPDO, trace_tol: float = SITE_TOL) -> Iterator[
         yield env
 
 
-def local_expectation_averaged(
-    pt: ProcessTensorMPDO,
-    measurement: np.ndarray,
-    j: int,
-    trace_tol: float = SITE_TOL,
-) -> float:
-    """Expectation at step ``j`` with every earlier slot contracted with
-    identity-diagonal pairs (interventions averaged away).
-
-    The history collapses to the effective environment state, so the value is
-    ``tr((M ⊗ I) E(I_S ⊗ rho_E_{j-1}))``; the identity measurement gives
-    ``d``, not one, under this normalization.
-    """
-    check_hermitian(measurement, name="measurement")
-    m_op = np.asarray(measurement, dtype=complex)
-    if not 0 <= j <= pt.k:
-        raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
-    if j == 0:
-        rho_s = np.einsum("oOaa->oO", pt.rho0)
-        return float(np.einsum("Oo,oO->", m_op, rho_s).real)
-    env = next(itertools.islice(_env_states(pt, trace_tol), j - 1, None))
-    x = np.einsum("iI,aA->iIaA", np.eye(pt.d), env)
-    y = np.einsum("iIoOaAbB,iIaA->oObB", pt.sites[j - 1], x)
-    return float(np.einsum("Oo,oObb->", m_op, y).real)
-
-
 # ---------------------------------------------------------------------------
-# Dense form, containment, inner products, gauge moves
+# Dense form, containment, inner products
 # ---------------------------------------------------------------------------
 
 
@@ -375,23 +225,3 @@ def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
 
 def norm_sq(pt: ProcessTensorMPDO) -> float:
     return float(inner_product(pt, pt).real)
-
-
-def gauge_transform_env(pt: ProcessTensorMPDO, u: np.ndarray) -> ProcessTensorMPDO:
-    """Conjugate every environment bond by a unitary; all observable content
-    of the process tensor is unchanged."""
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u, name="gauge unitary")
-    if u.shape != (pt.D, pt.D):
-        raise ValueError(f"gauge unitary has shape {u.shape}, expected {(pt.D, pt.D)}")
-    rho0 = np.einsum("xa,yb,oOab->oOxy", u, u.conj(), pt.rho0)
-    cache: dict[int, np.ndarray] = {}
-    sites = []
-    for w in pt.sites:
-        key = id(w)
-        if key not in cache:
-            cache[key] = np.einsum(
-                "xa,yA,zb,wB,iIoOaAbB->iIoOxyzw", u.conj(), u, u, u.conj(), w
-            )
-        sites.append(cache[key])
-    return ProcessTensorMPDO(rho0, tuple(sites), site_tol=pt.site_tol)

@@ -209,9 +209,8 @@ class _Objective:
         self.penalty = penalty
         self.t_rho0 = target.rho0
         self.t_sites = target.sites[:k]
-        self.t0 = norm_sq(target.truncated(k)) if target.k != k else norm_sq(target)
+        self.t0 = norm_sq(target.truncated(k))
         self.n_a = r * d * dd * d * dd
-        self.last_value: float | None = None
 
     def pack(self, a_bar: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -277,7 +276,6 @@ class _Objective:
         grad = np.concatenate(
             [2 * g_a.real.ravel(), 2 * g_a.imag.ravel(), 2 * g_phi.real, 2 * g_phi.imag]
         )
-        self.last_value = value
         return value, grad
 
 
@@ -287,18 +285,16 @@ class _Objective:
 
 
 class _StallStopper:
-    """Stop a stage once the loss improves by less than ``STALL_TOL`` over
-    ``STALL_WINDOW`` iterations."""
+    """BFGS callback that records the loss at every iteration and stops a
+    stage once it improves by less than ``STALL_TOL`` over ``STALL_WINDOW``
+    iterations."""
 
-    def __init__(self, objective: _Objective):
-        self.objective = objective
+    def __init__(self):
         self.history: list[float] = []
 
-    def __call__(self, xk):
-        value = self.objective.last_value
-        if value is None:
-            return
-        self.history.append(value)
+    def __call__(self, intermediate_result: scipy.optimize.OptimizeResult):
+        # scipy passes the iterate's loss as .fun when the parameter has this name
+        self.history.append(intermediate_result.fun)
         if len(self.history) > STALL_WINDOW:
             if self.history[-STALL_WINDOW - 1] - self.history[-1] < STALL_TOL:
                 raise StopIteration
@@ -349,18 +345,17 @@ def fit(
     R: int = 16,
     k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
     max_iter: int = 10000,
-    restarts: int = 5,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     penalty: float = 0.0,
     init: str = "gaussian",
 ) -> tuple[ReconstructionAnsatz, FitReport]:
-    """Fit a hidden Markovian model to ``target``.
+    """Fit a hidden Markovian model to ``target`` from one random start.
 
-    Each restart draws a fresh random starting point and runs a BFGS stage
-    per entry of ``k_schedule``, warm-starting from the previous stage. The
-    best restart by final loss wins. Non-convergence is reported through
-    ``converged``, never raised: some targets genuinely cannot be descended
-    to ``FTOL``.
+    The start is drawn from ``seed``; a BFGS stage then runs per entry of
+    ``k_schedule``, warm-starting from the previous stage. Restarts are the
+    caller's business (the command line runs them in ``cli._fit_selected``).
+    Non-convergence is reported through ``converged``, never raised: some
+    targets genuinely cannot be descended to ``FTOL``.
 
     ``init`` selects the starting-point family: ``"gaussian"`` (generic) or
     ``"decoupled"`` (perturbed memoryless model; converges to representations
@@ -377,40 +372,30 @@ def fit(
         raise ValueError(f"unknown init {init!r}; expected 'gaussian' or 'decoupled'")
     draw = _initial_point if init == "gaussian" else _decoupled_initial_point
     d = target.d
-    rng = np.random.default_rng(seed)
-    best: tuple[float, np.ndarray, tuple[float, ...], int] | None = None
+    a_bar, phi = draw(np.random.default_rng(seed), d, D, R)
+    x = None
+    iterations = 0
+    history: tuple[float, ...] = ()
+    for k in k_schedule:
+        obj = _Objective(target, k, d, D, R, penalty=penalty)
+        if x is None:
+            x = obj.pack(a_bar, phi)
+        stopper = _StallStopper()
+        res = scipy.optimize.minimize(
+            obj.value_and_grad,
+            x,
+            jac=True,
+            method="BFGS",
+            callback=stopper,
+            options={"maxiter": max_iter, "gtol": GTOL},
+        )
+        x = res.x
+        iterations += res.nit
+        history += tuple(stopper.history)
 
-    for _ in range(max(restarts, 1)):
-        a_bar, phi = draw(rng, d, D, R)
-        x = None
-        iterations = 0
-        history: tuple[float, ...] = ()
-        final = np.inf
-        for k in k_schedule:
-            obj = _Objective(target, k, d, D, R, penalty=penalty)
-            if x is None:
-                x = obj.pack(a_bar, phi)
-            stopper = _StallStopper(obj)
-            res = scipy.optimize.minimize(
-                obj.value_and_grad,
-                x,
-                jac=True,
-                method="BFGS",
-                callback=stopper,
-                options={"maxiter": max_iter, "gtol": GTOL},
-            )
-            x = res.x
-            iterations += res.nit
-            history += tuple(stopper.history)
-            final = res.fun
-        if best is None or final < best[0]:
-            best = (final, x, history, iterations)
-
-    final, x, history, iterations = best
-    obj = _Objective(target, k_schedule[-1], d, D, R, penalty=penalty)
     a_bar, phi = obj.unpack(x)
     ansatz = ReconstructionAnsatz(a_bar, phi / np.linalg.norm(phi))
-    final_loss = max(float(final), 0.0)
+    final_loss = max(float(res.fun), 0.0)
     report = FitReport(
         final_loss=final_loss,
         loss_history=history,

@@ -220,7 +220,7 @@ def test_streaming_oracles_agree_with_dense_references():
             out = sum(a @ joint @ a.conj().T for a in channel.kraus)
             env = np.einsum("sesE->eE", out.reshape(2, 2, 2, 2))
             env = (env + env.conj().T) / (2.0 * np.trace(env).real)
-            worst = max(worst, float(np.abs(env_state(pt, j).rho - env).max()))
+            worst = max(worst, float(np.abs(env_state(pt, j) - env).max()))
     parts.append(("env recursion", worst, 1e-10))
 
     # Streaming inner product and entanglement entropy vs dense tensors.
@@ -319,7 +319,7 @@ def test_random_model_is_recovered_by_reconstruction():
     outcomes = []
     for restart in range(5):
         ansatz, report = fit(
-            target, D=2, R=4, k_schedule=(2, 4), restarts=1, seed=900 + restart
+            target, D=2, R=4, k_schedule=(2, 4), seed=900 + restart
         )
         frob = float(
             np.linalg.norm(materialize(predict(ansatz, 3), k_max=3) - dense3)

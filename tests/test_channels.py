@@ -8,14 +8,11 @@ from ptnm.channels import (
     ChannelTensor,
     KrausChannel,
     LindbladSpec,
-    apply_channel,
-    check_cptp,
-    identity_channel,
+    _tp_residual,
     kraus_to_w,
     lindblad_superoperator,
     random_cptp_channel,
     superop_to_kraus,
-    unitary_channel,
 )
 from ptnm.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 
@@ -54,7 +51,7 @@ def test_kraus_channel_rejects_oversized_set():
 
 
 def test_kraus_to_w_identity_channel_is_delta_pattern():
-    ct = kraus_to_w(identity_channel(2, 2))
+    ct = kraus_to_w(KrausChannel((np.eye(4),), 2, 2))
     expected = np.einsum(
         "oi,OI,ba,BA->iIoOaAbB", np.eye(2), np.eye(2), np.eye(2), np.eye(2)
     ).astype(complex)
@@ -68,12 +65,14 @@ def test_channel_tensor_invariants_hold_for_random_channels():
         w = ct.w
         swap = w.transpose(1, 0, 3, 2, 5, 4, 7, 6)
         np.testing.assert_allclose(w.conj(), swap, atol=1e-12)
-        report = check_cptp(ct)
-        assert report.passed
+        assert _tp_residual(w) < 1e-12
+        # read over the (o, b, i, a) pairing, W is the channel's Choi operator
+        choi = w.transpose(2, 6, 0, 4, 3, 7, 1, 5).reshape(16, 16)
+        assert np.linalg.eigvalsh(choi).min() > -1e-12
 
 
 def test_channel_tensor_rejects_broken_hermiticity():
-    ct = kraus_to_w(identity_channel(2, 1))
+    ct = kraus_to_w(KrausChannel((np.eye(2),), 2, 1))
     w = ct.w.copy()
     w[0, 0, 0, 1] += 0.01
     with pytest.raises(ValueError):
@@ -207,49 +206,8 @@ def test_superop_to_kraus_rejects_wrong_shape():
 
 
 # ---------------------------------------------------------------------------
-# Application and checks
+# Random channels
 # ---------------------------------------------------------------------------
-
-
-def test_apply_channel_identity_fixes_any_state():
-    rng = np.random.default_rng(38)
-    ct = kraus_to_w(identity_channel(2, 2))
-    rho = random_density(rng, 4)
-    np.testing.assert_allclose(apply_channel(ct, rho), rho, atol=1e-12)
-
-
-def test_apply_channel_preserves_density_properties():
-    rng = np.random.default_rng(39)
-    ct = kraus_to_w(random_cptp_channel(2, 2, 6, rng))
-    for _ in range(5):
-        rho = random_density(rng, 4)
-        out = apply_channel(ct, rho)
-        np.testing.assert_allclose(np.trace(out), 1.0, atol=1e-11)
-        np.testing.assert_allclose(out, out.conj().T, atol=1e-11)
-        assert np.linalg.eigvalsh((out + out.conj().T) / 2.0).min() > -1e-10
-
-
-def test_apply_channel_matches_kraus_sum():
-    rng = np.random.default_rng(40)
-    channel = random_cptp_channel(2, 2, 3, rng)
-    ct = kraus_to_w(channel)
-    rho = random_density(rng, 4)
-    expected = sum(a @ rho @ a.conj().T for a in channel.kraus)
-    np.testing.assert_allclose(apply_channel(ct, rho), expected, atol=1e-11)
-
-
-def test_check_cptp_flags_scaled_tensor():
-    ct = kraus_to_w(identity_channel(2, 2))
-    assert check_cptp(ct).passed
-    report = check_cptp(ct.w * 1.01)
-    assert not report.passed
-    assert report.tp_residual > 1e-3
-
-
-def test_unitary_channel_requires_unitarity():
-    unitary_channel(np.eye(4), 2, 2)
-    with pytest.raises(ValueError):
-        unitary_channel(np.eye(4) * 1.1, 2, 2)
 
 
 def test_random_cptp_channel_is_deterministic_in_the_seed():

@@ -114,6 +114,10 @@ def test_ruqdm_model_gets_short_step_default():
         {"delta": math.inf},
         {"coupling": math.nan},
         {"g": math.inf},
+        # range checks that used to wait until run time
+        {"k_schedule": [0]},
+        {"k_schedule": [2, -1]},
+        {"seed": -1},
     ],
 )
 def test_config_validation_errors(file_cfg):
@@ -162,6 +166,13 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_main_rejects_non_finite_flags(tmp_path, capsys, flag, value):
     code = main(["measure", flag, value, "--k", "12", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_main_rejects_a_negative_seed_flag(tmp_path, capsys):
+    code = main(["measure", "--seed", "-1", "--k", "12", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not os.listdir(tmp_path)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ptnm.channels import random_cptp_channel
+from ptnm.cli import EXIT_FILE, main
 from ptnm.io import (
     ansatz_from_dict,
     ansatz_to_dict,
@@ -89,6 +90,42 @@ def test_channel_dict_names_bad_operator():
     del data["kraus"]
     with pytest.raises(ValueError, match="kraus"):
         channel_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "dims", [{"d": 2.5}, {"D": 2.9}, {"d": "2"}, {"d": True, "D": 4}, {"D": 0}]
+)
+def test_channel_dict_rejects_non_integer_dimensions(dims):
+    # the first four used to be truncated or cast into a runnable channel
+    rng = np.random.default_rng(125)
+    data = {**channel_to_dict(random_cptp_channel(2, 2, 2, rng)), **dims}
+    with pytest.raises(ValueError, match="positive integer"):
+        channel_from_dict(data)
+
+
+@pytest.mark.parametrize("r", [2.0, True, "2", -2])
+def test_ansatz_dict_rejects_non_integer_rank(r):
+    rng = np.random.default_rng(126)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    data = ansatz_to_dict(ansatz_from_model(random_cptp_channel(2, 2, 2, rng), psi))
+    data["R"] = r
+    with pytest.raises(ValueError, match="positive integer"):
+        ansatz_from_dict(data)
+
+
+def test_main_rejects_a_channel_file_with_a_fractional_dimension(tmp_path, capsys):
+    rng = np.random.default_rng(127)
+    channel_file = str(tmp_path / "channel.json")
+    write_json_atomic(channel_file, {**channel_to_dict(random_cptp_channel(2, 2, 2, rng)),
+                                     "d": 2.5})
+    cfg = str(tmp_path / "cfg.json")
+    write_json_atomic(cfg, {"channel_file": channel_file})
+    out = tmp_path / "out"
+    code = main(["measure", "--config", cfg, "--k", "6", "--out", str(out)])
+    assert code == EXIT_FILE
+    assert "positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_report_dict_fields():

@@ -9,7 +9,7 @@ the vectorized process tensor.
 import numpy as np
 import pytest
 
-from ptnm.channels import kraus_to_w, random_cptp_channel, unitary_channel
+from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
 from ptnm.measures import (
     _cut_spectrum,
     env_state,
@@ -19,7 +19,7 @@ from ptnm.measures import (
     osee,
 )
 from ptnm.models import XXChainParams, ruqdm_channel, xx_chain_model, xx_chain_unitary
-from ptnm.process_tensor import ProcessTensorMPDO, build, gauge_transform_env, materialize
+from ptnm.process_tensor import ProcessTensorMPDO, build, materialize
 from ptnm.tensorops import Spectrum, von_neumann_entropy
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -57,7 +57,7 @@ def test_env_state_step_zero_is_initial_marginal():
     rho0 = random_density(rng, 4)
     pt = build(kraus_to_w(random_cptp_channel(2, 2, 3, rng)), rho0, 2)
     expected = np.einsum("sesE->eE", rho0.reshape(2, 2, 2, 2))
-    np.testing.assert_allclose(env_state(pt, 0).rho, expected, atol=1e-12)
+    np.testing.assert_allclose(env_state(pt, 0), expected, atol=1e-12)
 
 
 def test_env_state_matches_raw_matrix_recursion():
@@ -74,7 +74,7 @@ def test_env_state_matches_raw_matrix_recursion():
             out = sum(a @ joint @ a.conj().T for a in channel.kraus)
             env = np.einsum("sesE->eE", out.reshape(2, 2, 2, 2))
             env = (env + env.conj().T) / (2.0 * np.trace(env).real)
-            np.testing.assert_allclose(env_state(pt, j).rho, env, atol=1e-10)
+            np.testing.assert_allclose(env_state(pt, j), env, atol=1e-10)
 
 
 def test_env_state_validates_step_range():
@@ -139,7 +139,7 @@ def test_nm_ee_matches_unitary_memory_complexity():
     q, _ = np.linalg.qr(g)
     for u in (u_xx, q):
         rho0 = np.kron(random_density(rng, 2), random_density(rng, 2))
-        pt = build(kraus_to_w(unitary_channel(u, 2, 2)), rho0, 4)
+        pt = build(kraus_to_w(KrausChannel((u,), 2, 2)), rho0, 4)
         for j in range(1, 5):
             a = nm_ee(pt, j)
             b = memory_complexity(u, rho0, 2, 2, j)
@@ -218,7 +218,10 @@ def test_measures_are_gauge_invariant():
     pt = random_pt(rng, 4)
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(g)
-    moved = gauge_transform_env(pt, u)
+    # conjugate every environment bond by u; nothing observable may change
+    rho0 = np.einsum("xa,yb,oOab->oOxy", u, u.conj(), pt.rho0)
+    w = np.einsum("xa,yA,zb,wB,iIoOaAbB->iIoOxyzw", u.conj(), u, u, u.conj(), pt.sites[0])
+    moved = ProcessTensorMPDO(rho0, (w,) * pt.k)
     for j in range(1, 4):
         assert abs(osee(pt, j) - osee(moved, j)) < 1e-10
         assert abs(nm_ee(pt, j) - nm_ee(moved, j)) < 1e-10

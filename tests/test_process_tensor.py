@@ -1,14 +1,12 @@
-"""Tests for the MPDO process tensor: construction, interventions, dense
-cross-checks, containment, and gauge moves."""
+"""Tests for the MPDO process tensor: construction, interventions threaded
+through the dense tensor, containment, and inner products."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ptnm.channels import identity_channel, kraus_to_w, random_cptp_channel
+from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
 from ptnm.models import (
-    SIGMA_X,
-    SIGMA_Z,
     XXChainParams,
     ruqdm_channel,
     xx_chain_liouvillian,
@@ -16,24 +14,24 @@ from ptnm.models import (
 )
 from ptnm.process_tensor import (
     MaterializationLimitError,
-    OperationSequence,
     ProcessTensorMPDO,
     _as_matrix,
-    apply,
     build,
     check_containment,
-    expectation,
-    expectation_do_nothing,
-    gauge_transform_env,
-    identity_superop,
     inner_product,
-    local_expectation_averaged,
     materialize,
-    measure_prepare_superop,
     norm_sq,
 )
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+# an intervention [i, i', o, o'] maps the system output pair (o, o') of one
+# step to the input pair (i, i') of the next
+IDENTITY_MAP = np.einsum("io,IO->iIoO", np.eye(2), np.eye(2)).astype(complex)
+
+
+def measure_prepare_map(measurement, preparation):
+    """``rho -> tr(measurement rho) * preparation`` as an intervention."""
+    return np.einsum("iI,Oo->iIoO", preparation, measurement)
 
 
 def random_density(rng, n):
@@ -100,13 +98,6 @@ def test_site_checks_name_the_first_step_of_a_bad_object():
         ProcessTensorMPDO(pt.rho0, (good, skewed, skewed), site_tol=None)
 
 
-def test_rho0_matrix_round_trip():
-    pt = xx_pt(0.5, 1)
-    m = pt.rho0_matrix()
-    np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
-    np.testing.assert_allclose(np.trace(m), 1.0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Interventions against direct evolution
 # ---------------------------------------------------------------------------
@@ -116,8 +107,10 @@ def test_apply_identity_interventions_matches_superop_evolution():
     params = XXChainParams(gamma=2.0, n=0.3)
     k = 4
     pt = xx_pt(2.0, k, n=0.3)
-    seq = OperationSequence(tuple(identity_superop(2) for _ in range(k)))
-    out = apply(pt, seq)
+    # slots (o0, o0', i0, i0', ..., i3, i3', o4, o4'): an identity map on
+    # every (o_m, i_m) pair leaves the final system state
+    t = materialize(pt)
+    out = np.einsum("aAbBcCdDeEfFgGhHxX,bBaA,dDcC,fFeE,hHgG->xX", t, *[IDENTITY_MAP] * k)
 
     step = scipy.linalg.expm(xx_chain_liouvillian(params) * params.delta)
     vec = np.kron(params.system_state(), params.environment_state()).reshape(-1)
@@ -133,8 +126,8 @@ def test_apply_threads_a_preparation_through():
     k = 2
     pt = xx_pt(1.5, k)
     prep = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    ops = (identity_superop(2), measure_prepare_superop(np.eye(2), prep))
-    out = apply(pt, OperationSequence(ops))
+    reset = measure_prepare_map(np.eye(2), prep)
+    out = np.einsum("aAbBcCdDxX,bBaA,dDcC->xX", materialize(pt), IDENTITY_MAP, reset)
 
     params = XXChainParams(gamma=1.5)
     step = scipy.linalg.expm(xx_chain_liouvillian(params) * params.delta)
@@ -148,123 +141,16 @@ def test_apply_threads_a_preparation_through():
     np.testing.assert_allclose(out, expected, atol=1e-11)
 
 
-def test_apply_validates_sequence_length_and_dimension():
-    pt = xx_pt(1.0, 2)
-    with pytest.raises(ValueError):
-        apply(pt, OperationSequence((identity_superop(2),)))
-    with pytest.raises(ValueError):
-        apply(pt, OperationSequence(tuple(identity_superop(3) for _ in range(2)), d=3))
-
-
 def test_ruqdm_chain_composes_exactly():
     gamma, delta, k = 0.7, 0.25, 6
     pt = build(ruqdm_channel(gamma, delta), PLUS, k)
-    seq = OperationSequence(tuple(identity_superop(2) for _ in range(k)))
-    out = apply(pt, seq)
+    # k is past the dense guard, so thread the identity maps through the sites
+    state = pt.rho0
+    for w in pt.sites:
+        state = np.einsum("iIoOaAbB,iIaA->oObB", w, state)
+    out = np.einsum("oOaa->oO", state)
     np.testing.assert_allclose(out[0, 1], 0.5 * np.exp(-2.0 * gamma * delta * k), atol=1e-13)
     np.testing.assert_allclose(out[0, 0], 0.5, atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# Expectation values
-# ---------------------------------------------------------------------------
-
-
-def test_expectation_with_no_steps_reads_initial_state():
-    pt = xx_pt(1.0, 3, rho0_system=PLUS)
-    seq = OperationSequence((), final_measurement=SIGMA_X)
-    np.testing.assert_allclose(expectation(pt, seq), 1.0, atol=1e-12)
-    seq_id = OperationSequence((), final_measurement=np.eye(2))
-    np.testing.assert_allclose(expectation(pt, seq_id), 1.0, atol=1e-12)
-
-
-def test_expectation_uses_only_leading_sites():
-    """Containment in action: a j-step sequence gives the same value on a
-    k-step tensor as on its truncation."""
-    rng = np.random.default_rng(51)
-    pt = random_pt(rng, 4)
-    seq = OperationSequence(
-        tuple(identity_superop(2) for _ in range(2)), final_measurement=SIGMA_Z
-    )
-    full = expectation(pt, seq)
-    short = expectation(pt.truncated(2), seq)
-    np.testing.assert_allclose(full, short, atol=1e-12)
-
-
-def test_expectation_matches_dense_contraction():
-    rng = np.random.default_rng(52)
-    pt = random_pt(rng, 2)
-    ops = []
-    for _ in range(2):
-        channel = random_cptp_channel(2, 1, 2, rng)
-        ops.append(sum(np.kron(a, a.conj()) for a in channel.kraus))
-    m = SIGMA_Z + 0.3 * SIGMA_X
-    seq = OperationSequence(tuple(ops), final_measurement=m)
-    value = expectation(pt, seq)
-
-    t = materialize(pt)  # (o0,o0',i1,i1',o1,o1',i2,i2',o2,o2')
-    l0 = ops[0].reshape(2, 2, 2, 2)
-    l1 = ops[1].reshape(2, 2, 2, 2)
-    dense = np.einsum("aAbBcCdDeE,bBaA,dDcC,Ee->", t, l0, l1, m)
-    np.testing.assert_allclose(value, dense.real, atol=1e-11)
-
-
-def test_expectation_requires_measurement_and_fitting_length():
-    pt = xx_pt(1.0, 2)
-    with pytest.raises(ValueError):
-        expectation(pt, OperationSequence((identity_superop(2),)))
-    too_long = OperationSequence(
-        tuple(identity_superop(2) for _ in range(3)), final_measurement=SIGMA_Z
-    )
-    with pytest.raises(ValueError):
-        expectation(pt, too_long)
-
-
-def test_local_expectation_averaged_matches_raw_recursion():
-    """The averaged reading contracts the history into the effective
-    environment state; redo that bookkeeping with raw matrices."""
-    rng = np.random.default_rng(59)
-    m_op = SIGMA_Z + 0.2 * SIGMA_X
-    for _ in range(3):
-        channel = random_cptp_channel(2, 2, 3, rng)
-        rho0 = random_density(rng, 4)
-        pt = build(kraus_to_w(channel), rho0, 4)
-        env = np.einsum("sesE->eE", rho0.reshape(2, 2, 2, 2))
-        for j in range(1, 5):
-            joint = np.kron(np.eye(2), env)
-            out = sum(a @ joint @ a.conj().T for a in channel.kraus)
-            rho_s = np.einsum("seSe->sS", out.reshape(2, 2, 2, 2))
-            expected = float(np.trace(m_op @ rho_s).real)
-            np.testing.assert_allclose(
-                local_expectation_averaged(pt, m_op, j), expected, atol=1e-11
-            )
-            # feed the averaged system forward for the next round
-            mixed = np.kron(np.eye(2) / 2.0, env)
-            stepped = sum(a @ mixed @ a.conj().T for a in channel.kraus)
-            env = np.einsum("sesE->eE", stepped.reshape(2, 2, 2, 2))
-            env = (env + env.conj().T) / (2.0 * np.trace(env).real)
-
-
-def test_do_nothing_differs_from_averaged_with_memory():
-    """Identity slots keep system-environment coherence alive; averaging the
-    history destroys it, and the undamped exchange model sees the gap."""
-    pt = xx_pt(0.0, 4, rho0_system=PLUS)
-    gaps = [
-        abs(
-            expectation_do_nothing(pt, SIGMA_X, j)
-            - local_expectation_averaged(pt, SIGMA_X, j)
-        )
-        for j in range(1, 5)
-    ]
-    assert max(gaps) > 1e-3
-
-
-def test_expectation_do_nothing_validates_range():
-    pt = xx_pt(1.0, 2)
-    with pytest.raises(ValueError):
-        expectation_do_nothing(pt, SIGMA_Z, 3)
-    with pytest.raises(ValueError):
-        expectation_do_nothing(pt, np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +162,7 @@ def test_materialize_single_step_identity_channel():
     """For one identity step on a trivial environment the dense tensor is the
     initial state tensored with a perfect input-output correlator."""
     rho0 = PLUS
-    pt = build(kraus_to_w(identity_channel(2, 1)), rho0, 1)
+    pt = build(kraus_to_w(KrausChannel((np.eye(2),), 2, 1)), rho0, 1)
     t = materialize(pt)  # (o0, o0', i0, i0', o1, o1')
     assert t.shape == (2, 2, 2, 2, 2, 2)
     # the step copies its input: T[o0,o0',i0,i0',o1,o1'] =
@@ -362,33 +248,3 @@ def test_inner_product_rejects_mismatched_tensors():
     rng = np.random.default_rng(57)
     with pytest.raises(ValueError):
         inner_product(random_pt(rng, 2), random_pt(rng, 3))
-
-
-# ---------------------------------------------------------------------------
-# Environment gauge moves
-# ---------------------------------------------------------------------------
-
-
-def test_gauge_transform_identity_is_noop():
-    pt = xx_pt(1.0, 3)
-    out = gauge_transform_env(pt, np.eye(2))
-    np.testing.assert_allclose(out.rho0, pt.rho0, atol=1e-14)
-
-
-def test_gauge_transform_preserves_observable_content():
-    rng = np.random.default_rng(58)
-    pt = random_pt(rng, 3)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u, _ = np.linalg.qr(g)
-    moved = gauge_transform_env(pt, u)
-    np.testing.assert_allclose(
-        materialize(moved), materialize(pt), atol=1e-11
-    )
-
-
-def test_gauge_transform_requires_unitary_of_bond_size():
-    pt = xx_pt(1.0, 2)
-    with pytest.raises(ValueError):
-        gauge_transform_env(pt, np.eye(2) * 1.1)
-    with pytest.raises(ValueError):
-        gauge_transform_env(pt, np.eye(3))

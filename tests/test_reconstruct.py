@@ -216,15 +216,12 @@ def test_fit_recovers_a_random_hidden_model():
     # scale is enough here since we only need a well-formed target
     truth = ReconstructionAnsatz(a_bar, phi / np.linalg.norm(phi))
     target = predict(truth, 4)
-    ansatz, report = fit(
-        target,
-        D=2,
-        R=4,
-        k_schedule=(2, 3),
-        restarts=2,
-        seed=7,
-        max_iter=2000,
-    )
+    # two starts drawn in turn from one generator; the first wins a tie
+    rng = np.random.default_rng(7)
+    ansatz, report = fit(target, D=2, R=4, k_schedule=(2, 3), seed=rng, max_iter=2000)
+    second = fit(target, D=2, R=4, k_schedule=(2, 3), seed=rng, max_iter=2000)
+    if second[1].final_loss < report.final_loss:
+        ansatz, report = second
     assert report.final_loss < 1e-6 * norm_sq(target)
     fitted = predict(ansatz, 3)
     direct = predict(truth, 3)
@@ -237,7 +234,7 @@ def test_fit_recovers_a_random_hidden_model():
 def test_fit_report_fields_are_consistent():
     rng = np.random.default_rng(113)
     target = random_target(rng, 3)
-    _, report = fit(target, R=4, k_schedule=(2, 3), restarts=1, seed=3, max_iter=500)
+    _, report = fit(target, R=4, k_schedule=(2, 3), seed=3, max_iter=500)
     assert report.k_schedule == (2, 3)
     assert report.converged == (report.final_loss < 1e-8)
     assert report.iterations > 0
