@@ -8,6 +8,7 @@ observe a half-written result.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -99,6 +100,7 @@ def fit_report_to_dict(report: FitReport) -> dict:
         "normalization_residual": report.normalization_residual,
         "iterations": report.iterations,
         "converged": report.converged,
+        "stages": [dataclasses.asdict(stage) for stage in report.stages],
     }
 
 

@@ -8,9 +8,12 @@ tensor is ``predict(ansatz, k)`` and fitting minimizes the squared distance
          = <Y_fit, Y_fit> - 2 Re <Y_fit, Y_target> + <Y_target, Y_target>,
 
 evaluated by streaming transfer contractions (never materializing Y). The
-gradient is assembled analytically from cached left/right transfer
-environments: every appearance of conj(A_bar) in the two variable terms is
-removed in turn and the remaining network contracted onto A_bar. Trace
+gradient is assembled analytically from the cached left/right boundaries of
+the two variable terms. Every fitted site is the same tensor W and every
+target site the same tensor T, so the k site environments sum to one
+contraction: ``G = sum_m l_m (x) r_{m+1}`` is a single matmul of the stacked
+boundaries, contracted once with T (cross term) or W (self term), and the
+result is chained onto A_bar once per appearance of conj(A_bar) in W. Trace
 preservation of the fitted tensor is not enforced during optimization; it is
 monitored through ``normalization_residual`` and can be nudged with an
 optional quadratic penalty.
@@ -29,12 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+# private, but the step-length search of scipy's own BFGS; the scipy >= 1.11
+# pin covers both names
+from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
+
 from .channels import KrausChannel, _tp_residual, random_cptp_channel
 from .process_tensor import ProcessTensorMPDO, _left_sweep, _right_sweep, norm_sq
 
 PSI_NORM_TOL = 1e-10
 
-# BFGS stage stopping rule: scipy's gradient-norm test at GTOL, or a stall of
+# BFGS stage stopping rule: the inf-norm gradient test at GTOL, or a stall of
 # less than STALL_TOL loss improvement over STALL_WINDOW iterations; a fit
 # whose final loss is below FTOL counts as converged.
 GTOL = 1e-8
@@ -85,6 +92,22 @@ class ReconstructionAnsatz:
 
 
 @dataclass(frozen=True)
+class FitStage:
+    """One BFGS stage of a fit: the stage's step count ``k``, its iteration
+    and objective-evaluation counts, its final loss (absolute and relative to
+    the target's squared norm at ``k``), the final gradient's largest entry,
+    and why it stopped: ``gtol``, ``stall``, ``line_search`` or ``maxiter``."""
+
+    k: int
+    iterations: int
+    evaluations: int
+    final_loss: float
+    relative_loss: float
+    max_abs_grad: float
+    reason: str
+
+
+@dataclass(frozen=True)
 class FitReport:
     final_loss: float
     loss_history: tuple[float, ...]
@@ -92,6 +115,7 @@ class FitReport:
     normalization_residual: float
     iterations: int
     converged: bool
+    stages: tuple[FitStage, ...] = ()
 
     def __post_init__(self):
         if self.final_loss < 0:
@@ -153,15 +177,11 @@ def _chain2(env, a_bar):
     return np.einsum("iIoOaAbB,sobia->sOBIA", env, a_bar)
 
 
-def _site_envs(l, r, sites_bra, sites_ket, m, want_bra, want_ket):
-    env_bra = env_ket = None
-    if want_bra:
-        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l[m], sites_ket[m])
-        env_bra = np.einsum("xXiIoObB,cCbB->iIoOxXcC", tmp, r[m + 1])
-    if want_ket:
-        tmp = np.einsum("xXyY,iIoOxXcC->iIoOyYcC", l[m], sites_bra[m].conj())
-        env_ket = np.einsum("iIoOyYcC,cCbB->iIoOyYbB", tmp, r[m + 1])
-    return env_bra, env_ket
+def _summed_env(l, r):
+    # G[xXyY, cCbB] = sum_m l[m][xXyY] r[m+1][cCbB], one matmul of the stacks
+    k = len(l) - 1
+    g = np.stack(l[:k]).reshape(k, -1).T @ np.stack(r[1:]).reshape(k, -1)
+    return g.reshape(l[0].shape + r[0].shape)
 
 
 def _rho_envs(rho_bra, rho_ket, r0, want_bra, want_ket):
@@ -209,6 +229,8 @@ class _Objective:
         self.penalty = penalty
         self.t_rho0 = target.rho0
         self.t_sites = target.sites[:k]
+        if any(not np.array_equal(t, self.t_sites[0]) for t in self.t_sites[1:]):
+            raise ValueError("the target's sites must be one repeated tensor")
         self.t0 = norm_sq(target.truncated(k))
         self.n_a = r * d * dd * d * dd
 
@@ -246,15 +268,18 @@ class _Objective:
 
         value = t1_val - 2.0 * c_val.real + self.t0
 
-        g_a = np.zeros_like(a_bar)
-        for m in range(k):
-            env_c, _ = _site_envs(lc, rc, sites, self.t_sites, m, True, False)
-            env_s_bra, env_s_ket = _site_envs(ls, rs, sites, sites, m, True, True)
-            # d/d conj(A): T1 contributes from both layers; the cross term
-            # contributes via its bra layer plus the conjugate of its own
-            # A-derivative (from -C - conj(C))
-            g_a += _chain1(env_s_bra, a_bar) + _chain2(env_s_ket, a_bar)
-            g_a -= _chain1(env_c, a_bar) + _chain2(env_c, a_bar.conj()).conj()
+        # the environments of W at every step, summed: the fitted sites are
+        # all w and the target sites all t, so only the boundaries vary
+        g_c = _summed_env(lc, rc)
+        g_s = _summed_env(ls, rs)
+        env_c = np.einsum("xXyYcCbB,iIoOyYbB->iIoOxXcC", g_c, self.t_sites[0])
+        env_s_bra = np.einsum("xXyYcCbB,iIoOyYbB->iIoOxXcC", g_s, w)
+        env_s_ket = np.einsum("xXyYcCbB,iIoOxXcC->iIoOyYbB", g_s, w.conj())
+        # d/d conj(A): T1 contributes from both layers; the cross term
+        # contributes via its bra layer plus the conjugate of its own
+        # A-derivative (from -C - conj(C))
+        g_a = _chain1(env_s_bra, a_bar) + _chain2(env_s_ket, a_bar)
+        g_a -= _chain1(env_c, a_bar) + _chain2(env_c, a_bar.conj()).conj()
 
         envr_c, _ = _rho_envs(rho0, self.t_rho0, rc[0], True, False)
         envr_s_bra, envr_s_ket = _rho_envs(rho0, rho0, rs[0], True, True)
@@ -284,20 +309,74 @@ class _Objective:
 # ---------------------------------------------------------------------------
 
 
-class _StallStopper:
-    """BFGS callback that records the loss at every iteration and stops a
-    stage once it improves by less than ``STALL_TOL`` over ``STALL_WINDOW``
-    iterations."""
+def _rank_two_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """BFGS inverse-Hessian update ``(I - rho s y^T) H (I - rho y s^T) +
+    rho s s^T`` of a symmetric ``h``, in place and in O(n^2)."""
+    ys = y @ s
+    rho = 1000.0 if ys == 0.0 else 1.0 / ys  # scipy's guard against y^T s = 0
+    hy = h @ y
+    c = rho * rho * (y @ hy) + rho
+    h += np.stack([s, hy], axis=1) @ np.stack([c * s - rho * hy, -rho * s])
 
-    def __init__(self):
-        self.history: list[float] = []
 
-    def __call__(self, intermediate_result: scipy.optimize.OptimizeResult):
-        # scipy passes the iterate's loss as .fun when the parameter has this name
-        self.history.append(intermediate_result.fun)
-        if len(self.history) > STALL_WINDOW:
-            if self.history[-STALL_WINDOW - 1] - self.history[-1] < STALL_TOL:
-                raise StopIteration
+def _bfgs(fun, x0, args=(), jac=None, callback=None, maxiter=10000, gtol=GTOL, **_):
+    """One BFGS stage, a custom ``method`` for ``scipy.optimize.minimize``.
+
+    Step for step scipy's own BFGS (``_minimize_bfgs`` of scipy 1.17): the
+    identity as the first inverse Hessian, its initial step guess, its Wolfe
+    line search and its inf-norm gradient test. Two things differ: the
+    inverse-Hessian update is the O(n^2) rank-two form, and the stall rule
+    ends the stage. The result carries the loss after every iteration
+    (``loss_history``) and why the stage stopped (``reason``: ``gtol``,
+    ``stall``, ``line_search`` or ``maxiter``). ``callback`` and the other
+    arguments ``minimize`` hands every custom method are ignored.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x, *args)
+
+    def fprime(x):
+        return jac(x, *args)
+
+    x = np.asarray(x0, dtype=float).flatten()
+    fval = f(x)
+    g = fprime(x)
+    h = np.eye(x.size)
+    old_old_fval = fval + np.linalg.norm(g) / 2  # a first step of about 1
+    history: list[float] = []
+    reason = "gtol" if np.max(np.abs(g)) <= gtol else None
+    while reason is None and len(history) < maxiter:
+        p = -(h @ g)
+        try:
+            alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
+                f, fprime, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100
+            )
+        except _LineSearchError:
+            reason = "line_search"
+            break
+        s = alpha * p
+        x = x + s
+        if g_next is None:
+            g_next = fprime(x)
+        y = g_next - g
+        g = g_next
+        history.append(fval)
+        if len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - fval < STALL_TOL:
+            reason = "stall"
+        elif np.max(np.abs(g)) <= gtol:
+            reason = "gtol"
+        elif not np.isfinite(fval):
+            reason = "line_search"  # scipy reports a non-finite loss the same way
+        else:
+            _rank_two_update(h, s, y)
+    reason = reason or "maxiter"
+    return scipy.optimize.OptimizeResult(
+        x=x, fun=fval, jac=g, nit=len(history), nfev=nfev, success=reason == "gtol",
+        reason=reason, loss_history=history,
+    )
 
 
 def _initial_point(rng: np.random.Generator, d: int, dd: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,34 +453,41 @@ def fit(
     d = target.d
     a_bar, phi = draw(np.random.default_rng(seed), d, D, R)
     x = None
-    iterations = 0
     history: tuple[float, ...] = ()
+    stages = []
     for k in k_schedule:
         obj = _Objective(target, k, d, D, R, penalty=penalty)
         if x is None:
             x = obj.pack(a_bar, phi)
-        stopper = _StallStopper()
         res = scipy.optimize.minimize(
             obj.value_and_grad,
             x,
             jac=True,
-            method="BFGS",
-            callback=stopper,
+            method=_bfgs,
             options={"maxiter": max_iter, "gtol": GTOL},
         )
         x = res.x
-        iterations += res.nit
-        history += tuple(stopper.history)
+        history += tuple(res.loss_history)
+        loss = max(float(res.fun), 0.0)
+        stages.append(FitStage(
+            k=k,
+            iterations=res.nit,
+            evaluations=res.nfev,
+            final_loss=loss,
+            relative_loss=loss / obj.t0,
+            max_abs_grad=float(np.max(np.abs(res.jac))),
+            reason=res.reason,
+        ))
 
     a_bar, phi = obj.unpack(x)
     ansatz = ReconstructionAnsatz(a_bar, phi / np.linalg.norm(phi))
-    final_loss = max(float(res.fun), 0.0)
     report = FitReport(
-        final_loss=final_loss,
+        final_loss=loss,
         loss_history=history,
         k_schedule=tuple(k_schedule),
         normalization_residual=normalization_residual(ansatz),
-        iterations=iterations,
-        converged=final_loss < FTOL,
+        iterations=sum(stage.iterations for stage in stages),
+        converged=loss < FTOL,
+        stages=tuple(stages),
     )
     return ansatz, report

@@ -22,7 +22,7 @@ from ptnm.io import (
     write_csv_atomic,
     write_json_atomic,
 )
-from ptnm.reconstruct import FitReport, ansatz_from_model
+from ptnm.reconstruct import FitReport, FitStage, ansatz_from_model
 
 
 def test_pairs_round_trip_preserves_values():
@@ -129,6 +129,12 @@ def test_main_rejects_a_channel_file_with_a_fractional_dimension(tmp_path, capsy
 
 
 def test_fit_report_dict_fields():
+    stages = (
+        FitStage(k=2, iterations=90, evaluations=97, final_loss=2e-9,
+                 relative_loss=1e-9, max_abs_grad=3e-6, reason="stall"),
+        FitStage(k=3, iterations=50, evaluations=52, final_loss=1.5e-9,
+                 relative_loss=5e-10, max_abs_grad=9e-9, reason="gtol"),
+    )
     report = FitReport(
         final_loss=1.5e-9,
         loss_history=(0.5, 1e-8, 1.5e-9),
@@ -136,11 +142,18 @@ def test_fit_report_dict_fields():
         normalization_residual=2e-6,
         iterations=140,
         converged=True,
+        stages=stages,
     )
     data = fit_report_to_dict(report)
     assert data["converged"] is True
     assert data["k_schedule"] == [2, 3]
     assert data["final_loss"] == 1.5e-9
+    assert data["stages"] == [
+        {"k": 2, "iterations": 90, "evaluations": 97, "final_loss": 2e-9,
+         "relative_loss": 1e-9, "max_abs_grad": 3e-6, "reason": "stall"},
+        {"k": 3, "iterations": 50, "evaluations": 52, "final_loss": 1.5e-9,
+         "relative_loss": 5e-10, "max_abs_grad": 9e-9, "reason": "gtol"},
+    ]
     json.dumps(data)  # everything JSON-serializable
 
 

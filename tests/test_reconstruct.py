@@ -7,15 +7,19 @@ optimizer does; recovery of a known random model closes the loop.
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
-from ptnm.process_tensor import build, inner_product, norm_sq
+from ptnm.process_tensor import ProcessTensorMPDO, build, inner_product, norm_sq
 from ptnm.reconstruct import (
+    STALL_WINDOW,
     FitReport,
     ReconstructionAnsatz,
+    _bfgs,
     _decoupled_initial_point,
     _initial_point,
     _Objective,
+    _rank_two_update,
     ansatz_from_model,
     fit,
     normalization_residual,
@@ -155,28 +159,109 @@ def test_loss_decreases_toward_the_truth():
     assert losses[0] > losses[1] > losses[2] > losses[3]
 
 
+def finite_difference_error(rng, k, penalty=0.0):
+    """Relative error of the analytic gradient against central differences
+    (step 1e-6, full coordinate sweep) at a random target and point."""
+    h = 1e-6
+    target = random_target(rng, k)
+    obj = _Objective(target, k, 2, 2, 3, penalty=penalty)
+    a_bar = rng.normal(size=(3, 2, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2, 2))
+    phi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    x = obj.pack(a_bar, phi)
+    _, grad = obj.value_and_grad(x)
+    fd = np.empty_like(grad)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        f_plus, _ = obj.value_and_grad(x + step)
+        f_minus, _ = obj.value_and_grad(x - step)
+        fd[i] = (f_plus - f_minus) / (2.0 * h)
+    return np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+
+
 def test_analytic_gradient_matches_finite_differences():
     """Twenty random instances, full coordinate sweep with central
     differences; a subset runs with the normalization penalty switched on."""
     rng = np.random.default_rng(108)
-    h = 1e-6
     for case in range(20):
-        penalty = 0.0 if case % 2 == 0 else 1.7
-        target = random_target(rng, 2)
-        obj = _Objective(target, 2, 2, 2, 3, penalty=penalty)
-        a_bar = rng.normal(size=(3, 2, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2, 2))
-        phi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x = obj.pack(a_bar, phi)
-        _, grad = obj.value_and_grad(x)
-        fd = np.empty_like(grad)
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = h
-            f_plus, _ = obj.value_and_grad(x + step)
-            f_minus, _ = obj.value_and_grad(x - step)
-            fd[i] = (f_plus - f_minus) / (2.0 * h)
-        rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+        rel = finite_difference_error(rng, 2, penalty=0.0 if case % 2 == 0 else 1.7)
         assert rel < 1e-5, f"instance {case}: relative gradient error {rel:.2e}"
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_gradient_matches_finite_differences_at_short_and_odd_k(k):
+    """The summed environment has one term at k=1 and three at k=3; the step
+    and tolerance are those of the acceptance suite's gradient oracle."""
+    rng = np.random.default_rng(109 + k)
+    for case in range(3):
+        rel = finite_difference_error(rng, k)
+        assert rel < 1e-5, f"instance {case}: relative gradient error {rel:.2e}"
+
+
+def test_objective_rejects_a_target_with_distinct_sites():
+    rng = np.random.default_rng(115)
+    w1, w2 = (kraus_to_w(random_cptp_channel(2, 2, 2, rng)).w for _ in range(2))
+    psi = random_state(rng, 4)
+    rho0 = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    target = ProcessTensorMPDO(rho0, (w1, w2))
+    with pytest.raises(ValueError, match="one repeated tensor"):
+        _Objective(target, 2, 2, 2, 3)
+    _Objective(target, 1, 2, 2, 3)  # a single step is one tensor
+
+
+# ---------------------------------------------------------------------------
+# Optimizer
+# ---------------------------------------------------------------------------
+
+
+def test_rank_two_update_matches_the_dense_bfgs_formula():
+    rng = np.random.default_rng(116)
+    n = 30
+    m = rng.normal(size=(n, n))
+    h = m @ m.T + n * np.eye(n)
+    s, y = rng.normal(size=n), rng.normal(size=n)
+    rho = 1.0 / (y @ s)
+    eye = np.eye(n)
+    dense = (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
+    _rank_two_update(h, s, y)
+    np.testing.assert_allclose(h, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+def test_bfgs_reaches_gtol_on_a_convex_quadratic():
+    rng = np.random.default_rng(117)
+    m = rng.normal(size=(10, 10))
+    a = m @ m.T + np.eye(10)
+    b = rng.normal(size=10)
+
+    def fun(x):
+        return 0.5 * x @ a @ x - b @ x, a @ x - b
+
+    res = scipy.optimize.minimize(fun, np.zeros(10), jac=True, method=_bfgs)
+    assert res.reason == "gtol" and res.success
+    assert 0 < res.nit == len(res.loss_history)
+    assert res.nfev >= res.nit
+    assert np.max(np.abs(res.jac)) <= 1e-8
+    np.testing.assert_allclose(res.x, np.linalg.solve(a, b), atol=1e-7)
+
+
+def test_bfgs_ends_a_plateau_on_the_stall_rule():
+    # the whole loss range lies below the stall tolerance
+    def fun(x):
+        return 1e-12 * np.sum(x**4), 4e-12 * x**3
+
+    res = scipy.optimize.minimize(fun, np.ones(3), jac=True, method=_bfgs, options={"gtol": 0.0})
+    assert res.reason == "stall"
+    assert len(res.loss_history) == res.nit == STALL_WINDOW + 1
+
+
+def test_bfgs_honours_maxiter():
+    def fun(x):
+        return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
+
+    res = scipy.optimize.minimize(fun, np.full(4, -1.0), jac=True, method=_bfgs,
+                                  options={"maxiter": 3})
+    assert res.reason == "maxiter" and not res.success
+    assert res.nit == len(res.loss_history) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +324,21 @@ def test_fit_report_fields_are_consistent():
     assert report.converged == (report.final_loss < 1e-8)
     assert report.iterations > 0
     assert len(report.loss_history) > 0
-    # the stall callback records one loss per iteration, over every stage
+    # the optimizer records one loss per iteration, over every stage
     assert len(report.loss_history) == report.iterations
     assert report.normalization_residual >= 0.0
+    # one record per stage, in schedule order, adding up to the totals
+    assert [stage.k for stage in report.stages] == [2, 3]
+    assert sum(stage.iterations for stage in report.stages) == report.iterations
+    assert report.stages[-1].final_loss == report.final_loss
+    for stage in report.stages:
+        assert stage.reason in ("gtol", "stall", "line_search", "maxiter")
+        assert stage.evaluations >= stage.iterations > 0
+        assert stage.max_abs_grad >= 0.0
+        t0 = norm_sq(target.truncated(stage.k))
+        assert stage.relative_loss == pytest.approx(stage.final_loss / t0, rel=1e-12)
+        if stage.reason == "gtol":
+            assert stage.max_abs_grad <= 1e-8
 
 
 def test_fit_validates_arguments():
