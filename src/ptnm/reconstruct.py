@@ -7,9 +7,16 @@ tensor is ``predict(ansatz, k)`` and fitting minimizes the squared distance
     loss = <Y_fit - Y_target, Y_fit - Y_target>
          = <Y_fit, Y_fit> - 2 Re <Y_fit, Y_target> + <Y_target, Y_target>,
 
-evaluated by streaming transfer contractions (never materializing Y). The
-gradient is assembled analytically from the cached left/right boundaries of
-the two variable terms. Every fitted site is the same tensor W and every
+evaluated without materializing Y. The three terms are of order
+``<Y_target, Y_target>`` (about 1e3 at k=6 on the chain) while their sum
+falls below 1e-8 in a converged fit, so the value is not taken from them:
+``Y_fit - Y_target`` is one tensor train (bond space fit (+) target,
+block-diagonal sites, the minus sign on the initial tensor), and a QR sweep
+along it gives the norm with an absolute error of order eps*|Y|*|Y_fit -
+Y_target| instead of eps*|Y|^2.
+
+The gradient is assembled analytically from the cached left/right boundaries
+of the two variable terms. Every fitted site is the same tensor W and every
 target site the same tensor T, so the k site environments sum to one
 contraction: ``G = sum_m l_m (x) r_{m+1}`` is a single matmul of the stacked
 boundaries, contracted once with T (cross term) or W (self term), and the
@@ -31,10 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-
-# private, but the step-length search of scipy's own BFGS; the scipy >= 1.11
-# pin covers both names
-from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel
 from .process_tensor import ProcessTensorMPDO, _left_sweep, _right_sweep, norm_sq
@@ -115,7 +118,7 @@ class FitReport:
     normalization_residual: float
     iterations: int
     converged: bool
-    stages: tuple[FitStage, ...] = ()
+    stages: tuple[FitStage, ...]
 
     def __post_init__(self):
         if self.final_loss < 0:
@@ -163,8 +166,11 @@ def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
 # rightward including the final double trace (the process_tensor sweeps).
 
 
-def _pair_value(l_last) -> complex:
-    return complex(np.einsum("ccbb->", l_last))
+def _tt_core(w):
+    # a site as a tensor-train core: (incoming bond pair, system legs,
+    # outgoing bond pair)
+    dd = w.shape[4]
+    return w.transpose(4, 5, 0, 1, 2, 3, 6, 7).reshape(dd * dd, -1, dd * dd)
 
 
 def _chain1(env, a_bar):
@@ -179,8 +185,8 @@ def _chain2(env, a_bar):
 
 def _summed_env(l, r):
     # G[xXyY, cCbB] = sum_m l[m][xXyY] r[m+1][cCbB], one matmul of the stacks
-    k = len(l) - 1
-    g = np.stack(l[:k]).reshape(k, -1).T @ np.stack(r[1:]).reshape(k, -1)
+    k = len(l)
+    g = np.stack(l).reshape(k, -1).T @ np.stack(r[1:]).reshape(k, -1)
     return g.reshape(l[0].shape + r[0].shape)
 
 
@@ -233,6 +239,12 @@ class _Objective:
             raise ValueError("the target's sites must be one repeated tensor")
         self.t0 = norm_sq(target.truncated(k))
         self.n_a = r * d * dd * d * dd
+        # the difference tensor train: its target block and final trace are
+        # fixed, value_and_grad writes the fitted block
+        nf, nt = dd * dd, target.D ** 2
+        self.diff_core = np.zeros((nf + nt, d**4, nf + nt), dtype=complex)
+        self.diff_core[nf:, :, nf:] = _tt_core(self.t_sites[0])
+        self.diff_trace = np.concatenate([np.eye(dd).ravel(), np.eye(target.D).ravel()])
 
     def pack(self, a_bar: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -246,6 +258,23 @@ class _Objective:
         phi = x[2 * n : 2 * n + self.d * self.dd] + 1j * x[2 * n + self.d * self.dd :]
         return a_bar, phi
 
+    def _loss(self, rho0: np.ndarray, w: np.ndarray) -> float:
+        """``<Y_fit - Y_target, Y_fit - Y_target>`` by a QR sweep along the
+        difference tensor train: only the triangular factor travels, so no
+        two large terms are ever subtracted."""
+        nf = self.dd * self.dd
+        b = self.diff_core.shape[0]
+        self.diff_core[:nf, :, :nf] = _tt_core(w)
+        core = self.diff_core.reshape(b, -1)
+        first = np.concatenate(
+            [rho0.reshape(self.d**2, nf), -self.t_rho0.reshape(self.d**2, -1)], axis=1
+        )
+        r = np.linalg.qr(first, mode="r")
+        for _ in range(self.k):
+            r = np.linalg.qr((r @ core).reshape(-1, b), mode="r")
+        v = r @ self.diff_trace
+        return float(np.vdot(v, v).real)
+
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         a_bar, phi = self.unpack(x)
         phi_norm = np.linalg.norm(phi)
@@ -255,18 +284,15 @@ class _Objective:
         w = _site_tensor(a_bar)
         rho0 = _rho0_tensor(psi, self.d, self.dd)
         sites = [w] * self.k
-        k = self.k
 
-        # cross term C = <Y_fit, Y_target>
-        lc = _left_sweep(rho0, sites, self.t_rho0, self.t_sites)
+        value = self._loss(rho0, w)
+
+        # boundaries of the cross term C = <Y_fit, Y_target> and the self
+        # term T1 = <Y_fit, Y_fit>; the left ones stop before the last site
+        lc = _left_sweep(rho0, sites[:-1], self.t_rho0, self.t_sites[:-1])
         rc = _right_sweep(sites, self.t_sites)
-        c_val = _pair_value(lc[k])
-        # self term T1 = <Y_fit, Y_fit>
-        ls = _left_sweep(rho0, sites, rho0, sites)
+        ls = _left_sweep(rho0, sites[:-1], rho0, sites[:-1])
         rs = _right_sweep(sites, sites)
-        t1_val = _pair_value(ls[k]).real
-
-        value = t1_val - 2.0 * c_val.real + self.t0
 
         # the environments of W at every step, summed: the fitted sites are
         # all w and the target sites all t, so only the boundaries vary
@@ -319,8 +345,9 @@ def _rank_two_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     h += np.stack([s, hy], axis=1) @ np.stack([c * s - rho * hy, -rho * s])
 
 
-def _bfgs(fun, x0, args=(), jac=None, callback=None, maxiter=10000, gtol=GTOL, **_):
-    """One BFGS stage, a custom ``method`` for ``scipy.optimize.minimize``.
+def _bfgs(fun, x0, jac, maxiter, gtol, **_):
+    """One BFGS stage, a custom ``method`` for ``scipy.optimize.minimize``
+    with the options ``maxiter`` and ``gtol``.
 
     Step for step scipy's own BFGS (``_minimize_bfgs`` of scipy 1.17): the
     identity as the first inverse Hessian, its initial step guess, its Wolfe
@@ -328,22 +355,23 @@ def _bfgs(fun, x0, args=(), jac=None, callback=None, maxiter=10000, gtol=GTOL, *
     inverse-Hessian update is the O(n^2) rank-two form, and the stall rule
     ends the stage. The result carries the loss after every iteration
     (``loss_history``) and why the stage stopped (``reason``: ``gtol``,
-    ``stall``, ``line_search`` or ``maxiter``). ``callback`` and the other
-    arguments ``minimize`` hands every custom method are ignored.
+    ``stall``, ``line_search`` or ``maxiter``). ``callback``, ``args`` and the
+    other arguments ``minimize`` hands every custom method are ignored.
     """
+    # private, but the step-length search of scipy's own BFGS; imported here
+    # so that a scipy which moves it breaks only fitting (the pin is <1.18)
+    from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
+
     nfev = 0
 
     def f(x):
         nonlocal nfev
         nfev += 1
-        return fun(x, *args)
-
-    def fprime(x):
-        return jac(x, *args)
+        return fun(x)
 
     x = np.asarray(x0, dtype=float).flatten()
     fval = f(x)
-    g = fprime(x)
+    g = jac(x)
     h = np.eye(x.size)
     old_old_fval = fval + np.linalg.norm(g) / 2  # a first step of about 1
     history: list[float] = []
@@ -352,7 +380,7 @@ def _bfgs(fun, x0, args=(), jac=None, callback=None, maxiter=10000, gtol=GTOL, *
         p = -(h @ g)
         try:
             alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
-                f, fprime, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100
+                f, jac, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100
             )
         except _LineSearchError:
             reason = "line_search"
@@ -360,7 +388,7 @@ def _bfgs(fun, x0, args=(), jac=None, callback=None, maxiter=10000, gtol=GTOL, *
         s = alpha * p
         x = x + s
         if g_next is None:
-            g_next = fprime(x)
+            g_next = jac(x)
         y = g_next - g
         g = g_next
         history.append(fval)

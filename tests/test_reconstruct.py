@@ -137,6 +137,36 @@ def test_loss_vanishes_at_the_generating_model():
     assert value < 1e-16 * norm_sq(target)
 
 
+def test_loss_matches_the_expanded_form_away_from_the_fit():
+    # far from the fit the three terms do not cancel, so the expanded form
+    # from the process-tensor inner products is an exact reference
+    rng = np.random.default_rng(118)
+    for k in (1, 3):
+        target = random_target(rng, k)
+        a_bar, phi = _initial_point(rng, 2, 2, 3)
+        ansatz = ReconstructionAnsatz(a_bar, phi)
+        fitted = predict(ansatz, k)
+        expanded = norm_sq(fitted) - 2.0 * inner_product(fitted, target).real + norm_sq(target)
+        value, _ = value_and_grad_at(ansatz, target, k)
+        assert value == pytest.approx(expanded, rel=1e-12)
+
+
+def test_loss_resolves_a_fit_far_below_the_rounding_of_its_terms():
+    # loss(eps) = q eps^2 + O(eps^3) near the generating model; subtracting
+    # the three O(|Y|^2) terms would bury eps = 1e-9 (a loss near 1e-18) in
+    # rounding of order 1e-16 |Y|^2
+    rng = np.random.default_rng(119)
+    channel, psi = model_pair(rng, kraus_rank=3)
+    target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 4)
+    truth = ansatz_from_model(channel, psi)
+    noise = rng.normal(size=truth.a_bar.shape) + 1j * rng.normal(size=truth.a_bar.shape)
+    ratios = []
+    for eps in (1e-6, 1e-7, 1e-8, 1e-9):
+        ansatz = ReconstructionAnsatz(truth.a_bar + eps * noise, psi)
+        ratios.append(value_and_grad_at(ansatz, target, 4)[0] / eps**2)
+    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-4)
+
+
 def test_gradient_vanishes_at_the_generating_model():
     rng = np.random.default_rng(106)
     channel, psi = model_pair(rng, kraus_rank=3)
@@ -236,7 +266,8 @@ def test_bfgs_reaches_gtol_on_a_convex_quadratic():
     def fun(x):
         return 0.5 * x @ a @ x - b @ x, a @ x - b
 
-    res = scipy.optimize.minimize(fun, np.zeros(10), jac=True, method=_bfgs)
+    res = scipy.optimize.minimize(fun, np.zeros(10), jac=True, method=_bfgs,
+                                  options={"maxiter": 1000, "gtol": 1e-8})
     assert res.reason == "gtol" and res.success
     assert 0 < res.nit == len(res.loss_history)
     assert res.nfev >= res.nit
@@ -249,7 +280,8 @@ def test_bfgs_ends_a_plateau_on_the_stall_rule():
     def fun(x):
         return 1e-12 * np.sum(x**4), 4e-12 * x**3
 
-    res = scipy.optimize.minimize(fun, np.ones(3), jac=True, method=_bfgs, options={"gtol": 0.0})
+    res = scipy.optimize.minimize(fun, np.ones(3), jac=True, method=_bfgs,
+                                  options={"maxiter": 1000, "gtol": 0.0})
     assert res.reason == "stall"
     assert len(res.loss_history) == res.nit == STALL_WINDOW + 1
 
@@ -259,7 +291,7 @@ def test_bfgs_honours_maxiter():
         return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
 
     res = scipy.optimize.minimize(fun, np.full(4, -1.0), jac=True, method=_bfgs,
-                                  options={"maxiter": 3})
+                                  options={"maxiter": 3, "gtol": 1e-8})
     assert res.reason == "maxiter" and not res.success
     assert res.nit == len(res.loss_history) == 3
 
@@ -361,4 +393,5 @@ def test_fit_report_rejects_negative_loss():
             normalization_residual=0.0,
             iterations=1,
             converged=False,
+            stages=(),
         )
