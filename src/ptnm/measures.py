@@ -11,12 +11,11 @@ through left/right Gram matrices, the second through a ``D x D`` recursion.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .process_tensor import ProcessTensorMPDO, _env_states, _left_sweep, _right_sweep
+from .process_tensor import ProcessTensorMPDO, _env_states, _sweep, _tt_core
 from .tensorops import (
     Spectrum,
     check_density_matrix,
@@ -73,6 +72,22 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _grams(
+    pt: ProcessTensorMPDO, stop: int, start: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Left Grams ``[l_0, ..., l_stop]`` and right Grams ``[r_start, ...,
+    r_k]`` of the process tensor with itself, each a ``(D**2, D**2)`` matrix
+    over the bond pair, by one :func:`_sweep` each. ``l_j`` contracts the
+    initial tensor and the sites before step ``j``; ``r_j`` the sites from
+    ``j`` on and the final environment trace."""
+    first = pt.rho0.reshape(pt.d**2, -1)
+    cores = [_tt_core(w) for w in pt.sites]
+    lefts = _sweep(first, cores[:stop], first, cores[:stop])
+    trace = np.eye(pt.D).reshape(1, -1)
+    back = [c.transpose(2, 1, 0) for c in reversed(cores[start:])]
+    return lefts, _sweep(trace, back, trace, back)[::-1]
+
+
 def _cut_spectrum(gram_left: np.ndarray, gram_right: np.ndarray) -> np.ndarray:
     """Normalized Schmidt spectrum across a cut from the two bond Grams.
 
@@ -80,11 +95,8 @@ def _cut_spectrum(gram_left: np.ndarray, gram_right: np.ndarray) -> np.ndarray:
     vectors ``L``, so its nonzero spectrum is that of ``G_R^T G_L``, evaluated
     here in the manifestly Hermitian form ``sqrt(G_L) G_R^T sqrt(G_L)``.
     """
-    n = int(round(math.sqrt(gram_left.size)))
-    gl = gram_left.reshape(n, n)
-    gr = gram_right.reshape(n, n)
-    s = _sqrt_psd(gl)
-    eigs = np.linalg.eigvalsh(s @ gr.T @ s)
+    s = _sqrt_psd(gram_left)
+    eigs = np.linalg.eigvalsh(s @ gram_right.T @ s)
     total = eigs.sum()
     if total <= 0:
         raise ValueError("process tensor has zero norm across the cut")
@@ -101,9 +113,8 @@ def osee(pt: ProcessTensorMPDO, j: int, alpha: float | None = None) -> float:
     """
     if not 1 <= j <= pt.k - 1:
         raise ValueError(f"bond cut needs 1 <= j <= {pt.k - 1}, got {j}")
-    gl = _left_sweep(pt.rho0, pt.sites[:j], pt.rho0, pt.sites[:j])[-1]
-    gr = _right_sweep(pt.sites[j:], pt.sites[j:])[0]
-    return _entropy(_cut_spectrum(gl, gr), alpha) / 2.0
+    lefts, rights = _grams(pt, j, j)
+    return _entropy(_cut_spectrum(lefts[-1], rights[0]), alpha) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +188,7 @@ def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
     """
     if kind == "osee":
         steps = tuple(range(1, pt.k))
-        lefts = _left_sweep(pt.rho0, pt.sites, pt.rho0, pt.sites)
-        rights = _right_sweep(pt.sites, pt.sites)
+        lefts, rights = _grams(pt, pt.k, 0)
         values = [_entropy(_cut_spectrum(lefts[j], rights[j]), None) / 2.0 for j in steps]
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values), flagged)

@@ -188,30 +188,29 @@ def check_containment(
     return ContainmentReport(residual, residual <= tol)
 
 
-def _left_sweep(rho_bra, sites_bra, rho_ket, sites_ket) -> list[np.ndarray]:
-    """Two-layer left boundaries ``[l_0, ..., l_k]``: ``l_m`` contracts the
-    initial tensors and the first ``m`` sites, with axes ``[bra_bond,
-    bra_bond', ket_bond, ket_bond']``. The bra layer is conjugated."""
-    l = [np.einsum("oOxX,oOyY->xXyY", rho_bra.conj(), rho_ket)]
-    for wb, wk in zip(sites_bra, sites_ket):
-        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l[-1], wk)
-        l.append(np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, wb.conj()))
+def _tt_core(w: np.ndarray) -> np.ndarray:
+    """A site as a tensor-train core of shape ``(D*D, d**4, D*D)``: the
+    incoming bond pair, the system legs ``(i, i', o, o')``, the outgoing bond
+    pair."""
+    dd = w.shape[4]
+    return w.transpose(4, 5, 0, 1, 2, 3, 6, 7).reshape(dd * dd, -1, dd * dd)
+
+
+def _sweep(first_bra, cores_bra, first_ket, cores_ket) -> list[np.ndarray]:
+    """Two-layer boundaries ``[l_0, ..., l_n]`` of two tensor trains, each a
+    ``(bra_bond, ket_bond)`` matrix; the bra layer is conjugated.
+
+    ``l_0 = first_bra^H first_ket`` contracts the two first tensors, shaped
+    ``(physical, bond)``, and each step passes one core pair as two matmuls.
+    Left boundaries start from the initial tensors; right boundaries start
+    from the final-trace row vectors and run over the reversed cores with
+    their in and out bonds swapped.
+    """
+    l = [first_bra.conj().T @ first_ket]
+    for cb, ck in zip(cores_bra, cores_ket):
+        tmp = (l[-1] @ ck.reshape(ck.shape[0], -1)).reshape(-1, ck.shape[2])
+        l.append(cb.reshape(-1, cb.shape[2]).conj().T @ tmp)
     return l
-
-
-def _right_sweep(sites_bra, sites_ket) -> list[np.ndarray]:
-    """Two-layer right boundaries ``[r_0, ..., r_k]``: ``r_m`` contracts
-    sites ``m..k-1`` and the final environment trace, in the axis order of
-    :func:`_left_sweep`; ``r_k`` is the trace itself. Needs at least one
-    site, which fixes the bond dimensions."""
-    db = sites_bra[0].shape[4]
-    dk = sites_ket[0].shape[4]
-    r = [np.einsum("cC,bB->cCbB", np.eye(db, dtype=complex), np.eye(dk, dtype=complex))]
-    for wb, wk in zip(reversed(sites_bra), reversed(sites_ket)):
-        tmp = np.einsum("iIoOyYbB,cCbB->iIoOyYcC", wk, r[-1])
-        r.append(np.einsum("iIoOxXcC,iIoOyYcC->xXyY", wb.conj(), tmp))
-    r.reverse()
-    return r
 
 
 def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
@@ -219,8 +218,11 @@ def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
     bond pairs, never materializing either tensor."""
     if a.k != b.k or a.d != b.d:
         raise ValueError("process tensors must share step count and system dimension")
-    l = _left_sweep(a.rho0, a.sites, b.rho0, b.sites)[-1]
-    return complex(np.einsum("xxaa->", l))
+    l = _sweep(
+        a.rho0.reshape(a.d**2, -1), [_tt_core(w) for w in a.sites],
+        b.rho0.reshape(b.d**2, -1), [_tt_core(w) for w in b.sites],
+    )[-1]
+    return complex(np.eye(a.D).ravel() @ l @ np.eye(b.D).ravel())
 
 
 def norm_sq(pt: ProcessTensorMPDO) -> float:

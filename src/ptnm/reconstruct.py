@@ -15,15 +15,19 @@ block-diagonal sites, the minus sign on the initial tensor), and a QR sweep
 along it gives the norm with an absolute error of order eps*|Y|*|Y_fit -
 Y_target| instead of eps*|Y|^2.
 
-The gradient is assembled analytically from the cached left/right boundaries
-of the two variable terms. Every fitted site is the same tensor W and every
-target site the same tensor T, so the k site environments sum to one
-contraction: ``G = sum_m l_m (x) r_{m+1}`` is a single matmul of the stacked
-boundaries, contracted once with T (cross term) or W (self term), and the
-result is chained onto A_bar once per appearance of conj(A_bar) in W. Trace
-preservation of the fitted tensor is not enforced during optimization; it is
-monitored through ``normalization_residual`` and can be nudged with an
-optional quadratic penalty.
+The gradient comes from the same train: one left and one right boundary
+sweep of it give the environment of every fitted site. Every fitted site is
+the same tensor W and every target site the same tensor T, so the k site
+environments sum to one contraction: ``G = sum_m l_m (x) r_{m+1}`` over the
+fitted bra bonds is a single matmul of the stacked boundaries, contracted
+once with the train's core to give the environment of conj(W), and the
+result is chained onto A_bar once: conjugating while swapping primed and
+unprimed slots leaves W, T and the train unchanged, so W's appearances add
+what conj(W)'s do. The state's environment is the first tensor contracted
+with the first right boundary. Trace preservation of the fitted tensor is
+not enforced during optimization; it is monitored through
+``normalization_residual`` and can be nudged with an optional quadratic
+penalty, whose environment joins that of conj(W) before the chain.
 
 Gradient conventions: for a real loss L of complex parameters x, the reported
 arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
@@ -40,7 +44,7 @@ import numpy as np
 import scipy.optimize
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel
-from .process_tensor import ProcessTensorMPDO, _left_sweep, _right_sweep, norm_sq
+from .process_tensor import ProcessTensorMPDO, _sweep, _tt_core, norm_sq
 
 PSI_NORM_TOL = 1e-10
 
@@ -159,58 +163,24 @@ def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
 # ---------------------------------------------------------------------------
 # Loss and gradient networks
 # ---------------------------------------------------------------------------
-#
-# All two-layer contractions put the (conjugated) bra layer's bond pair first
-# and the ket layer's second, matching inner_product. Left caches l[m] hold
-# the network left of site m; right caches r[m] hold everything from site m
-# rightward including the final double trace (the process_tensor sweeps).
-
-
-def _tt_core(w):
-    # a site as a tensor-train core: (incoming bond pair, system legs,
-    # outgoing bond pair)
-    dd = w.shape[4]
-    return w.transpose(4, 5, 0, 1, 2, 3, 6, 7).reshape(dd * dd, -1, dd * dd)
 
 
 def _chain1(env, a_bar):
-    # remove conj(A) from the unprimed slot of a bra site
+    # remove conj(A) from the unprimed slot of conj(W), given the
+    # environment of conj(W)
     return np.einsum("iIoOaAbB,sOBIA->sobia", env, a_bar)
 
 
-def _chain2(env, a_bar):
-    # remove conj(A) from the primed slot of a ket site
-    return np.einsum("iIoOaAbB,sobia->sOBIA", env, a_bar)
-
-
-def _summed_env(l, r):
-    # G[xXyY, cCbB] = sum_m l[m][xXyY] r[m+1][cCbB], one matmul of the stacks
-    k = len(l)
-    g = np.stack(l).reshape(k, -1).T @ np.stack(r[1:]).reshape(k, -1)
-    return g.reshape(l[0].shape + r[0].shape)
-
-
-def _rho_envs(rho_bra, rho_ket, r0, want_bra, want_ket):
-    env_bra = env_ket = None
-    if want_bra:
-        env_bra = np.einsum("oOyY,xXyY->oOxX", rho_ket, r0)
-    if want_ket:
-        env_ket = np.einsum("oOxX,xXyY->oOyY", rho_bra.conj(), r0)
-    return env_bra, env_ket
-
-
-def _penalty_terms(w, d, dd, a_bar):
+def _penalty_terms(w, d, dd):
+    # |tr_{o,b} W - 1|^2 and its environment of conj(W): the deviation,
+    # spread over the traced (o, b) diagonals
     marginal = np.einsum("ijooaebb->ijae", w)
     dev = marginal - np.einsum(
         "ij,ae->ijae", np.eye(d, dtype=complex), np.eye(dd, dtype=complex)
     )
     value = float(np.sum(np.abs(dev) ** 2))
-    # the W and conj(W) appearances in |dev|^2 see conjugate environments,
-    # spread over the traced (o, b) diagonals
-    env_w = np.einsum("ijae,oO,bB->ijoOaebB", dev.conj(), np.eye(d), np.eye(dd))
-    env_wbar = np.einsum("ijae,oO,bB->ijoOaebB", dev, np.eye(d), np.eye(dd))
-    grad = _chain2(env_w, a_bar) + _chain1(env_wbar, a_bar)
-    return value, grad
+    env = np.einsum("ijae,oO,bB->ijoOaebB", dev, np.eye(d), np.eye(dd))
+    return value, env
 
 
 class _Objective:
@@ -258,17 +228,12 @@ class _Objective:
         phi = x[2 * n : 2 * n + self.d * self.dd] + 1j * x[2 * n + self.d * self.dd :]
         return a_bar, phi
 
-    def _loss(self, rho0: np.ndarray, w: np.ndarray) -> float:
+    def _loss(self, first: np.ndarray) -> float:
         """``<Y_fit - Y_target, Y_fit - Y_target>`` by a QR sweep along the
         difference tensor train: only the triangular factor travels, so no
         two large terms are ever subtracted."""
-        nf = self.dd * self.dd
         b = self.diff_core.shape[0]
-        self.diff_core[:nf, :, :nf] = _tt_core(w)
         core = self.diff_core.reshape(b, -1)
-        first = np.concatenate(
-            [rho0.reshape(self.d**2, nf), -self.t_rho0.reshape(self.d**2, -1)], axis=1
-        )
         r = np.linalg.qr(first, mode="r")
         for _ in range(self.k):
             r = np.linalg.qr((r @ core).reshape(-1, b), mode="r")
@@ -283,43 +248,41 @@ class _Objective:
         psi = phi / phi_norm
         w = _site_tensor(a_bar)
         rho0 = _rho0_tensor(psi, self.d, self.dd)
-        sites = [w] * self.k
 
-        value = self._loss(rho0, w)
+        # the difference train: first tensor [rho0 | -t_rho0], then k copies
+        # of the block-diagonal core
+        d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
+        core = self.diff_core
+        core[:nf, :, :nf] = _tt_core(w)
+        first = np.concatenate(
+            [rho0.reshape(d * d, nf), -self.t_rho0.reshape(d * d, -1)], axis=1
+        )
+        value = self._loss(first)
 
-        # boundaries of the cross term C = <Y_fit, Y_target> and the self
-        # term T1 = <Y_fit, Y_fit>; the left ones stop before the last site
-        lc = _left_sweep(rho0, sites[:-1], self.t_rho0, self.t_sites[:-1])
-        rc = _right_sweep(sites, self.t_sites)
-        ls = _left_sweep(rho0, sites[:-1], rho0, sites[:-1])
-        rs = _right_sweep(sites, sites)
+        # its left and right boundaries; the left ones stop before the last
+        # site, the right ones start from the final trace
+        lefts = _sweep(first, [core] * (k - 1), first, [core] * (k - 1))
+        back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k
+        trace = self.diff_trace[None, :]
+        rights = _sweep(trace, back, trace, back)[::-1]
 
-        # the environments of W at every step, summed: the fitted sites are
-        # all w and the target sites all t, so only the boundaries vary
-        g_c = _summed_env(lc, rc)
-        g_s = _summed_env(ls, rs)
-        env_c = np.einsum("xXyYcCbB,iIoOyYbB->iIoOxXcC", g_c, self.t_sites[0])
-        env_s_bra = np.einsum("xXyYcCbB,iIoOyYbB->iIoOxXcC", g_s, w)
-        env_s_ket = np.einsum("xXyYcCbB,iIoOxXcC->iIoOyYbB", g_s, w.conj())
-        # d/d conj(A): T1 contributes from both layers; the cross term
-        # contributes via its bra layer plus the conjugate of its own
-        # A-derivative (from -C - conj(C))
-        g_a = _chain1(env_s_bra, a_bar) + _chain2(env_s_ket, a_bar)
-        g_a -= _chain1(env_c, a_bar) + _chain2(env_c, a_bar.conj()).conj()
-
-        envr_c, _ = _rho_envs(rho0, self.t_rho0, rc[0], True, False)
-        envr_s_bra, envr_s_ket = _rho_envs(rho0, rho0, rs[0], True, True)
-        psi2 = psi.reshape(self.d, self.dd)
-        g_psi = np.einsum("OX,oOxX->ox", psi2, envr_s_bra)
-        g_psi += np.einsum("oy,oOyY->OY", psi2, envr_s_ket)
-        g_psi -= np.einsum("OX,oOxX->ox", psi2, envr_c)
-        g_psi -= np.einsum("ox,oOxX->OX", psi2.conj(), envr_c).conj()
-        g_psi = g_psi.ravel()
-
+        # the environment of conj(W) summed over the k steps: every site is
+        # the same core, so only the boundaries vary, and G = sum_m l_m (x)
+        # r_{m+1} over the fitted bra bonds is one matmul of the stacks
+        b = core.shape[0]
+        g = np.stack(lefts)[:, :nf].reshape(k, -1).T @ np.stack(rights[1:])[:, :nf].reshape(k, -1)
+        env = np.tensordot(g.reshape(nf, b, nf, b), core, axes=([1, 3], [0, 2]))
+        env = env.reshape((dd,) * 4 + (d,) * 4).transpose(4, 5, 6, 7, 0, 1, 2, 3)
         if self.penalty > 0:
-            p_val, p_grad = _penalty_terms(w, self.d, self.dd, a_bar)
+            p_val, p_env = _penalty_terms(w, d, dd)
             value += self.penalty * p_val
-            g_a += self.penalty * p_grad
+            env = env + self.penalty * p_env
+        # W and conj(W) see conjugate environments, and the loss and W are
+        # symmetric under swapping primed and unprimed slots, so the two
+        # appearances of conj(A) contribute equally; likewise for conj(psi)
+        g_a = 2 * _chain1(env, a_bar)
+        env_rho = (first @ rights[0].T)[:, :nf].reshape(d, d, dd, dd)
+        g_psi = 2 * np.einsum("OX,oOxX->ox", psi.reshape(d, dd), env_rho).ravel()
 
         # normalization chain rule: psi = phi/|phi| keeps only the tangential
         # part of the state gradient
@@ -480,6 +443,7 @@ def fit(
     draw = _initial_point if init == "gaussian" else _decoupled_initial_point
     d = target.d
     a_bar, phi = draw(np.random.default_rng(seed), d, D, R)
+    ReconstructionAnsatz(a_bar, phi)  # rejects an impossible Kraus rank before any stage
     x = None
     history: tuple[float, ...] = ()
     stages = []

@@ -19,7 +19,7 @@ from ptnm.measures import (
     osee,
 )
 from ptnm.models import XXChainParams, ruqdm_channel, xx_chain_model, xx_chain_unitary
-from ptnm.process_tensor import ProcessTensorMPDO, build, materialize
+from ptnm.process_tensor import ProcessTensorMPDO, _sweep, _tt_core, build, materialize
 from ptnm.tensorops import Spectrum, von_neumann_entropy
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -182,6 +182,24 @@ def test_osee_matches_dense_schmidt_spectrum():
             np.testing.assert_allclose(osee(pt, j), dense_half, atol=1e-8)
 
 
+def test_osee_with_a_different_site_per_step_matches_dense_schmidt_spectrum():
+    """The right sweep runs over the sites in reverse; with a different site
+    at every step, an order error shows against the dense split."""
+    rng = np.random.default_rng(67)
+    sites = tuple(kraus_to_w(random_cptp_channel(2, 2, 3, rng)).w for _ in range(3))
+    rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    pt = ProcessTensorMPDO(rho0, sites)
+    vec = materialize(pt).reshape(-1)
+    vec = vec / np.linalg.norm(vec)
+    series = measure_series(pt, "osee")
+    for j in (1, 2):
+        p = np.linalg.svd(vec.reshape(2 ** (2 + 4 * j), -1), compute_uv=False) ** 2
+        p = p[p > 1e-16]
+        dense_half = float(-(p * np.log2(p)).sum()) / 2.0
+        np.testing.assert_allclose(osee(pt, j), dense_half, atol=1e-8)
+        np.testing.assert_allclose(series.value_at(j), dense_half, atol=1e-8)
+
+
 def test_osee_bounded_by_bond_capacity():
     rng = np.random.default_rng(66)
     pt = random_pt(rng, 4)
@@ -251,20 +269,16 @@ def test_measure_series_ee_covers_all_steps():
 
 
 def _per_cut_osee_reference(pt):
-    """The osee series as an O(k^2) loop: left Grams grown step by step, and
-    the right Gram rebuilt from the final trace for every cut."""
-    D = pt.D
-    l = np.einsum("oOxX,oOyY->xXyY", pt.rho0.conj(), pt.rho0)
+    """The osee series as an O(k^2) loop: for every cut, a left sweep over
+    the sites before it and a right sweep rebuilt from the final trace."""
+    first = pt.rho0.reshape(pt.d**2, -1)
+    trace = np.eye(pt.D).reshape(1, -1)
     values = []
     for j in range(1, pt.k):
-        w = pt.sites[j - 1]
-        tmp = np.einsum("xXyY,iIoOyYbB->xXiIoObB", l, w)
-        l = np.einsum("xXiIoObB,iIoOxXcC->cCbB", tmp, w.conj())
-        r = np.einsum("xX,yY->xXyY", np.eye(D), np.eye(D)).astype(complex)
-        for m in range(pt.k - 1, j - 1, -1):
-            w = pt.sites[m]
-            tmp = np.einsum("iIoOyYqQ,pPqQ->iIoOyYpP", w, r)
-            r = np.einsum("iIoOxXpP,iIoOyYpP->xXyY", w.conj(), tmp)
+        before = [_tt_core(w) for w in pt.sites[:j]]
+        l = _sweep(first, before, first, before)[-1]
+        after = [_tt_core(w).transpose(2, 1, 0) for w in reversed(pt.sites[j:])]
+        r = _sweep(trace, after, trace, after)[-1]
         values.append(von_neumann_entropy(Spectrum.from_values(_cut_spectrum(l, r))) / 2.0)
     return tuple(values)
 

@@ -16,6 +16,8 @@ from ptnm.process_tensor import (
     MaterializationLimitError,
     ProcessTensorMPDO,
     _as_matrix,
+    _sweep,
+    _tt_core,
     build,
     check_containment,
     inner_product,
@@ -43,6 +45,15 @@ def random_density(rng, n):
 def random_pt(rng, k, kraus_rank=3):
     channel = kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng))
     return build(channel, random_density(rng, 4), k)
+
+
+def random_steps_pt(rng, k, kraus_rank=3):
+    """A process tensor with a different random channel at every step."""
+    sites = tuple(
+        kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng)).w for _ in range(k)
+    )
+    rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    return ProcessTensorMPDO(rho0, sites)
 
 
 def xx_pt(gamma, k, n=0.0, rho0_system=None):
@@ -232,6 +243,22 @@ def test_inner_product_matches_dense_contraction():
         dense_b = materialize(b)
         expected = np.vdot(dense_a, dense_b)
         np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-11, atol=1e-12)
+    # both sweep directions: with a different site at every step, the left
+    # and right boundaries meet at every cut j = 0..k in the same number
+    for k in (1, 2, 3):
+        a = random_steps_pt(rng, k)
+        b = random_steps_pt(rng, k)
+        expected = np.vdot(materialize(a), materialize(b))
+        cores_a = [_tt_core(w) for w in a.sites]
+        cores_b = [_tt_core(w) for w in b.sites]
+        lefts = _sweep(a.rho0.reshape(4, -1), cores_a, b.rho0.reshape(4, -1), cores_b)
+        trace = np.eye(2).reshape(1, -1)
+        back_a = [c.transpose(2, 1, 0) for c in reversed(cores_a)]
+        back_b = [c.transpose(2, 1, 0) for c in reversed(cores_b)]
+        rights = _sweep(trace, back_a, trace, back_b)[::-1]
+        assert len(lefts) == len(rights) == k + 1
+        for l, r in zip(lefts, rights):
+            np.testing.assert_allclose(np.sum(l * r), expected, rtol=1e-11, atol=1e-12)
 
 
 def test_inner_product_conjugate_symmetry_and_positivity():

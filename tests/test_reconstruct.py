@@ -373,7 +373,7 @@ def test_fit_report_fields_are_consistent():
             assert stage.max_abs_grad <= 1e-8
 
 
-def test_fit_validates_arguments():
+def test_fit_validates_arguments(monkeypatch):
     rng = np.random.default_rng(114)
     target = random_target(rng, 3)
     with pytest.raises(ValueError):
@@ -382,6 +382,14 @@ def test_fit_validates_arguments():
         fit(target, k_schedule=(2, 5))  # target too short
     with pytest.raises(ValueError):
         fit(target, k_schedule=(2,), init="warm")
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the Kraus rank was checked")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_stage)
+    for init in ("gaussian", "decoupled"):
+        with pytest.raises(ValueError, match="Kraus rank 17 exceeds"):
+            fit(target, D=2, R=17, k_schedule=(2,), init=init)
 
 
 def test_fit_report_rejects_negative_loss():
