@@ -72,9 +72,9 @@ class ChannelTensor:
 
     ``w`` is the bare ``(d, d, d, d, D, D, D, D)`` array in the
     :data:`W_LABELS` axis order. Instances satisfy Hermiticity under
-    prime-swap and the trace-preservation contraction within ``tol``;
-    unnormalized site tensors (as produced during variational reconstruction)
-    are handled as bare arrays, not as :class:`ChannelTensor`.
+    prime-swap and the trace-preservation contraction within ``tol``; other
+    site tensors, such as fitted ones, are handled as bare arrays, not as
+    :class:`ChannelTensor`.
     """
 
     w: np.ndarray

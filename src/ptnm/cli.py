@@ -41,7 +41,7 @@ from .io import (
     write_csv_atomic,
     write_json_atomic,
 )
-from .measures import _entropy_of_state, measure_series, nm_ee
+from .measures import TRACE_TOL, _entropy_of_state, measure_series, nm_ee
 from .models import UQDMParams, XXChainParams, ruqdm_channel, uqdm_memory_series, xx_chain_model
 from .process_tensor import (
     MaterializationLimitError,
@@ -376,9 +376,8 @@ def _measure_rows(pt: ProcessTensorMPDO, trace_tol: float) -> tuple[list[tuple],
     ``nm_ee`` entry is NaN (``None`` when none is).
 
     The ``nm_ee`` column comes from one environment recursion. A recursion
-    failure (possible on fitted models sitting in a gauge far from trace
-    preservation) yields NaN entries from the failing step on rather than
-    aborting the run.
+    failure (an environment trace drifting past ``trace_tol``) yields NaN
+    entries from the failing step on rather than aborting the run.
     """
     series = measure_series(pt, "osee")
     ee: list[float] = []
@@ -397,15 +396,12 @@ def _measure_rows(pt: ProcessTensorMPDO, trace_tol: float) -> tuple[list[tuple],
     return rows, note
 
 
-def _mid_entropy(ansatz: ReconstructionAnsatz, k: int, trace_tol: float = 0.9) -> float:
+def _mid_entropy(ansatz: ReconstructionAnsatz, k: int) -> float:
     """Largest fitted environment entropy over the mid-range band of steps
     (clear of the initial transient and the right boundary)."""
     fitted = predict(ansatz, k)
     band = sorted({max(1, round(f * k)) for f in (0.4, 0.55, 0.7)})
-    try:
-        return max(nm_ee(fitted, j, trace_tol=trace_tol) for j in band)
-    except ValueError:
-        return float("inf")
+    return max(nm_ee(fitted, j) for j in band)
 
 
 def _fit_selected(
@@ -422,10 +418,9 @@ def _fit_selected(
     candidates converged to ``FTOL`` -- or, when nothing converges, within a
     factor 2 of the best achieved loss -- the one with the smallest mid-range
     environment entropy wins. Starts alternate between a perturbed memoryless
-    model and a generic Gaussian draw, and every fit carries a unit
-    normalization penalty: unconstrained descent happily trades trace
-    preservation for loss, producing candidates whose entropies cannot be
-    compared (or evaluated) at all.
+    model and a generic Gaussian draw. Every candidate is trace preserving
+    by construction, so its entropies are evaluated at the measures' own
+    ``TRACE_TOL``.
     """
     candidates = []
     for r in range(cfg.restarts):
@@ -438,7 +433,6 @@ def _fit_selected(
             max_iter=cfg.max_iter,
             seed=_seed_seq(cfg.seed, curve_index, r),
             init=init,
-            penalty=1.0,
         )
         candidates.append((ansatz, report, r))
     best_loss = min(rep.final_loss for _, rep, _ in candidates)
@@ -473,7 +467,7 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
             non_converged.append(gamma)
         fitted = predict(ansatz, cfg.k)
         name = f"{cfg.experiment}_gamma{gamma:g}"
-        rows, note = _measure_rows(fitted, trace_tol=0.9)
+        rows, note = _measure_rows(fitted, TRACE_TOL)
         tables[name] = (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)
         if note:
             nan_notes[name] = note
@@ -526,7 +520,7 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
     fitted = predict(ansatz, cfg.k)
     metadata = _metadata(cfg)
     metadata["non_converged"] = not report.converged
-    rows, note = _measure_rows(fitted, trace_tol=0.9)
+    rows, note = _measure_rows(fitted, TRACE_TOL)
     if note:
         metadata["nan_measure_rows"] = {"reconstruct_measures": note}
     tables = {"reconstruct_measures": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}

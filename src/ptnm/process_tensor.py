@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelTensor, _check_site, _tp_residual
+from .channels import ChannelTensor, _check_site
 from .tensorops import check_density_matrix
 
 SITE_TOL = 1e-9
@@ -31,8 +31,8 @@ class ProcessTensorMPDO:
 
     ``rho0`` has axes ``(o0, o0', a0, a0')`` and must be a valid joint density
     matrix; each site follows the :data:`~ptnm.channels.W_LABELS` axis order.
-    ``site_tol=None`` skips the trace-preservation check, which is how
-    variationally reconstructed (unnormalized) process tensors are carried.
+    ``site_tol=None`` skips the trace-preservation check, which is how tests
+    carry deliberately broken sites.
     """
 
     rho0: np.ndarray
@@ -71,9 +71,6 @@ class ProcessTensorMPDO:
     def k(self) -> int:
         return len(self.sites)
 
-    def site_normalization_residual(self) -> float:
-        return max(_tp_residual(w) for w in self.sites)
-
     def truncated(self, k: int) -> "ProcessTensorMPDO":
         """The process tensor over the first ``k`` steps (containment)."""
         if not 1 <= k <= self.k:
@@ -109,7 +106,7 @@ def _env_states(pt: ProcessTensorMPDO, trace_tol: float = SITE_TOL) -> Iterator[
     Each step contracts the site with the identity on the system input pair,
     divides by ``d``, and renormalizes; the pre-normalization trace must stay
     within ``trace_tol`` of one, which holds exactly for trace-preserving
-    sites and flags convention bugs or badly unnormalized fitted tensors. A
+    sites and flags convention bugs or sites far from trace preservation. A
     drift raises ``ValueError`` in place of the step's state.
     """
     env = np.einsum("ooaA->aA", pt.rho0)

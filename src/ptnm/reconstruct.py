@@ -24,20 +24,23 @@ once with the train's core to give the environment of conj(W), and the
 result is chained onto A_bar once: conjugating while swapping primed and
 unprimed slots leaves W, T and the train unchanged, so W's appearances add
 what conj(W)'s do. The state's environment is the first tensor contracted
-with the first right boundary. Trace preservation of the fitted tensor is
-not enforced during optimization; it is monitored through
-``normalization_residual`` and can be nudged with an optional quadratic
-penalty, whose environment joins that of conj(W) before the chain.
+with the first right boundary.
+
+Trace preservation holds by construction: the step is trace preserving
+exactly when the R Kraus blocks of A_bar, stacked into a ``(R*d*D, d*D)``
+matrix, form an isometry. The optimizer moves an unconstrained stack x and
+the objective reads its polar factor ``x (x^H x)^(-1/2)`` (``_polar``), as it
+reads the state ``phi/|phi|``, the one-column case. The loss does not see the
+positive factor of x, so ``fit`` resets it to the identity at every stage.
 
 Gradient conventions: for a real loss L of complex parameters x, the reported
 arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
-2 Im(dL/d conj x). The initial-state parameters are unconstrained; the state
-is normalized inside the objective, which projects its gradient onto the
-sphere's tangent space.
+2 Im(dL/d conj x).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,13 +142,13 @@ def _rho0_tensor(psi: np.ndarray, d: int, dd: int) -> np.ndarray:
 
 
 def predict(ansatz: ReconstructionAnsatz, k: int) -> ProcessTensorMPDO:
-    """Process tensor of the hidden model; trace preservation is deliberately
-    left unchecked since fitted tensors carry it only approximately."""
+    """Process tensor of the hidden model; raises ``ValueError`` unless the
+    step is trace preserving within the default site tolerance."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     w = _site_tensor(ansatz.a_bar)
     rho0 = _rho0_tensor(ansatz.psi0, ansatz.d, ansatz.D)
-    return ProcessTensorMPDO(rho0, (w,) * k, site_tol=None)
+    return ProcessTensorMPDO(rho0, (w,) * k)
 
 
 def ansatz_from_model(channel: KrausChannel, psi0: np.ndarray) -> ReconstructionAnsatz:
@@ -171,27 +174,42 @@ def _chain1(env, a_bar):
     return np.einsum("iIoOaAbB,sOBIA->sobia", env, a_bar)
 
 
-def _penalty_terms(w, d, dd):
-    # |tr_{o,b} W - 1|^2 and its environment of conj(W): the deviation,
-    # spread over the traced (o, b) diagonals
-    marginal = np.einsum("ijooaebb->ijae", w)
-    dev = marginal - np.einsum(
-        "ij,ae->ijae", np.eye(d, dtype=complex), np.eye(dd, dtype=complex)
-    )
-    value = float(np.sum(np.abs(dev) ** 2))
-    env = np.einsum("ijae,oO,bB->ijoOaebB", dev, np.eye(d), np.eye(dd))
-    return value, env
+def _polar(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The polar factor ``q = x m``, ``m = (x^H x)^(-1/2)``, of a full-rank
+    ``x``, and the map pulling ``E = dL/d conj(q)`` back to ``dL/d conj(x)``:
+    ``E m + x (C + C^H)``, with ``C = U (K o U^H E^H x U) U^H`` the
+    Daleckii-Krein form over ``x^H x = U diag(r^2) U^H``, ``K_ij =
+    -1 / (r_i r_j (r_i + r_j))``."""
+    lam, u = np.linalg.eigh(x.conj().T @ x)
+    if lam[0] <= 0:
+        raise ValueError("the Kraus stack lost full column rank")
+    r = np.sqrt(lam)
+    m = (u / r) @ u.conj().T
+    kernel = -1.0 / (np.outer(r, r) * np.add.outer(r, r))
+
+    def pullback(e: np.ndarray) -> np.ndarray:
+        c = u @ (kernel * (u.conj().T @ (e.conj().T @ x) @ u)) @ u.conj().T
+        return e @ m + x @ (c + c.conj().T)
+
+    return x @ m, pullback
+
+
+def _anchored(a_bar: np.ndarray, phi: np.ndarray) -> ReconstructionAnsatz:
+    """The model a raw point stands for: the polar factor of its Kraus stack
+    and its normalized state."""
+    q, _ = _polar(a_bar.reshape(-1, a_bar.shape[3] * a_bar.shape[4]))
+    return ReconstructionAnsatz(q.reshape(a_bar.shape), phi / np.linalg.norm(phi))
 
 
 class _Objective:
     """Loss and analytic gradient over real-split raw parameters.
 
-    The state parameters are unconstrained; the state used by the network is
-    the normalized one, and the state gradient is projected accordingly.
+    The raw Kraus stack and state are unconstrained. The network sees their
+    polar factors, a trace-preserving step and a unit state, and the
+    gradient is pulled back through both maps.
     """
 
-    def __init__(self, target: ProcessTensorMPDO, k: int, d: int, dd: int, r: int,
-                 penalty: float = 0.0):
+    def __init__(self, target: ProcessTensorMPDO, k: int, d: int, dd: int, r: int):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if target.k < k:
@@ -202,7 +220,6 @@ class _Objective:
         self.d = d
         self.dd = dd
         self.r = r
-        self.penalty = penalty
         self.t_rho0 = target.rho0
         self.t_sites = target.sites[:k]
         if any(not np.array_equal(t, self.t_sites[0]) for t in self.t_sites[1:]):
@@ -241,7 +258,10 @@ class _Objective:
         return float(np.vdot(v, v).real)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        a_bar, phi = self.unpack(x)
+        x_a, phi = self.unpack(x)
+        d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
+        q, pullback = _polar(x_a.reshape(-1, d * dd))
+        a_bar = q.reshape(x_a.shape)
         phi_norm = np.linalg.norm(phi)
         if phi_norm == 0:
             raise ValueError("initial-state parameters collapsed to zero")
@@ -251,7 +271,6 @@ class _Objective:
 
         # the difference train: first tensor [rho0 | -t_rho0], then k copies
         # of the block-diagonal core
-        d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
         core = self.diff_core
         core[:nf, :, :nf] = _tt_core(w)
         first = np.concatenate(
@@ -273,14 +292,10 @@ class _Objective:
         g = np.stack(lefts)[:, :nf].reshape(k, -1).T @ np.stack(rights[1:])[:, :nf].reshape(k, -1)
         env = np.tensordot(g.reshape(nf, b, nf, b), core, axes=([1, 3], [0, 2]))
         env = env.reshape((dd,) * 4 + (d,) * 4).transpose(4, 5, 6, 7, 0, 1, 2, 3)
-        if self.penalty > 0:
-            p_val, p_env = _penalty_terms(w, d, dd)
-            value += self.penalty * p_val
-            env = env + self.penalty * p_env
         # W and conj(W) see conjugate environments, and the loss and W are
         # symmetric under swapping primed and unprimed slots, so the two
         # appearances of conj(A) contribute equally; likewise for conj(psi)
-        g_a = 2 * _chain1(env, a_bar)
+        g_a = pullback(2 * _chain1(env, a_bar).reshape(q.shape))
         env_rho = (first @ rights[0].T)[:, :nf].reshape(d, d, dd, dd)
         g_psi = 2 * np.einsum("OX,oOxX->ox", psi.reshape(d, dd), env_rho).ravel()
 
@@ -373,12 +388,9 @@ def _bfgs(fun, x0, jac, maxiter, gtol, **_):
 def _initial_point(rng: np.random.Generator, d: int, dd: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     shape = (r, d, dd, d, dd)
     a_bar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # scale so the candidate site tensor starts at the size of a proper
-    # channel's: |W_identity|_F = sqrt(d^2 * D^2)
-    w_norm = np.linalg.norm(_site_tensor(a_bar))
-    a_bar *= (d * dd / w_norm) ** 0.5
     phi = rng.standard_normal(d * dd) + 1j * rng.standard_normal(d * dd)
-    return a_bar, phi / np.linalg.norm(phi)
+    ansatz = _anchored(a_bar, phi)
+    return ansatz.a_bar, ansatz.psi0
 
 
 def _decoupled_initial_point(
@@ -416,16 +428,16 @@ def fit(
     k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
     max_iter: int = 10000,
     seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    penalty: float = 0.0,
     init: str = "gaussian",
 ) -> tuple[ReconstructionAnsatz, FitReport]:
     """Fit a hidden Markovian model to ``target`` from one random start.
 
     The start is drawn from ``seed``; a BFGS stage then runs per entry of
-    ``k_schedule``, warm-starting from the previous stage. Restarts are the
-    caller's business (the command line runs them in ``cli._fit_selected``).
-    Non-convergence is reported through ``converged``, never raised: some
-    targets genuinely cannot be descended to ``FTOL``.
+    ``k_schedule``, warm-starting from the polar factor of the previous
+    stage's last point. Restarts are the caller's business (the command line
+    runs them in ``cli._fit_selected``). Non-convergence is reported through
+    ``converged``, never raised: some targets genuinely cannot be descended
+    to ``FTOL``.
 
     ``init`` selects the starting-point family: ``"gaussian"`` (generic) or
     ``"decoupled"`` (perturbed memoryless model; converges to representations
@@ -442,23 +454,20 @@ def fit(
         raise ValueError(f"unknown init {init!r}; expected 'gaussian' or 'decoupled'")
     draw = _initial_point if init == "gaussian" else _decoupled_initial_point
     d = target.d
-    a_bar, phi = draw(np.random.default_rng(seed), d, D, R)
-    ReconstructionAnsatz(a_bar, phi)  # rejects an impossible Kraus rank before any stage
-    x = None
+    # rejects an impossible Kraus rank before any stage
+    ansatz = _anchored(*draw(np.random.default_rng(seed), d, D, R))
     history: tuple[float, ...] = ()
     stages = []
     for k in k_schedule:
-        obj = _Objective(target, k, d, D, R, penalty=penalty)
-        if x is None:
-            x = obj.pack(a_bar, phi)
+        obj = _Objective(target, k, d, D, R)
         res = scipy.optimize.minimize(
             obj.value_and_grad,
-            x,
+            obj.pack(ansatz.a_bar, ansatz.psi0),
             jac=True,
             method=_bfgs,
             options={"maxiter": max_iter, "gtol": GTOL},
         )
-        x = res.x
+        ansatz = _anchored(*obj.unpack(res.x))
         history += tuple(res.loss_history)
         loss = max(float(res.fun), 0.0)
         stages.append(FitStage(
@@ -471,8 +480,6 @@ def fit(
             reason=res.reason,
         ))
 
-    a_bar, phi = obj.unpack(x)
-    ansatz = ReconstructionAnsatz(a_bar, phi / np.linalg.norm(phi))
     report = FitReport(
         final_loss=loss,
         loss_history=history,

@@ -269,17 +269,18 @@ def test_streaming_oracles_agree_with_dense_references():
             worst = max(worst, abs(nm_ee(pt, j) - memory_complexity(u, rho, 2, 2, j)))
     parts.append(("unitary memory", worst, 1e-9))
 
-    # Analytic gradient vs central finite differences, full coordinate sweep.
+    # Analytic gradient vs central finite differences, full coordinate sweep;
+    # the random Kraus stacks lie off the isometries, so this covers the
+    # pullback through the polar factor.
     worst = 0.0
     rng_fd = np.random.default_rng(108)
     h = 1e-6
-    for case in range(20):
-        penalty = 0.0 if case % 2 == 0 else 1.7
+    for _ in range(20):
         chan = random_cptp_channel(2, 2, 3, rng_fd)
         psi = rng_fd.normal(size=4) + 1j * rng_fd.normal(size=4)
         psi /= np.linalg.norm(psi)
         target = build(kraus_to_w(chan), np.outer(psi, psi.conj()), 2)
-        obj = _Objective(target, 2, 2, 2, 3, penalty=penalty)
+        obj = _Objective(target, 2, 2, 2, 3)
         a_bar = rng_fd.normal(size=(3, 2, 2, 2, 2)) + 1j * rng_fd.normal(
             size=(3, 2, 2, 2, 2)
         )

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def test_measure_run_outputs_schema_and_flags(tmp_path, capsys):
         ["measure", "--gamma", "0.7", "--k", "10", "--out", out, "--seed", "3"]
     )
     assert code == EXIT_OK
-    table = open(os.path.join(out, "measure.csv")).read().splitlines()
+    table = Path(out, "measure.csv").read_text().splitlines()
     assert table[0] == "j,nm_osee,nm_ee,boundary_flag"
     rows = [line.split(",") for line in table[1:]]
     assert [int(r[0]) for r in rows] == list(range(1, 10))
@@ -222,13 +223,13 @@ def test_measure_run_outputs_schema_and_flags(tmp_path, capsys):
 def test_measure_ruqdm_is_exactly_markovian(tmp_path):
     out = str(tmp_path)
     assert main(["measure", "--gamma", "1.2", "--k", "8", "--out", out]) == EXIT_OK
-    table = open(os.path.join(out, "measure.csv")).read().splitlines()
+    table = Path(out, "measure.csv").read_text().splitlines()
     # pass through a dephasing-only model: at gamma > 0 all measures vanish
     code = main(
         ["measure", "--gamma", "1.2", "--k", "8", "--out", out, "--config", _cfg(tmp_path, {"model": "ruqdm"})]
     )
     assert code == EXIT_OK
-    table = open(os.path.join(out, "measure.csv")).read().splitlines()
+    table = Path(out, "measure.csv").read_text().splitlines()
     for line in table[1:]:
         _, osee, ee, _ = line.split(",")
         assert abs(float(osee)) < 1e-10
@@ -247,23 +248,23 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     argv = ["measure", "--gamma", "0.9", "--k", "6", "--seed", "5", "--out", out]
     assert main(argv) == EXIT_OK
     first = {
-        name: open(os.path.join(out, name), "rb").read()
+        name: Path(out, name).read_bytes()
         for name in ("measure.csv", "measure.meta.json")
     }
     assert main(argv) == EXIT_OK
     for name, payload in first.items():
-        assert open(os.path.join(out, name), "rb").read() == payload
+        assert Path(out, name).read_bytes() == payload
     # the table itself does not depend on where it is written
     out_b = str(tmp_path / "b")
     assert main(["measure", "--gamma", "0.9", "--k", "6", "--seed", "5", "--out", out_b]) == EXIT_OK
-    assert open(os.path.join(out_b, "measure.csv"), "rb").read() == first["measure.csv"]
+    assert Path(out_b, "measure.csv").read_bytes() == first["measure.csv"]
 
 
 def test_fig3_table_structure(tmp_path):
     out = str(tmp_path)
     cfg = _cfg(tmp_path, {"j_max": 12, "gamma": "0.5,2", "grid_points": 300})
     assert main(["fig3", "--config", cfg, "--out", out]) == EXIT_OK
-    table = open(os.path.join(out, "fig3.csv")).read().splitlines()
+    table = Path(out, "fig3.csv").read_text().splitlines()
     assert table[0] == "gamma,j,memory_complexity"
     rows = [line.split(",") for line in table[1:]]
     # each gamma contributes j = 0..j_max, starting from an unentangled mode
@@ -319,7 +320,7 @@ def test_reconstruct_smoke_on_trivial_environment(tmp_path):
     assert isinstance(report["converged"], bool)
     ansatz = load_json(os.path.join(out, "reconstruct_ansatz.json"))
     assert ansatz["d"] == 2 and ansatz["D"] == 1
-    table = open(os.path.join(out, "reconstruct_measures.csv")).read().splitlines()
+    table = Path(out, "reconstruct_measures.csv").read_text().splitlines()
     assert table[0] == "j,nm_osee,nm_ee,boundary_flag"
 
 

@@ -3,6 +3,7 @@ atomic JSON/CSV output, and deterministic float formatting."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_json_output_is_stable(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_json_atomic(a, {"x": 1, "y": 2})
     write_json_atomic(b, {"y": 2, "x": 1})
-    assert open(a).read() == open(b).read()  # sorted keys
+    assert Path(a).read_text() == Path(b).read_text()  # sorted keys
 
 
 def test_load_json_reports_position(tmp_path):
@@ -191,7 +192,7 @@ def test_format_float():
 def test_csv_atomic_output(tmp_path):
     path = str(tmp_path / "series.csv")
     write_csv_atomic(path, ["j", "value"], [(1, 0.5), (2, -0.0), (3, 1.0 / 3.0)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines == ["j,value", "1,0.5", "2,0", "3,0.333333333333"]
     assert os.listdir(tmp_path) == ["series.csv"]
 
@@ -199,5 +200,5 @@ def test_csv_atomic_output(tmp_path):
 def test_csv_keeps_non_floats_verbatim(tmp_path):
     path = str(tmp_path / "mixed.csv")
     write_csv_atomic(path, ["gamma", "flag"], [("0.5", True), ("2", False)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines == ["gamma,flag", "0.5,True", "2,False"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
+from ptnm.channels import KrausChannel, _tp_residual, kraus_to_w, random_cptp_channel
 from ptnm.models import (
     XXChainParams,
     ruqdm_channel,
@@ -73,7 +73,7 @@ def test_build_shapes_and_step_count():
     assert pt.rho0.shape == (2, 2, 2, 2)
     for w in pt.sites:
         assert w.shape == (2, 2, 2, 2, 2, 2, 2, 2)
-    assert pt.site_normalization_residual() < 1e-10
+        assert _tp_residual(w) < 1e-10
 
 
 def test_build_rejects_bad_inputs():
