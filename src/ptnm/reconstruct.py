@@ -15,16 +15,19 @@ block-diagonal sites, the minus sign on the initial tensor), and a QR sweep
 along it gives the norm with an absolute error of order eps*|Y|*|Y_fit -
 Y_target| instead of eps*|Y|^2.
 
-The gradient comes from the same train: one left and one right boundary
-sweep of it give the environment of every fitted site. Every fitted site is
-the same tensor W and every target site the same tensor T, so the k site
-environments sum to one contraction: ``G = sum_m l_m (x) r_{m+1}`` over the
-fitted bra bonds is a single matmul of the stacked boundaries, contracted
-once with the train's core to give the environment of conj(W), and the
-result is chained onto A_bar once: conjugating while swapping primed and
-unprimed slots leaves W, T and the train unchanged, so W's appearances add
-what conj(W)'s do. The state's environment is the first tensor contracted
-with the first right boundary.
+The gradient comes from the same train. Its left boundaries are already in
+the loss's QR sweep: the triangular factor R_m kept after m steps gives
+``l_m = R_m^H R_m``, so only the right boundaries take a sweep of their own.
+Every fitted site is the same tensor W and every target site the same tensor
+T, so the k site environments sum to one contraction: ``G = sum_m l_m (x)
+r_{m+1}`` over the fitted bra bonds is a single matmul of the stacked
+boundaries, contracted once with the train's core to give the environment E
+of conj(W). W itself is the Gram matrix ``P = M^T conj(M)`` of the Kraus
+matrix ``M = A_bar.reshape(R, -1)`` with its axes permuted, so E, permuted
+back to P's axes, chains onto A_bar as the one matmul ``M E^T``:
+conjugating while swapping primed and unprimed slots leaves W, T and the
+train unchanged, so W's appearances add what conj(W)'s do. The state's
+environment is the first tensor contracted with the first right boundary.
 
 Trace preservation holds by construction: the step is trace preserving
 exactly when the R Kraus blocks of A_bar, stacked into a ``(R*d*D, d*D)``
@@ -45,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.blas import dsymv, dsyr2
+from scipy.linalg.lapack import zgeqrf
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel
 from .process_tensor import ProcessTensorMPDO, _sweep, _tt_core, norm_sq
@@ -133,8 +138,11 @@ class FitReport:
 
 
 def _site_tensor(a_bar: np.ndarray) -> np.ndarray:
-    # W[i,i',o,o',a,a',b,b'] = sum_s A[s,o,b,i,a] conj(A[s,o',b',i',a'])
-    return np.einsum("sobia,spcje->ijopaebc", a_bar, a_bar.conj())
+    # W[i,i',o,o',a,a',b,b'] = sum_s A[s,o,b,i,a] conj(A[s,o',b',i',a']), the
+    # Gram matrix P = M^T conj(M) of the Kraus matrix M with its axes permuted
+    m = a_bar.reshape(a_bar.shape[0], -1)
+    p = (m.T @ m.conj()).reshape(a_bar.shape[1:] * 2)
+    return p.transpose(2, 6, 0, 4, 3, 7, 1, 5)
 
 
 def _rho0_tensor(psi: np.ndarray, d: int, dd: int) -> np.ndarray:
@@ -166,12 +174,6 @@ def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
 # ---------------------------------------------------------------------------
 # Loss and gradient networks
 # ---------------------------------------------------------------------------
-
-
-def _chain1(env, a_bar):
-    # remove conj(A) from the unprimed slot of conj(W), given the
-    # environment of conj(W)
-    return np.einsum("iIoOaAbB,sOBIA->sobia", env, a_bar)
 
 
 def _polar(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -232,6 +234,8 @@ class _Objective:
         self.diff_core = np.zeros((nf + nt, d**4, nf + nt), dtype=complex)
         self.diff_core[nf:, :, nf:] = _tt_core(self.t_sites[0])
         self.diff_trace = np.concatenate([np.eye(dd).ravel(), np.eye(target.D).ravel()])
+        # masks R out of the packed QR factorization LAPACK returns
+        self.upper = np.triu(np.ones((nf + nt, nf + nt)))
 
     def pack(self, a_bar: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -245,42 +249,47 @@ class _Objective:
         phi = x[2 * n : 2 * n + self.d * self.dd] + 1j * x[2 * n + self.d * self.dd :]
         return a_bar, phi
 
-    def _loss(self, first: np.ndarray) -> float:
+    def _loss(self, first: np.ndarray) -> tuple[float, np.ndarray]:
         """``<Y_fit - Y_target, Y_fit - Y_target>`` by a QR sweep along the
         difference tensor train: only the triangular factor travels, so no
-        two large terms are ever subtracted."""
+        two large terms are ever subtracted. Also returns the factors
+        ``R_0, ..., R_{k-1}`` the sweep passes, zero-padded to square:
+        ``R_m^H R_m`` is the train's left boundary after m sites."""
         b = self.diff_core.shape[0]
         core = self.diff_core.reshape(b, -1)
-        r = np.linalg.qr(first, mode="r")
-        for _ in range(self.k):
-            r = np.linalg.qr((r @ core).reshape(-1, b), mode="r")
-        v = r @ self.diff_trace
-        return float(np.vdot(v, v).real)
+        factors = np.zeros((self.k + 1, b, b), dtype=complex)
+        x = first
+        for m, r in enumerate(factors):
+            qr = zgeqrf(x)[0]
+            n = min(qr.shape)
+            r[:n] = qr[:n] * self.upper[:n]
+            if m < self.k:
+                x = (r[:n] @ core).reshape(-1, b)
+        v = factors[-1] @ self.diff_trace
+        return float(np.vdot(v, v).real), factors[:-1]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x_a, phi = self.unpack(x)
         d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
         q, pullback = _polar(x_a.reshape(-1, d * dd))
-        a_bar = q.reshape(x_a.shape)
         phi_norm = np.linalg.norm(phi)
         if phi_norm == 0:
             raise ValueError("initial-state parameters collapsed to zero")
         psi = phi / phi_norm
-        w = _site_tensor(a_bar)
         rho0 = _rho0_tensor(psi, self.d, self.dd)
 
         # the difference train: first tensor [rho0 | -t_rho0], then k copies
         # of the block-diagonal core
         core = self.diff_core
-        core[:nf, :, :nf] = _tt_core(w)
+        core[:nf, :, :nf] = _tt_core(_site_tensor(q.reshape(x_a.shape)))
         first = np.concatenate(
             [rho0.reshape(d * d, nf), -self.t_rho0.reshape(d * d, -1)], axis=1
         )
-        value = self._loss(first)
+        value, factors = self._loss(first)
 
-        # its left and right boundaries; the left ones stop before the last
-        # site, the right ones start from the final trace
-        lefts = _sweep(first, [core] * (k - 1), first, [core] * (k - 1))
+        # its left boundaries before each site, over the fitted bra bonds,
+        # from the loss's factors; the right ones start from the final trace
+        lefts = factors[:, :, :nf].conj().transpose(0, 2, 1) @ factors
         back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k
         trace = self.diff_trace[None, :]
         rights = _sweep(trace, back, trace, back)[::-1]
@@ -289,13 +298,15 @@ class _Objective:
         # the same core, so only the boundaries vary, and G = sum_m l_m (x)
         # r_{m+1} over the fitted bra bonds is one matmul of the stacks
         b = core.shape[0]
-        g = np.stack(lefts)[:, :nf].reshape(k, -1).T @ np.stack(rights[1:])[:, :nf].reshape(k, -1)
+        g = lefts.reshape(k, -1).T @ np.stack(rights[1:])[:, :nf].reshape(k, -1)
         env = np.tensordot(g.reshape(nf, b, nf, b), core, axes=([1, 3], [0, 2]))
-        env = env.reshape((dd,) * 4 + (d,) * 4).transpose(4, 5, 6, 7, 0, 1, 2, 3)
+        # from (a, a', b, b', i, i', o, o') to P's axes (o, b, i, a | o', b', i', a')
+        env = env.reshape((dd,) * 4 + (d,) * 4).transpose(6, 2, 4, 0, 7, 3, 5, 1)
         # W and conj(W) see conjugate environments, and the loss and W are
         # symmetric under swapping primed and unprimed slots, so the two
         # appearances of conj(A) contribute equally; likewise for conj(psi)
-        g_a = pullback(2 * _chain1(env, a_bar).reshape(q.shape))
+        m = q.reshape(self.r, -1)
+        g_a = pullback(2 * (m @ env.reshape(m.shape[1], -1).T).reshape(q.shape))
         env_rho = (first @ rights[0].T)[:, :nf].reshape(d, d, dd, dd)
         g_psi = 2 * np.einsum("OX,oOxX->ox", psi.reshape(d, dd), env_rho).ravel()
 
@@ -315,12 +326,18 @@ class _Objective:
 
 def _rank_two_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     """BFGS inverse-Hessian update ``(I - rho s y^T) H (I - rho y s^T) +
-    rho s s^T`` of a symmetric ``h``, in place and in O(n^2)."""
+    rho s s^T`` of a symmetric ``h`` kept in its upper triangle, in place and
+    in O(n^2): with ``Hy`` from BLAS ``dsymv``, the update is the symmetric
+    rank-two ``s v^T + v s^T``, ``v = (c/2) s - rho Hy``, of one ``dsyr2``.
+    ``h`` must be a Fortran-ordered float array, the one layout BLAS updates
+    in place; given any other, the wrapper would update a copy."""
+    if not h.flags.f_contiguous or h.dtype != np.float64:
+        raise ValueError("h must be a Fortran-ordered float64 array")
     ys = y @ s
     rho = 1000.0 if ys == 0.0 else 1.0 / ys  # scipy's guard against y^T s = 0
-    hy = h @ y
+    hy = dsymv(1.0, h, y)
     c = rho * rho * (y @ hy) + rho
-    h += np.stack([s, hy], axis=1) @ np.stack([c * s - rho * hy, -rho * s])
+    dsyr2(1.0, s, 0.5 * c * s - rho * hy, a=h, overwrite_a=True)
 
 
 def _bfgs(fun, x0, jac, maxiter, gtol, **_):
@@ -330,8 +347,10 @@ def _bfgs(fun, x0, jac, maxiter, gtol, **_):
     Step for step scipy's own BFGS (``_minimize_bfgs`` of scipy 1.17): the
     identity as the first inverse Hessian, its initial step guess, its Wolfe
     line search and its inf-norm gradient test. Two things differ: the
-    inverse-Hessian update is the O(n^2) rank-two form, and the stall rule
-    ends the stage. The result carries the loss after every iteration
+    inverse Hessian lives in the upper triangle of a Fortran-ordered array,
+    read by BLAS ``dsymv`` for the search direction and updated by the
+    O(n^2) rank-two form (``_rank_two_update``), and the stall rule ends the
+    stage. The result carries the loss after every iteration
     (``loss_history``) and why the stage stopped (``reason``: ``gtol``,
     ``stall``, ``line_search`` or ``maxiter``). ``callback``, ``args`` and the
     other arguments ``minimize`` hands every custom method are ignored.
@@ -350,12 +369,12 @@ def _bfgs(fun, x0, jac, maxiter, gtol, **_):
     x = np.asarray(x0, dtype=float).flatten()
     fval = f(x)
     g = jac(x)
-    h = np.eye(x.size)
+    h = np.eye(x.size, order="F")
     old_old_fval = fval + np.linalg.norm(g) / 2  # a first step of about 1
     history: list[float] = []
     reason = "gtol" if np.max(np.abs(g)) <= gtol else None
     while reason is None and len(history) < maxiter:
-        p = -(h @ g)
+        p = -dsymv(1.0, h, g)
         try:
             alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
                 f, jac, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100

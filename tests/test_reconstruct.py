@@ -10,7 +10,15 @@ import pytest
 import scipy.optimize
 
 from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
-from ptnm.process_tensor import ProcessTensorMPDO, build, inner_product, norm_sq
+from ptnm.process_tensor import (
+    ProcessTensorMPDO,
+    _sweep,
+    _tt_core,
+    build,
+    inner_product,
+    materialize,
+    norm_sq,
+)
 from ptnm.reconstruct import (
     STALL_WINDOW,
     FitReport,
@@ -20,6 +28,7 @@ from ptnm.reconstruct import (
     _initial_point,
     _Objective,
     _rank_two_update,
+    _site_tensor,
     ansatz_from_model,
     fit,
     normalization_residual,
@@ -88,18 +97,30 @@ def test_predict_rejects_nonpositive_steps():
 
 
 def test_predicted_tensor_matches_direct_build():
+    # the distance of the dense tensors: the expanded form from inner
+    # products has a rounding floor of about 1e-16 |Y|^2
     rng = np.random.default_rng(102)
     for _ in range(3):
         channel, psi = model_pair(rng, kraus_rank=3)
         ansatz = ansatz_from_model(channel, psi)
         direct = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 3)
         predicted = predict(ansatz, 3)
-        dist_sq = (
-            norm_sq(direct)
-            + norm_sq(predicted)
-            - 2.0 * inner_product(direct, predicted).real
-        )
-        assert abs(dist_sq) < 1e-18 * norm_sq(direct)
+        dist_sq = np.linalg.norm(materialize(direct) - materialize(predicted)) ** 2
+        assert dist_sq < 1e-18 * norm_sq(direct)
+
+
+@pytest.mark.parametrize("r", [1, 3, 16])
+def test_site_tensor_matches_its_einsum_definition(r):
+    # W[i,i',o,o',a,a',b,b'] = sum_s A[s,o,b,i,a] conj(A[s,o',b',i',a']) at a
+    # Kraus stack off the isometries, and the same site as a train core
+    rng = np.random.default_rng(120 + r)
+    a_bar = rng.normal(size=(r, 2, 2, 2, 2)) + 1j * rng.normal(size=(r, 2, 2, 2, 2))
+    reference = np.einsum("sobia,spcje->ijopaebc", a_bar, a_bar.conj())
+    scale = np.abs(reference).max()
+    np.testing.assert_allclose(_site_tensor(a_bar), reference, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(
+        _tt_core(_site_tensor(a_bar)), _tt_core(reference), rtol=0, atol=1e-14 * scale
+    )
 
 
 def test_normalization_residual_zero_for_proper_channel():
@@ -232,6 +253,25 @@ def test_gradient_matches_finite_differences_at_short_and_odd_k(k):
         assert rel < 1e-5, f"instance {case}: relative gradient error {rel:.2e}"
 
 
+def test_loss_factors_give_the_left_boundaries_of_the_train():
+    # R_m^H R_m against the two-layer sweep of the same train, at a random
+    # first tensor and core in place of the difference train's
+    rng = np.random.default_rng(121)
+    k = 6
+    obj = _Objective(random_target(rng, k), k, 2, 2, 3)
+    core = obj.diff_core
+    core[...] = rng.normal(size=core.shape) + 1j * rng.normal(size=core.shape)
+    first = rng.normal(size=(4, core.shape[0])) + 1j * rng.normal(size=(4, core.shape[0]))
+    value, factors = obj._loss(first)
+    lefts = _sweep(first, [core] * k, first, [core] * k)
+    assert len(factors) == k
+    for m in range(k):
+        gram = factors[m].conj().T @ factors[m]
+        assert np.linalg.norm(gram - lefts[m]) <= 1e-12 * np.linalg.norm(lefts[m])
+    trace = obj.diff_trace
+    assert value == pytest.approx((trace @ lefts[k] @ trace).real, rel=1e-12)
+
+
 def test_objective_rejects_a_target_with_distinct_sites():
     rng = np.random.default_rng(115)
     w1, w2 = (kraus_to_w(random_cptp_channel(2, 2, 2, rng)).w for _ in range(2))
@@ -249,16 +289,29 @@ def test_objective_rejects_a_target_with_distinct_sites():
 
 
 def test_rank_two_update_matches_the_dense_bfgs_formula():
+    # the update keeps the symmetric inverse Hessian in its upper triangle
     rng = np.random.default_rng(116)
     n = 30
     m = rng.normal(size=(n, n))
-    h = m @ m.T + n * np.eye(n)
+    h = np.asfortranarray(m @ m.T + n * np.eye(n))
     s, y = rng.normal(size=n), rng.normal(size=n)
     rho = 1.0 / (y @ s)
     eye = np.eye(n)
     dense = (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
     _rank_two_update(h, s, y)
-    np.testing.assert_allclose(h, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+    np.testing.assert_allclose(
+        np.triu(h), np.triu(dense), rtol=0, atol=1e-12 * np.abs(dense).max()
+    )
+
+
+def test_rank_two_update_rejects_an_array_blas_would_copy():
+    # BLAS would update a Fortran-ordered copy of a C-ordered h and return it
+    rng = np.random.default_rng(122)
+    h = np.ascontiguousarray(rng.normal(size=(4, 3)).T @ rng.normal(size=(4, 3)) + np.eye(3))
+    before = h.copy()
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        _rank_two_update(h, rng.normal(size=3), rng.normal(size=3))
+    np.testing.assert_array_equal(h, before)
 
 
 def test_bfgs_reaches_gtol_on_a_convex_quadratic():
