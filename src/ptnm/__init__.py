@@ -11,14 +11,12 @@ from .channels import (
     ChannelTensor,
     KrausChannel,
     LindbladSpec,
-    choi_matrix,
     kraus_to_w,
     lindblad_superoperator,
     random_cptp_channel,
     superop_to_kraus,
 )
 from .measures import (
-    MeasureSeries,
     env_state,
     measure_series,
     memory_complexity,
@@ -28,10 +26,7 @@ from .measures import (
 from .models import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
-    UQDMModel,
     UQDMParams,
     XXChainParams,
     ruqdm_channel,
@@ -40,13 +35,11 @@ from .models import (
     uqdm_memory_series,
     uqdm_model,
     uqdm_overlaps,
-    xx_chain_hamiltonian,
     xx_chain_liouvillian,
     xx_chain_model,
     xx_chain_unitary,
 )
 from .process_tensor import (
-    ContainmentReport,
     MaterializationLimitError,
     ProcessTensorMPDO,
     build,
@@ -69,19 +62,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelTensor",
-    "ContainmentReport",
     "KrausChannel",
     "LindbladSpec",
     "MaterializationLimitError",
-    "MeasureSeries",
     "ProcessTensorMPDO",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
-    "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "Spectrum",
-    "UQDMModel",
     "UQDMParams",
     "XXChainParams",
     "build",
@@ -89,7 +77,6 @@ __all__ = [
     "check_density_matrix",
     "check_hermitian",
     "check_unitary",
-    "choi_matrix",
     "env_state",
     "inner_product",
     "kraus_to_w",
@@ -111,7 +98,6 @@ __all__ = [
     "uqdm_model",
     "uqdm_overlaps",
     "von_neumann_entropy",
-    "xx_chain_hamiltonian",
     "xx_chain_liouvillian",
     "xx_chain_model",
     "xx_chain_unitary",

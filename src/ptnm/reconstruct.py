@@ -36,6 +36,17 @@ the objective reads its polar factor ``x (x^H x)^(-1/2)`` (``_polar``), as it
 reads the state ``phi/|phi|``, the one-column case. The loss does not see the
 positive factor of x, so ``fit`` resets it to the identity at every stage.
 
+Each stage runs BFGS until the loss falls to ``LM_SWITCH`` times the
+target's squared norm, then Levenberg-Marquardt: the loss is a
+least-squares norm whose residual vanishes on a representable target, and
+there the Gauss-Newton matrix ``2 Re(J^H J)`` of the Jacobian J of
+``Y_fit`` is the Hessian's limit. It is assembled without J, from the
+two-hole environments of ``<Y_fit, Y_fit>`` (``_Objective.gauss_newton``),
+and each LM step is one Cholesky solve of ``(2 Re(J^H J) + mu I) step =
+-grad`` from a point re-anchored to its polar factor, where the polar
+factor's tangent map is a projector. The stage ends once the loss is down
+to ``LM_FLOOR``, a hundredth of ``FTOL``, or on BFGS's own rules.
+
 Gradient conventions: for a real loss L of complex parameters x, the reported
 arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
 2 Im(dL/d conj x).
@@ -47,8 +58,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
-from scipy.linalg.blas import dsymv, dsyr2
+from scipy.linalg.blas import dgemm, dsymv, dsyr2
 from scipy.linalg.lapack import zgeqrf
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel
@@ -56,13 +68,25 @@ from .process_tensor import ProcessTensorMPDO, _sweep, _tt_core, norm_sq
 
 PSI_NORM_TOL = 1e-10
 
-# BFGS stage stopping rule: the inf-norm gradient test at GTOL, or a stall of
+# Stage stopping rule: the inf-norm gradient test at GTOL, or a stall of
 # less than STALL_TOL loss improvement over STALL_WINDOW iterations; a fit
 # whose final loss is below FTOL counts as converged.
 GTOL = 1e-8
 FTOL = 1e-8
 STALL_WINDOW = 50
 STALL_TOL = 1e-10
+# A stage hands over from BFGS to Levenberg-Marquardt once its loss falls to
+# LM_SWITCH times the target's squared norm; LM's damping starts at
+# LM_DAMPING times the Gauss-Newton matrix's largest diagonal entry, and the
+# LM phase ends once the loss is down to LM_FLOOR (ftol), or hands the stage
+# back to BFGS once LM_WINDOW iterations gain less than LM_GAIN of the loss.
+LM_SWITCH = 1e-5
+LM_DAMPING = 1e-6
+LM_FLOOR = 1e-2 * FTOL
+LM_WINDOW = 10
+LM_GAIN = 1e-2
+# columns of P_y per pass of _gram_chain, which bounds its scratch memory
+_GRAM_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -108,13 +132,20 @@ class ReconstructionAnsatz:
 
 @dataclass(frozen=True)
 class FitStage:
-    """One BFGS stage of a fit: the stage's step count ``k``, its iteration
-    and objective-evaluation counts, its final loss (absolute and relative to
-    the target's squared norm at ``k``), the final gradient's largest entry,
-    and why it stopped: ``gtol``, ``stall``, ``line_search`` or ``maxiter``."""
+    """One stage of a fit: the stage's step count ``k``, its iteration count
+    (BFGS and Levenberg-Marquardt together) and how many of those were LM
+    steps, its objective-evaluation count, its final loss (absolute and
+    relative to the target's squared norm at ``k``), the final gradient's
+    largest entry, and why it stopped: ``ftol`` (the loss fell to
+    ``LM_FLOOR``), ``gtol`` (the gradient's largest entry fell to
+    ``GTOL``), ``stall`` (less than ``STALL_TOL`` gained over
+    ``STALL_WINDOW`` iterations), ``line_search`` (no step decreased the
+    loss: BFGS's Wolfe search failed, or LM's damping grew until the step
+    no longer moved the point) or ``maxiter``."""
 
     k: int
     iterations: int
+    lm_steps: int
     evaluations: int
     final_loss: float
     relative_loss: float
@@ -236,6 +267,21 @@ class _Objective:
         self.diff_trace = np.concatenate([np.eye(dd).ravel(), np.eye(target.D).ravel()])
         # masks R out of the packed QR factorization LAPACK returns
         self.upper = np.triu(np.ones((nf + nt, nf + nt)))
+        # the Gauss-Newton matrix's hole coordinates in the Gram factors'
+        # order: F's (o, o', a, a') as rho0's (o, a | o', a'), then the core's
+        # (a, a', i, i', o, o', b, b') as P's (o, b, i, a | o', b', i', a')
+        state = np.arange(d * d * nf).reshape(d, d, dd, dd).transpose(0, 2, 1, 3)
+        site = np.arange(nf * d**4 * nf).reshape((dd, dd) + (d,) * 4 + (dd, dd))
+        site = site.transpose(4, 6, 2, 0, 5, 7, 3, 1)
+        self.gram_order = np.concatenate([state.ravel(), d * d * nf + site.ravel()])
+        # an orthonormal basis of the Hermitian (d D) x (d D) matrices
+        unit = np.eye(d * dd)
+        pairs = [(i, j) for i in range(d * dd) for j in range(i + 1, d * dd)]
+        self.hermitian = np.array(
+            [np.outer(e, e) for e in unit]
+            + [(np.outer(unit[i], unit[j]) + np.outer(unit[j], unit[i])) / np.sqrt(2) for i, j in pairs]
+            + [1j * (np.outer(unit[i], unit[j]) - np.outer(unit[j], unit[i])) / np.sqrt(2) for i, j in pairs]
+        )
 
     def pack(self, a_bar: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -318,6 +364,134 @@ class _Objective:
         )
         return value, grad
 
+    def anchor(self, x: np.ndarray) -> np.ndarray:
+        """The packed anchored point: the polar factor of the Kraus stack and
+        the normalized state, at the same loss."""
+        ansatz = _anchored(*self.unpack(x))
+        return self.pack(ansatz.a_bar, ansatz.psi0)
+
+    def gauss_newton(self, x: np.ndarray) -> np.ndarray:
+        """The Gauss-Newton matrix ``2 Re(J^H J)`` of the loss over the packed
+        parameters at an anchored point (an isometric Kraus stack and a unit
+        state), J the Jacobian of ``Y_fit``; the residual does not enter.
+
+        Over the first tensor F and the core C of the fitted train, ``J^H J``
+        is the sum of the two-hole environments of ``<Y_fit, Y_fit>``: for
+        both holes at one site m, ``l_m (x) r_{m+1}`` times the identity on
+        the physical legs; for holes at sites m < m', the bra's hole opens a
+        boundary that runs through the transfer matrix to m', and since every
+        core is C all these boundaries sum in one running boundary. A hole in
+        F is a hole before site 0. The matrix is chained to the Gram factors
+        ``P = M^T conj(M)`` and ``rho0 = psi psi^H`` (``_gram_chain``) and
+        then through the tangent maps of the polar factor and of
+        ``phi/|phi|``, which at an anchored point are orthogonal projectors.
+        """
+        x_a, psi = self.unpack(x)
+        d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
+        core = _tt_core(_site_tensor(x_a))
+        first = _rho0_tensor(psi, d, dd).reshape(d * d, nf)
+        lefts = _sweep(first, [core] * k, first, [core] * k)
+        back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k
+        trace = np.eye(dd).ravel()[None, :]
+        rights = _sweep(trace, back, trace, back)[::-1]
+
+        # the running boundary: one row per open bra hole (F's then C's), its
+        # columns the (bra, ket) bond pair it has reached
+        nr, nw, eye = first.size, core.size, np.eye(nf)
+        transfer = np.tensordot(core.conj(), core, axes=(1, 1)).transpose(0, 2, 1, 3)
+        transfer = transfer.reshape(nf * nf, nf * nf)
+        opened = np.zeros((k, nr + nw, nf, nf), dtype=complex)
+        opened[0, :nr] = (first[:, None, None, :] * eye[:, :, None]).reshape(nr, nf, nf)
+        for m in range(1, k):
+            hole = (lefts[m - 1] @ core.reshape(nf, -1)).reshape(-1, 1, 1, nf)
+            opened[m] = (opened[m - 1].reshape(-1, nf * nf) @ transfer).reshape(-1, nf, nf)
+            opened[m, nr:] += (hole * eye[:, :, None]).reshape(nw, nf, nf)
+        # the ket's hole at site m' closes the boundary reached there with the
+        # bra's core and r_{m'+1}: one matmul over (m', bra bond), which sums
+        # the holes at m < m' and F's hole
+        closing = np.einsum("gqd,mde->mgqe", core.conj(), np.stack(rights[1:]))
+        cross = opened.transpose(1, 3, 0, 2).reshape((nr + nw) * nf, -1) @ closing.reshape(k * nf, -1)
+        cross = cross.reshape(nr + nw, nw)
+        opened = None
+        n = np.empty((nr + nw, nr + nw), dtype=complex)
+        n[:nr, :nr] = np.kron(np.eye(d * d), rights[0])
+        n[:nr, nr:] = cross[:nr]
+        n[nr:, :nr] = cross[:nr].conj().T
+        # the site block and its Hermitian completion, without a temporary
+        ww = n[nr:, nr:]
+        np.conjugate(cross[nr:].T, out=ww)
+        ww += cross[nr:]
+        # both holes at one site: sum_m l_m (x) r_{m+1}, diagonal in p
+        g = np.einsum("mac,mbd->abcd", np.stack(lefts[:k]), np.stack(rights[1:]))
+        diag = n[nr:, nr:].reshape(nf, -1, nf, nf, nw // (nf * nf), nf)
+        for p in range(diag.shape[1]):
+            diag[:, p, :, :, p, :] += g
+        cross = ww = diag = None  # the views would keep the unpermuted n alive
+
+        n = n[np.ix_(self.gram_order, self.gram_order)]
+        m, state, na = x_a.reshape(self.r, -1), psi[None, :], 2 * self.n_a
+        h = np.empty((na + 2 * psi.size,) * 2)
+        _gram_chain(n[nr:, nr:], m, m, h[:na, :na])
+        _gram_chain(n[nr:, :nr], m, state, h[:na, na:])
+        _gram_chain(n[:nr, nr:], state, m, h[na:, :na])
+        _gram_chain(n[:nr, :nr], state, state, h[na:, na:])
+        self._project(x, h)
+        return h
+
+    def _project(self, x: np.ndarray, h: np.ndarray) -> None:
+        """Overwrites a symmetric ``h`` with ``Pi h Pi``, Pi the orthogonal
+        projector on the tangent space at an anchored point: the tangent map
+        there of the polar factor and of ``phi/|phi|``. Its complement has
+        the orthonormal basis ``X S_j`` (S_j the Hermitian basis, X the
+        stack) and psi, so ``Pi h Pi = h - B^T C - C^T B`` with ``C = B h -
+        (B h B^T) B / 2``, one BLAS update of ``h`` in place."""
+        q, psi = self.unpack(x)
+        normal = (q.reshape(-1, self.d * self.dd) @ self.hermitian).reshape(len(self.hermitian), -1)
+        b = np.zeros((len(normal) + 1, h.shape[0]))
+        b[:-1, : self.n_a] = normal.real
+        b[:-1, self.n_a : 2 * self.n_a] = normal.imag
+        b[-1, 2 * self.n_a :] = np.concatenate([psi.real, psi.imag])
+        c = b @ h
+        c -= (c @ b.T) @ b / 2
+        # the update is symmetric, so dgemm may apply it to the transpose of
+        # h, which is Fortran-ordered and so updated in place
+        dgemm(-1.0, np.concatenate([b, c]), np.concatenate([c, b]), beta=1.0, c=h.T,
+              trans_a=1, overwrite_c=1)
+
+
+def _gram_chain(n: np.ndarray, mx: np.ndarray, my: np.ndarray, out: np.ndarray) -> None:
+    """Writes ``2 Re(K_x^H n K_y)`` over the real and imaginary parts of
+    ``M_x`` (rows) and ``M_y`` into ``out``, where ``K: dM -> dM^T conj(M) +
+    M^T conj(dM)`` is the tangent map of the Gram matrix ``P = M^T conj(M)``
+    and ``n`` a form over the entries of ``P_x`` (rows) and ``P_y``.
+
+    Writing ``K = K1 + K2 conj``, ``K2 = S conj(K1)`` with S the swap of P's
+    two indices, and n is a Gram form of a network that conjugation with
+    that swap leaves unchanged: ``S n S = conj(n)``. So ``K2^H n K2`` and
+    ``K2^H n K1`` are the conjugates of ``K1^H n K1`` and ``K1^H n K2``, and
+    ``n K1`` contracted with M two ways gives all four."""
+    (rx, ux), (ry, uy) = mx.shape, my.shape
+    n = n.reshape(ux, ux, uy, uy)
+    a, b = out.shape[0] // 2, out.shape[1] // 2
+    # out's four blocks over (s, u | t, w)
+    rr, ri, ir, ii = (
+        out[rows, cols].reshape(rx, ux, ry, uy)
+        for rows in (slice(a), slice(a, None)) for cols in (slice(b), slice(b, None))
+    )
+    for w in range(0, uy, _GRAM_COLUMNS):  # a few columns w at a time, to bound memory
+        cols = slice(w, w + _GRAM_COLUMNS)
+        # n K1 over (u, v | w, t), times 4: the 2 of 2 Re(.) and the 2 of
+        # each conjugate pair below
+        right = np.tensordot(n[:, :, cols], 4 * my.conj(), axes=(3, 1))
+        # K1^H n K1 and K1^H n K2 = conj(K1^H n K1 with u and v swapped)
+        q11 = np.matmul(mx, right.reshape(ux, ux, -1)).reshape(ux, rx, -1, ry).transpose(1, 0, 3, 2)
+        q12 = (mx.conj() @ right.reshape(ux, -1)).reshape(rx, ux, -1, ry).transpose(0, 1, 3, 2)
+        np.conjugate(q12, out=q12)
+        np.add(q11.real, q12.real, out=rr[..., cols])
+        np.subtract(q12.imag, q11.imag, out=ri[..., cols])
+        np.add(q11.imag, q12.imag, out=ir[..., cols])
+        np.subtract(q11.real, q12.real, out=ii[..., cols])
+
 
 # ---------------------------------------------------------------------------
 # Optimization driver
@@ -340,25 +514,25 @@ def _rank_two_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     dsyr2(1.0, s, 0.5 * c * s - rho * hy, a=h, overwrite_a=True)
 
 
-def _bfgs(fun, x0, jac, maxiter, gtol, **_):
-    """One BFGS stage, a custom ``method`` for ``scipy.optimize.minimize``
-    with the options ``maxiter`` and ``gtol``.
+def _stage(fun, x0, jac, hess, maxiter, gtol, switch, anchor, **_):
+    """One fit stage, a custom ``method`` for ``scipy.optimize.minimize``: BFGS
+    until the loss falls to ``switch``, then Levenberg-Marquardt on the
+    Gauss-Newton matrix ``hess``, with the options ``maxiter``, ``gtol``,
+    ``switch`` and ``anchor`` (the map of a point to its anchored twin).
 
-    Step for step scipy's own BFGS (``_minimize_bfgs`` of scipy 1.17): the
-    identity as the first inverse Hessian, its initial step guess, its Wolfe
-    line search and its inf-norm gradient test. Two things differ: the
-    inverse Hessian lives in the upper triangle of a Fortran-ordered array,
-    read by BLAS ``dsymv`` for the search direction and updated by the
-    O(n^2) rank-two form (``_rank_two_update``), and the stall rule ends the
-    stage. The result carries the loss after every iteration
-    (``loss_history``) and why the stage stopped (``reason``: ``gtol``,
-    ``stall``, ``line_search`` or ``maxiter``). ``callback``, ``args`` and the
-    other arguments ``minimize`` hands every custom method are ignored.
+    The BFGS phase is step for step scipy's own BFGS (``_minimize_bfgs`` of
+    scipy 1.17): the identity as the first inverse Hessian, its initial step
+    guess, its Wolfe line search and its inf-norm gradient test. Two things
+    differ: the inverse Hessian lives in the upper triangle of a
+    Fortran-ordered array, read by BLAS ``dsymv`` for the search direction
+    and updated by the O(n^2) rank-two form (``_rank_two_update``), and the
+    stall rule ends the stage. The result carries the loss after every
+    iteration of either phase (``loss_history``), the number of LM
+    iterations (``lm_steps``) and why the stage stopped (``reason``: ``ftol``,
+    ``gtol``, ``stall``, ``line_search`` or ``maxiter``; see ``FitStage``).
+    ``callback``, ``args`` and the other arguments ``minimize`` hands every
+    custom method are ignored.
     """
-    # private, but the step-length search of scipy's own BFGS; imported here
-    # so that a scipy which moves it breaks only fitting (the pin is <1.18)
-    from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
-
     nfev = 0
 
     def f(x):
@@ -369,19 +543,44 @@ def _bfgs(fun, x0, jac, maxiter, gtol, **_):
     x = np.asarray(x0, dtype=float).flatten()
     fval = f(x)
     g = jac(x)
-    h = np.eye(x.size, order="F")
-    old_old_fval = fval + np.linalg.norm(g) / 2  # a first step of about 1
     history: list[float] = []
     reason = "gtol" if np.max(np.abs(g)) <= gtol else None
-    while reason is None and len(history) < maxiter:
+    if reason is None:
+        x, fval, g, reason = _quasi_newton(f, jac, x, fval, g, history, maxiter, gtol, switch)
+    bfgs_steps = len(history)
+    if reason is None and len(history) < maxiter:
+        x = anchor(x)
+        fval = f(x)
+        g = jac(x)
+        x, fval, g, reason = _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gtol)
+    lm_steps = len(history) - bfgs_steps
+    if reason is None and len(history) < maxiter:
+        x, fval, g, reason = _quasi_newton(f, jac, x, fval, g, history, maxiter, gtol, -np.inf)
+    reason = reason or "maxiter"
+    return scipy.optimize.OptimizeResult(
+        x=x, fun=fval, jac=g, nit=len(history), nfev=nfev, success=reason in ("gtol", "ftol"),
+        reason=reason, loss_history=history, lm_steps=lm_steps,
+    )
+
+
+def _quasi_newton(f, jac, x, fval, g, history, maxiter, gtol, switch):
+    """BFGS iterations from x until a stopping rule fires or the loss falls to
+    ``switch``; returns the last point, its loss and gradient, and the stop
+    reason (``None`` at ``switch`` or ``maxiter``)."""
+    # private, but the step-length search of scipy's own BFGS; imported here
+    # so that a scipy which moves it breaks only fitting (the pin is <1.18)
+    from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
+
+    h = np.eye(x.size, order="F")
+    old_old_fval = fval + np.linalg.norm(g) / 2  # a first step of about 1
+    while len(history) < maxiter and fval > switch:
         p = -dsymv(1.0, h, g)
         try:
             alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
                 f, jac, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100
             )
         except _LineSearchError:
-            reason = "line_search"
-            break
+            return x, fval, g, "line_search"
         s = alpha * p
         x = x + s
         if g_next is None:
@@ -389,19 +588,72 @@ def _bfgs(fun, x0, jac, maxiter, gtol, **_):
         y = g_next - g
         g = g_next
         history.append(fval)
-        if len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - fval < STALL_TOL:
-            reason = "stall"
-        elif np.max(np.abs(g)) <= gtol:
-            reason = "gtol"
-        elif not np.isfinite(fval):
+        reason = _stopped(history, g, gtol)
+        if reason is None and not np.isfinite(fval):
             reason = "line_search"  # scipy reports a non-finite loss the same way
+        if reason is not None:
+            return x, fval, g, reason
+        _rank_two_update(h, s, y)
+    return x, fval, g, None
+
+
+def _stopped(history: list[float], g: np.ndarray, gtol: float) -> str | None:
+    """The stage's stopping rule after an iteration, ``None`` to go on."""
+    if len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - history[-1] < STALL_TOL:
+        return "stall"
+    if np.max(np.abs(g)) <= gtol:
+        return "gtol"
+    return None
+
+
+def _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gtol):
+    """The LM phase of a stage from an anchored point. Each iteration
+    assembles the Gauss-Newton matrix H, solves ``(H + mu I) step = -g`` by
+    one Cholesky factorization in place and tries the anchored ``x + step``.
+    An accepted step rescales ``mu`` by Nielsen's rule on the ratio of the
+    actual to the model's decrease; a rejected one raises it, and once the
+    step no longer moves ``x`` the search has failed (``line_search``). The
+    phase ends once the loss is down to ``LM_FLOOR`` (``ftol``) or on the
+    stage's gtol and stall rules. Where the residual does not vanish,
+    Gauss-Newton converges slowly: once ``LM_WINDOW`` iterations gain less
+    than ``LM_GAIN`` of the loss, the phase hands the stage back to BFGS.
+    Returns the last point, its loss and gradient, and the stop reason
+    (``None`` at ``maxiter`` or on handing back)."""
+    start, mu, nu = len(history), None, 2.0
+    while len(history) < maxiter:
+        h = hess(x)
+        if mu is None:
+            mu = LM_DAMPING * np.max(np.diag(h))
+        h.flat[:: x.size + 1] += mu
+        try:  # h is symmetric: its transpose is the Fortran-ordered matrix LAPACK factors in place
+            step = -scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(h.T, overwrite_a=True, check_finite=False), g,
+                check_finite=False,
+            )
+        except np.linalg.LinAlgError:
+            step = None
+        h = None  # one n x n matrix at a time: a rejected step assembles it again
+        if step is not None and np.array_equal(x + step, x):
+            return x, fval, g, "line_search"
+        trial = None if step is None else anchor(x + step)
+        f_trial = np.inf if trial is None else f(trial)
+        if f_trial < fval:
+            # the model's decrease -g.step - step.H.step/2, as (H + mu I) step = -g
+            predicted = 0.5 * (mu * (step @ step) - g @ step)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * (fval - f_trial) / predicted - 1.0) ** 3)
+            nu = 2.0
+            x, fval, g = trial, f_trial, jac(trial)
+            history.append(fval)
+            reason = "ftol" if fval <= LM_FLOOR else _stopped(history, g, gtol)
+            if reason is not None:
+                return x, fval, g, reason
+            if len(history) - start > LM_WINDOW and history[-LM_WINDOW - 1] - fval < LM_GAIN * fval:
+                return x, fval, g, None  # a crawl: BFGS takes the stage back
         else:
-            _rank_two_update(h, s, y)
-    reason = reason or "maxiter"
-    return scipy.optimize.OptimizeResult(
-        x=x, fun=fval, jac=g, nit=len(history), nfev=nfev, success=reason == "gtol",
-        reason=reason, loss_history=history,
-    )
+            mu *= nu
+            nu *= 2.0
+            history.append(fval)
+    return x, fval, g, None
 
 
 def _initial_point(rng: np.random.Generator, d: int, dd: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -483,8 +735,10 @@ def fit(
             obj.value_and_grad,
             obj.pack(ansatz.a_bar, ansatz.psi0),
             jac=True,
-            method=_bfgs,
-            options={"maxiter": max_iter, "gtol": GTOL},
+            hess=obj.gauss_newton,
+            method=_stage,
+            options={"maxiter": max_iter, "gtol": GTOL, "switch": LM_SWITCH * obj.t0,
+                     "anchor": obj.anchor},
         )
         ansatz = _anchored(*obj.unpack(res.x))
         history += tuple(res.loss_history)
@@ -492,6 +746,7 @@ def fit(
         stages.append(FitStage(
             k=k,
             iterations=res.nit,
+            lm_steps=res.lm_steps,
             evaluations=res.nfev,
             final_loss=loss,
             relative_loss=loss / obj.t0,

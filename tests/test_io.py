@@ -131,10 +131,10 @@ def test_main_rejects_a_channel_file_with_a_fractional_dimension(tmp_path, capsy
 
 def test_fit_report_dict_fields():
     stages = (
-        FitStage(k=2, iterations=90, evaluations=97, final_loss=2e-9,
+        FitStage(k=2, iterations=90, lm_steps=0, evaluations=97, final_loss=2e-9,
                  relative_loss=1e-9, max_abs_grad=3e-6, reason="stall"),
-        FitStage(k=3, iterations=50, evaluations=52, final_loss=1.5e-9,
-                 relative_loss=5e-10, max_abs_grad=9e-9, reason="gtol"),
+        FitStage(k=3, iterations=50, lm_steps=7, evaluations=52, final_loss=1.5e-9,
+                 relative_loss=5e-10, max_abs_grad=9e-9, reason="ftol"),
     )
     report = FitReport(
         final_loss=1.5e-9,
@@ -150,10 +150,10 @@ def test_fit_report_dict_fields():
     assert data["k_schedule"] == [2, 3]
     assert data["final_loss"] == 1.5e-9
     assert data["stages"] == [
-        {"k": 2, "iterations": 90, "evaluations": 97, "final_loss": 2e-9,
+        {"k": 2, "iterations": 90, "lm_steps": 0, "evaluations": 97, "final_loss": 2e-9,
          "relative_loss": 1e-9, "max_abs_grad": 3e-6, "reason": "stall"},
-        {"k": 3, "iterations": 50, "evaluations": 52, "final_loss": 1.5e-9,
-         "relative_loss": 5e-10, "max_abs_grad": 9e-9, "reason": "gtol"},
+        {"k": 3, "iterations": 50, "lm_steps": 7, "evaluations": 52, "final_loss": 1.5e-9,
+         "relative_loss": 5e-10, "max_abs_grad": 9e-9, "reason": "ftol"},
     ]
     json.dumps(data)  # everything JSON-serializable
 

@@ -10,6 +10,7 @@ import pytest
 import scipy.optimize
 
 from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
+from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import (
     ProcessTensorMPDO,
     _sweep,
@@ -20,15 +21,19 @@ from ptnm.process_tensor import (
     norm_sq,
 )
 from ptnm.reconstruct import (
+    FTOL,
+    GTOL,
+    LM_FLOOR,
     STALL_WINDOW,
     FitReport,
     ReconstructionAnsatz,
-    _bfgs,
+    _anchored,
     _decoupled_initial_point,
     _initial_point,
     _Objective,
     _rank_two_update,
     _site_tensor,
+    _stage,
     ansatz_from_model,
     fit,
     normalization_residual,
@@ -272,6 +277,57 @@ def test_loss_factors_give_the_left_boundaries_of_the_train():
     assert value == pytest.approx((trace @ lefts[k] @ trace).real, rel=1e-12)
 
 
+def fig2a_target(k):
+    """The fig2a gamma=1 chain: a pure system start, zero filling."""
+    pure = np.diag([1.0, 0.0]).astype(complex)
+    channel, rho0 = xx_chain_model(XXChainParams(gamma=1.0, rho0_system=pure))
+    return build(channel, rho0, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["fig2a", "random"])
+def test_gauss_newton_matrix_matches_a_finite_difference_jacobian(kind, k):
+    """``2 Re(J^H J)`` against J from central differences (step 1e-6) of the
+    dense predicted tensor over every packed coordinate, at an anchored
+    random point; k=3 has holes two sites apart."""
+    rng = np.random.default_rng(123 + k)
+    target = fig2a_target(k) if kind == "fig2a" else random_target(rng, k)
+    obj = _Objective(target, k, 2, 2, 3)
+    x = obj.pack(*_initial_point(rng, 2, 2, 3))
+    h = 1e-6
+    columns = []
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        plus = materialize(predict(_anchored(*obj.unpack(x + step)), k))
+        minus = materialize(predict(_anchored(*obj.unpack(x - step)), k))
+        columns.append(((plus - minus) / (2.0 * h)).ravel())
+    jac = np.array(columns).T
+    dense = 2.0 * (jac.conj().T @ jac).real
+    gn = obj.gauss_newton(x)
+    assert np.linalg.norm(gn - dense) <= 1e-6 * np.linalg.norm(dense)
+
+
+def test_levenberg_marquardt_reaches_ftol_from_a_perturbed_truth():
+    # a zero-residual target, where Gauss-Newton converges quadratically (3
+    # steps here); switch=inf puts the whole stage in the LM phase
+    rng = np.random.default_rng(124)
+    channel, psi = model_pair(rng, kraus_rank=3)
+    truth = ansatz_from_model(channel, psi)
+    target = predict(truth, 3)
+    obj = _Objective(target, 3, 2, 2, 3)
+    noise = rng.normal(size=2 * truth.a_bar.size + 2 * psi.size)
+    x0 = obj.anchor(obj.pack(truth.a_bar, psi) + 1e-2 * noise)
+    assert obj.value_and_grad(x0)[0] > 1e3 * FTOL
+    res = scipy.optimize.minimize(
+        obj.value_and_grad, x0, jac=True, hess=obj.gauss_newton, method=_stage,
+        options={"maxiter": 20, "gtol": GTOL, "switch": np.inf, "anchor": obj.anchor},
+    )
+    assert res.reason in ("ftol", "gtol")
+    assert res.lm_steps == res.nit == len(res.loss_history) <= 5
+    assert res.fun <= LM_FLOOR < FTOL
+
+
 def test_objective_rejects_a_target_with_distinct_sites():
     rng = np.random.default_rng(115)
     w1, w2 = (kraus_to_w(random_cptp_channel(2, 2, 2, rng)).w for _ in range(2))
@@ -314,6 +370,10 @@ def test_rank_two_update_rejects_an_array_blas_would_copy():
     np.testing.assert_array_equal(h, before)
 
 
+# a stage that never switches to Levenberg-Marquardt
+BFGS_ONLY = {"switch": -np.inf, "anchor": None}
+
+
 def test_bfgs_reaches_gtol_on_a_convex_quadratic():
     rng = np.random.default_rng(117)
     m = rng.normal(size=(10, 10))
@@ -323,10 +383,11 @@ def test_bfgs_reaches_gtol_on_a_convex_quadratic():
     def fun(x):
         return 0.5 * x @ a @ x - b @ x, a @ x - b
 
-    res = scipy.optimize.minimize(fun, np.zeros(10), jac=True, method=_bfgs,
-                                  options={"maxiter": 1000, "gtol": 1e-8})
+    res = scipy.optimize.minimize(fun, np.zeros(10), jac=True, method=_stage,
+                                  options={**BFGS_ONLY, "maxiter": 1000, "gtol": 1e-8})
     assert res.reason == "gtol" and res.success
     assert 0 < res.nit == len(res.loss_history)
+    assert res.lm_steps == 0
     assert res.nfev >= res.nit
     assert np.max(np.abs(res.jac)) <= 1e-8
     np.testing.assert_allclose(res.x, np.linalg.solve(a, b), atol=1e-7)
@@ -337,8 +398,8 @@ def test_bfgs_ends_a_plateau_on_the_stall_rule():
     def fun(x):
         return 1e-12 * np.sum(x**4), 4e-12 * x**3
 
-    res = scipy.optimize.minimize(fun, np.ones(3), jac=True, method=_bfgs,
-                                  options={"maxiter": 1000, "gtol": 0.0})
+    res = scipy.optimize.minimize(fun, np.ones(3), jac=True, method=_stage,
+                                  options={**BFGS_ONLY, "maxiter": 1000, "gtol": 0.0})
     assert res.reason == "stall"
     assert len(res.loss_history) == res.nit == STALL_WINDOW + 1
 
@@ -347,8 +408,8 @@ def test_bfgs_honours_maxiter():
     def fun(x):
         return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
 
-    res = scipy.optimize.minimize(fun, np.full(4, -1.0), jac=True, method=_bfgs,
-                                  options={"maxiter": 3, "gtol": 1e-8})
+    res = scipy.optimize.minimize(fun, np.full(4, -1.0), jac=True, method=_stage,
+                                  options={**BFGS_ONLY, "maxiter": 3, "gtol": 1e-8})
     assert res.reason == "maxiter" and not res.success
     assert res.nit == len(res.loss_history) == 3
 
@@ -425,7 +486,8 @@ def test_fit_report_fields_are_consistent():
         assert sum(stage.iterations for stage in report.stages) == report.iterations
         assert report.stages[-1].final_loss == report.final_loss
         for stage in report.stages:
-            assert stage.reason in ("gtol", "stall", "line_search", "maxiter")
+            assert stage.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
+            assert 0 <= stage.lm_steps <= stage.iterations
             assert stage.evaluations >= stage.iterations > 0
             assert stage.max_abs_grad >= 0.0
             t0 = norm_sq(target.truncated(stage.k))
