@@ -49,7 +49,6 @@ from .process_tensor import (
     norm_sq,
 )
 from .tensorops import (
-    Spectrum,
     check_density_matrix,
     check_hermitian,
     check_unitary,
@@ -69,7 +68,6 @@ __all__ = [
     "SIGMA_MINUS",
     "SIGMA_PLUS",
     "SIGMA_Z",
-    "Spectrum",
     "UQDMParams",
     "XXChainParams",
     "build",

@@ -39,13 +39,12 @@ class KrausChannel:
     """A channel on the joint system-environment space in Kraus form.
 
     ``kraus`` holds operators of shape ``(d*D, d*D)``; the set must be trace
-    preserving within ``tol`` and no larger than ``(d*D)**2``.
+    preserving within ``TP_TOL`` and no larger than ``(d*D)**2``.
     """
 
     kraus: tuple[np.ndarray, ...]
     d: int
     D: int
-    tol: float = TP_TOL
 
     def __post_init__(self):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
@@ -60,7 +59,7 @@ class KrausChannel:
                 raise ValueError(f"Kraus operator has shape {a.shape}, expected {(m, m)}")
         total = sum(a.conj().T @ a for a in ops)
         residual = np.abs(total - np.eye(m)).max()
-        if residual > self.tol:
+        if residual > TP_TOL:
             raise ValueError(
                 f"Kraus set is not trace preserving: residual {residual:.3e}"
             )
@@ -72,18 +71,17 @@ class ChannelTensor:
 
     ``w`` is the bare ``(d, d, d, d, D, D, D, D)`` array in the
     :data:`W_LABELS` axis order. Instances satisfy Hermiticity under
-    prime-swap and the trace-preservation contraction within ``tol``; other
+    prime-swap and the trace-preservation contraction within ``TP_TOL``; other
     site tensors, such as fitted ones, are handled as bare arrays, not as
     :class:`ChannelTensor`.
     """
 
     w: np.ndarray
-    tol: float = TP_TOL
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=complex)
         object.__setattr__(self, "w", w)
-        _check_site(w, w.shape[0], w.shape[-1], self.tol, self.tol)
+        _check_site(w, w.shape[0], w.shape[-1], TP_TOL, TP_TOL)
 
     @property
     def d(self) -> int:
@@ -195,18 +193,12 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
     return superop.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(mm, mm)
 
 
-def superop_to_kraus(
-    superop: np.ndarray,
-    d: int,
-    D: int,
-    tol: float = TP_TOL,
-    drop_tol: float = CP_EIG_DROP,
-) -> KrausChannel:
+def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> KrausChannel:
     """Extract a Kraus set from a CPTP superoperator via its Choi spectrum.
 
-    Eigenvalues below ``drop_tol`` are dropped; a Choi eigenvalue below
-    ``-tol`` (complete-positivity violation) or a trace-preservation residual
-    beyond ``tol`` is an error.
+    Eigenvalues below ``CP_EIG_DROP`` are dropped; a Choi eigenvalue below
+    ``-TP_TOL`` (complete-positivity violation) or a trace-preservation
+    residual beyond ``TP_TOL`` is an error.
     """
     m = d * D
     if superop.shape != (m * m, m * m):
@@ -215,16 +207,16 @@ def superop_to_kraus(
         )
     c = choi_matrix(superop)
     herm = np.abs(c - c.conj().T).max()
-    if herm > tol * max(np.abs(c).max(), 1.0):
+    if herm > TP_TOL * max(np.abs(c).max(), 1.0):
         raise ValueError(f"Choi matrix is not Hermitian: residual {herm:.3e}")
     w, v = np.linalg.eigh((c + c.conj().T) / 2.0)
-    if w.min() < -tol:
+    if w.min() < -TP_TOL:
         raise ValueError(f"superoperator is not completely positive: {w.min():.3e}")
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam > drop_tol:
+        if lam > CP_EIG_DROP:
             ops.append(np.sqrt(lam) * vec.reshape(m, m).T)
-    return KrausChannel(tuple(ops), d, D, tol=tol)
+    return KrausChannel(tuple(ops), d, D)
 
 
 def random_cptp_channel(

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -41,13 +40,12 @@ from .io import (
     write_csv_atomic,
     write_json_atomic,
 )
-from .measures import TRACE_TOL, _entropy_of_state, measure_series, nm_ee
+from .measures import measure_series, nm_ee
 from .models import UQDMParams, XXChainParams, ruqdm_channel, uqdm_memory_series, xx_chain_model
 from .process_tensor import (
     MaterializationLimitError,
     ProcessTensorMPDO,
     _as_matrix,
-    _env_states,
     build,
     materialize,
     norm_sq,
@@ -371,29 +369,18 @@ def _target_from_file(cfg: ExperimentConfig) -> ProcessTensorMPDO:
 # ---------------------------------------------------------------------------
 
 
-def _measure_rows(pt: ProcessTensorMPDO, trace_tol: float) -> tuple[list[tuple], str | None]:
-    """Rows (j, N^osee_j, N^ee_j, boundary_flag) for j = 1..k-1, and why any
-    ``nm_ee`` entry is NaN (``None`` when none is).
+def _measure_rows(pt: ProcessTensorMPDO) -> list[tuple]:
+    """Rows (j, N^osee_j, N^ee_j, boundary_flag) for j = 1..k-1.
 
-    The ``nm_ee`` column comes from one environment recursion. A recursion
-    failure (an environment trace drifting past ``trace_tol``) yields NaN
-    entries from the failing step on rather than aborting the run.
+    A drifting environment trace raises ``ValueError`` with the step and
+    the trace it reached (see ``ptnm.process_tensor._env_states``).
     """
-    series = measure_series(pt, "osee")
-    ee: list[float] = []
-    note = None
-    try:
-        for env in itertools.islice(_env_states(pt, trace_tol), 1, pt.k):
-            ee.append(_entropy_of_state(env))
-    except ValueError as exc:
-        steps = f"{len(series.steps) - len(ee)} of {len(series.steps)} steps"
-        note = f"nm_ee is NaN at {steps} from j = {len(ee) + 1}: {exc}"
-    ee += [math.nan] * (len(series.steps) - len(ee))
-    rows = [
-        (j, osee_j, ee_j, 1 if j in series.boundary_flagged else 0)
-        for j, osee_j, ee_j in zip(series.steps, series.values, ee)
+    osee = measure_series(pt, "osee")
+    ee = measure_series(pt, "ee")  # steps 1..k; zip drops step k
+    return [
+        (j, osee_j, ee_j, 1 if j in osee.boundary_flagged else 0)
+        for j, osee_j, ee_j in zip(osee.steps, osee.values, ee.values)
     ]
-    return rows, note
 
 
 def _mid_entropy(ansatz: ReconstructionAnsatz, k: int) -> float:
@@ -418,9 +405,7 @@ def _fit_selected(
     candidates converged to ``FTOL`` -- or, when nothing converges, within a
     factor 2 of the best achieved loss -- the one with the smallest mid-range
     environment entropy wins. Starts alternate between a perturbed memoryless
-    model and a generic Gaussian draw. Every candidate is trace preserving
-    by construction, so its entropies are evaluated at the measures' own
-    ``TRACE_TOL``.
+    model and a generic Gaussian draw.
     """
     candidates = []
     for r in range(cfg.restarts):
@@ -459,7 +444,6 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
     reports: dict[str, dict] = {}
     non_converged: list[float] = []
-    nan_notes: dict[str, str] = {}
     for idx, gamma in enumerate(cfg.gammas):
         target = _xx_target(cfg, gamma, cfg.k, pure_system=True)
         ansatz, report, chosen = _fit_selected(target, cfg, idx)
@@ -467,10 +451,7 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
             non_converged.append(gamma)
         fitted = predict(ansatz, cfg.k)
         name = f"{cfg.experiment}_gamma{gamma:g}"
-        rows, note = _measure_rows(fitted, TRACE_TOL)
-        tables[name] = (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)
-        if note:
-            nan_notes[name] = note
+        tables[name] = (("j", "nm_osee", "nm_ee", "boundary_flag"), _measure_rows(fitted))
         reports[f"{name}_fit"] = {
             "gamma": gamma,
             "n": cfg.n,
@@ -479,8 +460,6 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
         }
     metadata = _metadata(cfg)
     metadata["non_converged_gammas"] = non_converged
-    if nan_notes:
-        metadata["nan_measure_rows"] = nan_notes
     metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(metadata, tables, reports)
 
@@ -494,7 +473,7 @@ def run_fig3(cfg: ExperimentConfig) -> ResultBundle:
         )
         series = uqdm_memory_series(params, cfg.j_max)
         rows.append((gamma, 0, 0.0))  # pure initial environment
-        rows += [(gamma, j, series.value_at(j)) for j in series.steps]
+        rows += [(gamma, j, value) for j, value in zip(series.steps, series.values)]
     metadata = _metadata(cfg)
     metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(metadata, {"fig3": (("gamma", "j", "memory_complexity"), rows)}, {})
@@ -503,10 +482,8 @@ def run_fig3(cfg: ExperimentConfig) -> ResultBundle:
 def run_measure(cfg: ExperimentConfig) -> ResultBundle:
     t0 = time.perf_counter()
     pt = _model_process_tensor(cfg, pure_system=False)
-    rows, note = _measure_rows(pt, 0.1)
+    rows = _measure_rows(pt)
     metadata = _metadata(cfg)
-    if note:
-        metadata["nan_measure_rows"] = {"measure": note}
     metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(
         metadata, {"measure": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}, {}
@@ -520,9 +497,7 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
     fitted = predict(ansatz, cfg.k)
     metadata = _metadata(cfg)
     metadata["non_converged"] = not report.converged
-    rows, note = _measure_rows(fitted, TRACE_TOL)
-    if note:
-        metadata["nan_measure_rows"] = {"reconstruct_measures": note}
+    rows = _measure_rows(fitted)
     tables = {"reconstruct_measures": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}
     reports = {
         "reconstruct_ansatz": ansatz_to_dict(ansatz),
@@ -631,8 +606,6 @@ def main(argv: list[str] | None = None) -> int:
     if bundle.metadata.get("non_converged_gammas"):
         flagged = ", ".join(f"{g:g}" for g in bundle.metadata["non_converged_gammas"])
         print(f"note: fit did not converge for gamma = {flagged}")
-    for name, note in bundle.metadata.get("nan_measure_rows", {}).items():
-        print(f"note: {name}: {note}")
     print(f"done in {bundle.metadata['wall_time_s']:.1f}s")
     return EXIT_OK
 

@@ -81,6 +81,8 @@ def channel_from_dict(data: dict) -> KrausChannel:
         if key not in data:
             raise ValueError(f"channel container is missing field {key!r}")
     d, dd = _positive_int(data, "d"), _positive_int(data, "D")
+    if not isinstance(data["kraus"], list):
+        raise ValueError(f"field 'kraus' must be a list of operators, got {data['kraus']!r}")
     ops = tuple(
         pairs_to_complex(op, f"kraus[{t}]") for t, op in enumerate(data["kraus"])
     )
@@ -109,11 +111,15 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 def load_json(path: str) -> dict:
+    """A JSON file whose top level is an object, as a dict."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def format_float(value: float) -> str:

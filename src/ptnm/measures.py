@@ -16,18 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process_tensor import ProcessTensorMPDO, _env_states, _sweep, _tt_core
-from .tensorops import (
-    Spectrum,
-    check_density_matrix,
-    check_unitary,
-    renyi_entropy,
-    von_neumann_entropy,
-)
-
-TRACE_TOL = 1e-9
+from .tensorops import check_density_matrix, check_unitary, renyi_entropy, von_neumann_entropy
 
 
-def env_state(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> np.ndarray:
+def env_state(pt: ProcessTensorMPDO, j: int) -> np.ndarray:
     """Effective environment state ``rho_E_j``, a ``(D, D)`` density matrix,
     under trace-averaged histories.
 
@@ -38,15 +30,14 @@ def env_state(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> np
     """
     if not 0 <= j <= pt.k:
         raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
-    return next(itertools.islice(_env_states(pt, trace_tol), j, None))
+    return next(itertools.islice(_env_states(pt), j, None))
 
 
 def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float:
     """Von Neumann (``alpha=None``) or Renyi entropy in bits."""
-    spectrum = Spectrum.from_values(eigenvalues)
     if alpha is None:
-        return von_neumann_entropy(spectrum)
-    return renyi_entropy(spectrum, alpha)
+        return von_neumann_entropy(eigenvalues)
+    return renyi_entropy(eigenvalues, alpha)
 
 
 def _entropy_of_state(rho: np.ndarray) -> float:
@@ -54,11 +45,11 @@ def _entropy_of_state(rho: np.ndarray) -> float:
     return _entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), None)
 
 
-def nm_ee(pt: ProcessTensorMPDO, j: int, trace_tol: float = TRACE_TOL) -> float:
+def nm_ee(pt: ProcessTensorMPDO, j: int) -> float:
     """Environment-entropy measure ``S(rho_E_j)`` in bits, ``1 <= j <= k``."""
     if not 1 <= j <= pt.k:
         raise ValueError(f"j must lie in [1, {pt.k}], got {j}")
-    return _entropy_of_state(env_state(pt, j, trace_tol=trace_tol))
+    return _entropy_of_state(env_state(pt, j))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +119,7 @@ def memory_complexity(
     d: int,
     D: int,
     j: int,
-    trace_tol: float = TRACE_TOL,
+    trace_tol: float = 1e-9,
 ) -> float:
     """Environment entropy of a unitary system-environment model after ``j``
     steps, in bits, computed on raw matrices.
@@ -193,8 +184,6 @@ def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values), flagged)
     if kind == "ee":
-        values = tuple(
-            _entropy_of_state(env) for env in itertools.islice(_env_states(pt, TRACE_TOL), 1, None)
-        )
+        values = tuple(_entropy_of_state(env) for env in itertools.islice(_env_states(pt), 1, None))
         return MeasureSeries(kind, tuple(range(1, pt.k + 1)), values)
     raise ValueError(f"unknown measure kind {kind!r}; expected 'osee' or 'ee'")

@@ -27,7 +27,7 @@ from .channels import (
     superop_to_kraus,
 )
 from .measures import MeasureSeries
-from .tensorops import Spectrum, check_density_matrix, matrix_exp, von_neumann_entropy
+from .tensorops import check_density_matrix, matrix_exp, von_neumann_entropy
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -224,7 +224,7 @@ def uqdm_env_entropy(model: UQDMModel, j: int, overlaps: np.ndarray | None = Non
     w = np.exp(_binomial_log_weights(j))
     gram = scipy.linalg.toeplitz(c2.conj(), c2) * np.sqrt(np.outer(w, w))
     eigs = np.linalg.eigvalsh(gram)
-    return von_neumann_entropy(Spectrum.from_values(eigs))
+    return von_neumann_entropy(eigs)
 
 
 def uqdm_memory_series(p: UQDMParams, j_max: int) -> MeasureSeries:

@@ -99,23 +99,26 @@ def build(channel: ChannelTensor, rho0_se: np.ndarray, k: int) -> ProcessTensorM
 # ---------------------------------------------------------------------------
 
 
-def _env_states(pt: ProcessTensorMPDO, trace_tol: float = SITE_TOL) -> Iterator[np.ndarray]:
+def _env_states(pt: ProcessTensorMPDO) -> Iterator[np.ndarray]:
     """Effective environment states ``rho_E_0, rho_E_1, ..., rho_E_k`` under
     trace-averaged interventions, yielded one step at a time.
 
     Each step contracts the site with the identity on the system input pair,
-    divides by ``d``, and renormalizes; the pre-normalization trace must stay
-    within ``trace_tol`` of one, which holds exactly for trace-preserving
-    sites and flags convention bugs or sites far from trace preservation. A
-    drift raises ``ValueError`` in place of the step's state.
+    divides by ``d``, and renormalizes. A site that passed the construction
+    check moves the trace of a unit-trace state by at most ``D * SITE_TOL``
+    (its trace-preservation residual is entrywise, and ``sum |rho_aa'| <= D``),
+    and step 0 is not renormalized, so it adds the initial state's own trace
+    tolerance. A larger drift needs a tensor built with a looser ``site_tol``
+    or none; it raises ``ValueError`` in place of the step's state.
     """
+    drift_tol = (pt.D + 1) * SITE_TOL
     env = np.einsum("ooaA->aA", pt.rho0)
     env = (env + env.conj().T) / 2.0
     yield env
     for m, w in enumerate(pt.sites):
         env = np.einsum("iiooaAbB,aA->bB", w, env) / pt.d
         trace = float(np.trace(env).real)
-        if abs(trace - 1.0) > trace_tol:
+        if abs(trace - 1.0) > drift_tol:
             raise ValueError(
                 f"environment-state trace drifted to {trace!r} at step {m + 1}; "
                 "site tensors are too far from trace preserving"

@@ -8,68 +8,44 @@ Conventions fixed here and relied on by the rest of the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 CLIP_TOL = 1e-12
+SUM_TOL = 1e-8
 HERMITICITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted in descending order."""
-
-    values: np.ndarray = field()
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ValueError("spectrum must be one-dimensional")
-        if v.size > 1 and np.any(np.diff(v) > 0):
-            raise ValueError("spectrum values must be sorted in descending order")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "Spectrum":
-        v = np.sort(np.asarray(values, dtype=float))[::-1]
-        return cls(v)
-
-
-def _as_probabilities(
-    spectrum, clip_tol: float = CLIP_TOL, sum_tol: float = 1e-8
-) -> np.ndarray:
-    values = spectrum.values if isinstance(spectrum, Spectrum) else spectrum
-    p = np.asarray(values, dtype=float).ravel()
+def _as_probabilities(spectrum) -> np.ndarray:
+    p = np.asarray(spectrum, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("empty spectrum")
-    if p.min() < -clip_tol:
-        raise ValueError(f"negative eigenvalue {p.min():.3e} below -{clip_tol:.0e}")
+    if p.min() < -CLIP_TOL:
+        raise ValueError(f"negative eigenvalue {p.min():.3e} below -{CLIP_TOL:.0e}")
     total = p.sum()
-    if abs(total - 1.0) > sum_tol:
-        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {sum_tol:.0e}")
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {SUM_TOL:.0e}")
     p = np.clip(p, 0.0, 1.0)
     return p / p.sum()
 
 
-def von_neumann_entropy(spectrum, clip_tol: float = CLIP_TOL) -> float:
-    """Von Neumann entropy, in bits, of a probability spectrum.
+def von_neumann_entropy(spectrum) -> float:
+    """Von Neumann entropy, in bits, of a probability spectrum (any order).
 
     Zero eigenvalues contribute nothing (the ``0·log 0 = 0`` convention);
     eigenvalues are clipped to ``[0, 1]`` and renormalized, and a negative
-    value below ``-clip_tol`` or a total deviating from one by more than
-    ``1e-8`` is rejected.
+    value below ``-CLIP_TOL`` or a total deviating from one by more than
+    ``SUM_TOL`` is rejected.
     """
-    p = _as_probabilities(spectrum, clip_tol=clip_tol)
+    p = _as_probabilities(spectrum)
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 
 
-def renyi_entropy(spectrum, alpha: float, clip_tol: float = CLIP_TOL) -> float:
+def renyi_entropy(spectrum, alpha: float) -> float:
     """Renyi entropy of order ``alpha`` in bits; ``alpha`` must be positive and != 1."""
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("Renyi order must be positive and different from 1")
-    p = _as_probabilities(spectrum, clip_tol=clip_tol)
+    p = _as_probabilities(spectrum)
     nz = p[p > 0.0]
     return float(np.log2((nz**alpha).sum()) / (1.0 - alpha))
 

@@ -25,7 +25,7 @@ from ptnm.cli import (
     resolve_config,
 )
 from ptnm.io import load_json
-from ptnm.measures import nm_ee
+from ptnm.measures import measure_series, nm_ee
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import ProcessTensorMPDO, build
 
@@ -345,37 +345,47 @@ def _drifting_pt(k: int) -> ProcessTensorMPDO:
 
 def test_measure_rows_ee_column_equals_per_step_nm_ee():
     pt = _chain_pt(40)
-    rows, note = _measure_rows(pt, trace_tol=0.1)
-    assert note is None
+    rows = _measure_rows(pt)
     assert [r[0] for r in rows] == list(range(1, 40))
-    assert [r[2] for r in rows] == [nm_ee(pt, j, trace_tol=0.1) for j in range(1, 40)]
+    assert [r[2] for r in rows] == [nm_ee(pt, j) for j in range(1, 40)]
+
+
+def test_measure_run_takes_both_columns_from_measure_series(tmp_path, monkeypatch):
+    # ptnm.cli.measure_series is the name the benchmark's tracer times
+    kinds = []
+
+    def recording(pt, kind):
+        kinds.append(kind)
+        return measure_series(pt, kind)
+
+    monkeypatch.setattr(ptnm.cli, "measure_series", recording)
+    assert main(["measure", "--k", "12", "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(kinds) == ["ee", "osee"]
 
 
 def test_measure_rows_report_a_trace_drift():
     pt = _drifting_pt(40)
-    rows, note = _measure_rows(pt, trace_tol=0.1)
-    ee = [r[2] for r in rows]
-    assert ee[:6] == [nm_ee(pt, j, trace_tol=0.1) for j in range(1, 7)]
-    assert all(math.isnan(v) for v in ee[6:])
-    for j in range(7, 40):
-        with pytest.raises(ValueError):
-            nm_ee(pt, j, trace_tol=0.1)
-    assert note.startswith("nm_ee is NaN at 33 of 39 steps from j = 7:")
-    drift = re.search(r"drifted to (\S+) at step 7;", note)
+    with pytest.raises(ValueError, match="at step 7") as excinfo:
+        _measure_rows(pt)
+    drift = re.search(r"drifted to (\S+) at step 7;", str(excinfo.value))
     assert float(drift.group(1)) == pytest.approx(1.5)
+    nm_ee(pt, 6)
+    for j in range(7, 40):
+        with pytest.raises(ValueError, match="at step 7"):
+            nm_ee(pt, j)
 
 
-def test_measure_run_reports_nan_rows_only_when_present(tmp_path, monkeypatch, capsys):
+def test_measure_run_exits_with_a_config_error_on_a_trace_drift(tmp_path, monkeypatch, capsys):
     argv = ["measure", "--gamma", "5", "--n", "0.5", "--k", "12"]
     clean = str(tmp_path / "clean")
     assert main(argv + ["--out", clean]) == EXIT_OK
-    assert "nan_measure_rows" not in load_json(os.path.join(clean, "measure.meta.json"))
     assert "note:" not in capsys.readouterr().out
 
     monkeypatch.setattr(ptnm.cli, "_model_process_tensor", lambda cfg, pure_system: _drifting_pt(12))
-    drift = str(tmp_path / "drift")
-    assert main(argv + ["--out", drift]) == EXIT_OK
-    meta = load_json(os.path.join(drift, "measure.meta.json"))
-    note = meta["nan_measure_rows"]["measure"]
-    assert note.startswith("nm_ee is NaN at 5 of 11 steps from j = 7:")
-    assert f"note: measure: {note}" in capsys.readouterr().out
+    drift = tmp_path / "drift"
+    assert main(argv + ["--out", str(drift)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: environment-state trace drifted to ")
+    drift_trace = re.search(r"drifted to (\S+) at step 7;", err)
+    assert float(drift_trace.group(1)) == pytest.approx(1.5)
+    assert not drift.exists()

@@ -129,6 +129,36 @@ def test_main_rejects_a_channel_file_with_a_fractional_dimension(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config_text, channel_text, match",
+    [
+        ("[1]", None, "cfg.json: top level must be a JSON object"),
+        ("123", None, "cfg.json: top level must be a JSON object"),
+        ("null", None, "cfg.json: top level must be a JSON object"),
+        ("[]", None, "cfg.json: top level must be a JSON object"),
+        (None, "123", "channel.json: top level must be a JSON object"),
+        (None, '{"d": 2, "D": 1, "kraus": 5}', "field 'kraus' must be a list"),
+    ],
+    ids=["config-list", "config-number", "config-null", "config-empty-list",
+         "channel-number", "channel-kraus-number"],
+)
+def test_main_rejects_a_json_file_that_is_not_an_object(
+    tmp_path, capsys, config_text, channel_text, match
+):
+    # each used to end in a TypeError or AttributeError traceback
+    cfg = tmp_path / "cfg.json"
+    channel_file = tmp_path / "channel.json"
+    if channel_text is not None:
+        channel_file.write_text(channel_text)
+        config_text = json.dumps({"channel_file": str(channel_file)})
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    code = main(["measure", "--config", str(cfg), "--k", "6", "--out", str(out)])
+    assert code == EXIT_FILE
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_report_dict_fields():
     stages = (
         FitStage(k=2, iterations=90, lm_steps=0, evaluations=97, final_loss=2e-9,

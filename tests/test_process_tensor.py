@@ -195,10 +195,13 @@ def test_materialize_is_positive_and_hermitian():
 
 
 def test_materialize_refuses_large_k():
-    pt = build(ruqdm_channel(1.0, 0.1), PLUS, 5)
     with pytest.raises(MaterializationLimitError):
-        materialize(pt)
-    materialize(pt, k_max=5)  # explicit override works
+        materialize(build(ruqdm_channel(1.0, 0.1), PLUS, 5))
+    # an explicit limit overrides the default, shown where it is cheap
+    pt = build(ruqdm_channel(1.0, 0.1), PLUS, 3)
+    with pytest.raises(MaterializationLimitError):
+        materialize(pt, k_max=2)
+    materialize(pt, k_max=3)
 
 
 # ---------------------------------------------------------------------------

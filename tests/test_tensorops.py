@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ptnm.tensorops import (
-    Spectrum,
     check_density_matrix,
     check_hermitian,
     check_unitary,
@@ -16,16 +15,6 @@ from ptnm.tensorops import (
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-# ---------------------------------------------------------------------------
-# Spectra
-# ---------------------------------------------------------------------------
-
-
-def test_spectrum_from_values_sorts():
-    s = Spectrum.from_values([0.1, 0.7, 0.2])
-    np.testing.assert_allclose(s.values, [0.7, 0.2, 0.1])
 
 
 # ---------------------------------------------------------------------------
