@@ -8,7 +8,6 @@ descent on the ansatz tensors.
 """
 
 from .channels import (
-    ChannelTensor,
     KrausChannel,
     LindbladSpec,
     kraus_to_w,
@@ -60,7 +59,6 @@ from .tensorops import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelTensor",
     "KrausChannel",
     "LindbladSpec",
     "MaterializationLimitError",

@@ -59,37 +59,10 @@ class KrausChannel:
                 raise ValueError(f"Kraus operator has shape {a.shape}, expected {(m, m)}")
         total = sum(a.conj().T @ a for a in ops)
         residual = np.abs(total - np.eye(m)).max()
-        if residual > TP_TOL:
+        if not residual <= TP_TOL:
             raise ValueError(
                 f"Kraus set is not trace preserving: residual {residual:.3e}"
             )
-
-
-@dataclass(frozen=True)
-class ChannelTensor:
-    """The eight-index site tensor of a channel, always normalized.
-
-    ``w`` is the bare ``(d, d, d, d, D, D, D, D)`` array in the
-    :data:`W_LABELS` axis order. Instances satisfy Hermiticity under
-    prime-swap and the trace-preservation contraction within ``TP_TOL``; other
-    site tensors, such as fitted ones, are handled as bare arrays, not as
-    :class:`ChannelTensor`.
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=complex)
-        object.__setattr__(self, "w", w)
-        _check_site(w, w.shape[0], w.shape[-1], TP_TOL, TP_TOL)
-
-    @property
-    def d(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.w.shape[4]
 
 
 @dataclass(frozen=True)
@@ -118,13 +91,8 @@ class LindbladSpec:
                 raise ValueError(
                     f"jump operator shape {op.shape} does not match Hamiltonian {h.shape}"
                 )
-            if rate < 0:
+            if not rate >= 0:
                 raise ValueError(f"jump rate must be nonnegative, got {rate}")
-
-
-def _herm_residual(w: np.ndarray) -> float:
-    # swapping every unprimed index with its primed partner must conjugate W
-    return float(np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max())
 
 
 def _tp_residual(w: np.ndarray) -> float:
@@ -135,28 +103,23 @@ def _tp_residual(w: np.ndarray) -> float:
     return float(np.abs(n - target).max())
 
 
-def _check_site(w: np.ndarray, d: int, D: int, herm_tol: float, tp_tol: float | None,
-                name: str = "site tensor") -> None:
-    """Raise unless ``w`` has the site shape for ``(d, D)``, is prime-swap
-    Hermitian within ``herm_tol`` and trace preserving within ``tp_tol``
-    (``None`` skips the trace-preservation check)."""
-    if w.shape != (d, d, d, d, D, D, D, D):
-        raise ValueError(f"{name} has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}")
-    herm = _herm_residual(w)
-    if herm > herm_tol:
-        raise ValueError(f"{name} breaks prime-swap Hermiticity: {herm:.3e}")
-    if tp_tol is not None:
-        residual = _tp_residual(w)
-        if residual > tp_tol:
-            raise ValueError(f"{name} breaks trace preservation: residual {residual:.3e}")
+def site_tensor(kraus: np.ndarray) -> np.ndarray:
+    """The site tensor of a Kraus stack of shape ``(R, d, D, d, D)``, axes
+    ``(s, o, b, i, a)``, as a bare array in the :data:`W_LABELS` order.
+
+    ``W[i,i',o,o',a,a',b,b'] = sum_s K[s,o,b,i,a] conj(K[s,o',b',i',a'])`` is
+    the Gram matrix ``P = M^T conj(M)`` of the Kraus matrix ``M =
+    K.reshape(R, -1)`` with its axes permuted.
+    """
+    m = kraus.reshape(kraus.shape[0], -1)
+    p = (m.T @ m.conj()).reshape(kraus.shape[1:] * 2)
+    return p.transpose(2, 6, 0, 4, 3, 7, 1, 5)
 
 
-def kraus_to_w(channel: KrausChannel) -> ChannelTensor:
-    """Assemble the eight-index site tensor from a Kraus set."""
+def kraus_to_w(channel: KrausChannel) -> np.ndarray:
+    """The site tensor of a Kraus set."""
     d, D = channel.d, channel.D
-    k = np.stack([a.reshape(d, D, d, D) for a in channel.kraus])  # [s, o, b, i, a]
-    w = np.einsum("sobia,spcje->ijopaebc", k, k.conj())
-    return ChannelTensor(w)
+    return site_tensor(np.stack(channel.kraus).reshape(-1, d, D, d, D))
 
 
 def lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
@@ -207,10 +170,10 @@ def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> KrausChannel:
         )
     c = choi_matrix(superop)
     herm = np.abs(c - c.conj().T).max()
-    if herm > TP_TOL * max(np.abs(c).max(), 1.0):
+    if not herm <= TP_TOL * max(np.abs(c).max(), 1.0):
         raise ValueError(f"Choi matrix is not Hermitian: residual {herm:.3e}")
     w, v = np.linalg.eigh((c + c.conj().T) / 2.0)
-    if w.min() < -TP_TOL:
+    if not w.min() >= -TP_TOL:
         raise ValueError(f"superoperator is not completely positive: {w.min():.3e}")
     ops = []
     for lam, vec in zip(w, v.T):

@@ -327,8 +327,8 @@ def _xx_target(cfg: ExperimentConfig, gamma: float, k: int, pure_system: bool) -
         coupling=cfg.coupling,
         rho0_system=_PURE0 if pure_system else None,
     )
-    channel, rho0 = xx_chain_model(params)
-    return build(channel, rho0, k)
+    w, rho0 = xx_chain_model(params)
+    return build(w, rho0, k)
 
 
 def _pure0_joint(dim: int) -> np.ndarray:
@@ -344,8 +344,8 @@ def _model_process_tensor(cfg: ExperimentConfig, pure_system: bool) -> ProcessTe
     if cfg.model == "xx_chain":
         return _xx_target(cfg, cfg.gammas[0], cfg.k, pure_system)
     if cfg.model == "ruqdm":
-        channel = ruqdm_channel(cfg.gammas[0], cfg.delta)
-        return build(channel, np.eye(2, dtype=complex) / 2.0, cfg.k)
+        w = ruqdm_channel(cfg.gammas[0], cfg.delta)
+        return build(w, np.eye(2, dtype=complex) / 2.0, cfg.k)
     rng = np.random.default_rng(_seed_seq(cfg.seed, 71))
     channel = random_cptp_channel(2, cfg.env_dim, cfg.kraus_rank, rng)
     return build(kraus_to_w(channel), _pure0_joint(2 * cfg.env_dim), cfg.k)

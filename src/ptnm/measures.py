@@ -89,7 +89,7 @@ def _cut_spectrum(gram_left: np.ndarray, gram_right: np.ndarray) -> np.ndarray:
     s = _sqrt_psd(gram_left)
     eigs = np.linalg.eigvalsh(s @ gram_right.T @ s)
     total = eigs.sum()
-    if total <= 0:
+    if not total > 0:
         raise ValueError("process tensor has zero norm across the cut")
     return eigs / total
 
@@ -128,6 +128,8 @@ def memory_complexity(
     process tensor, but evaluated without ever forming a site tensor, which
     makes it an independent check for channels that are unitary conjugations.
     """
+    if j < 0:
+        raise ValueError(f"j must be nonnegative, got {j}")
     u = np.asarray(u, dtype=complex)
     check_unitary(u, tol=1e-9, name="model unitary")
     if u.shape != (d * D, d * D):
@@ -140,7 +142,7 @@ def memory_complexity(
         joint = u @ joint @ u.conj().T
         env = np.einsum("sesE->eE", joint.reshape(d, D, d, D))
         trace = float(np.trace(env).real)
-        if abs(trace - 1.0) > trace_tol:
+        if not abs(trace - 1.0) <= trace_tol:
             raise ValueError(f"environment trace drifted to {trace!r} at step {m + 1}")
         env = (env + env.conj().T) / (2.0 * trace)
     return _entropy_of_state(env)

@@ -19,7 +19,6 @@ import scipy.linalg
 import scipy.special
 
 from .channels import (
-    ChannelTensor,
     KrausChannel,
     LindbladSpec,
     kraus_to_w,
@@ -103,11 +102,11 @@ def xx_chain_unitary(p: XXChainParams) -> np.ndarray:
     return matrix_exp(xx_chain_hamiltonian(p), -1j * p.delta)
 
 
-def xx_chain_model(p: XXChainParams) -> tuple[ChannelTensor, np.ndarray]:
-    """Step channel and initial joint state.
+def xx_chain_model(p: XXChainParams) -> tuple[np.ndarray, np.ndarray]:
+    """Step site tensor and initial joint state.
 
-    The channel is ``exp(L*delta)`` converted to Kraus form through its Choi
-    spectrum; the initial state is the system state tensored with the
+    The step channel is ``exp(L*delta)`` converted to Kraus form through its
+    Choi spectrum; the initial state is the system state tensored with the
     stationary environment state.
     """
     if p.gamma == 0:
@@ -124,8 +123,9 @@ def xx_chain_model(p: XXChainParams) -> tuple[ChannelTensor, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def ruqdm_channel(gamma: float, delta: float) -> ChannelTensor:
-    """Random-unitary dephasing step on the system alone (trivial environment).
+def ruqdm_channel(gamma: float, delta: float) -> np.ndarray:
+    """Site tensor of the random-unitary dephasing step on the system alone
+    (trivial environment).
 
     One step multiplies the system coherence by ``exp(-2*gamma*delta)``,
     realized by the Kraus pair ``{sqrt(1-p) I, sqrt(p) sigma_z}`` with

@@ -15,10 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelTensor, _check_site
+from .channels import _tp_residual
 from .tensorops import check_density_matrix
 
 SITE_TOL = 1e-9
+
+
+def _check_site(w: np.ndarray, d: int, D: int, tp_tol: float | None, name: str) -> None:
+    """Raise unless ``w`` has the site shape for ``(d, D)``, is prime-swap
+    Hermitian within ``SITE_TOL`` and trace preserving within ``tp_tol``
+    (``None`` skips the trace-preservation check)."""
+    if w.shape != (d, d, d, d, D, D, D, D):
+        raise ValueError(f"{name} has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}")
+    # swapping every unprimed index with its primed partner must conjugate W
+    herm = np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max()
+    if not herm <= SITE_TOL:
+        raise ValueError(f"{name} breaks prime-swap Hermiticity: {herm:.3e}")
+    if tp_tol is not None:
+        residual = _tp_residual(w)
+        if not residual <= tp_tol:
+            raise ValueError(f"{name} breaks trace preservation: residual {residual:.3e}")
 
 
 class MaterializationLimitError(RuntimeError):
@@ -31,6 +47,7 @@ class ProcessTensorMPDO:
 
     ``rho0`` has axes ``(o0, o0', a0, a0')`` and must be a valid joint density
     matrix; each site follows the :data:`~ptnm.channels.W_LABELS` axis order.
+    This is the one place a site is checked (``_check_site``).
     ``site_tol=None`` skips the trace-preservation check, which is how tests
     carry deliberately broken sites.
     """
@@ -57,7 +74,7 @@ class ProcessTensorMPDO:
             if id(w) in checked:  # build and predict repeat one object k times
                 continue
             checked.add(id(w))
-            _check_site(w, d, D, SITE_TOL, self.site_tol, name=f"site {m}")
+            _check_site(w, d, D, self.site_tol, name=f"site {m}")
 
     @property
     def d(self) -> int:
@@ -78,20 +95,25 @@ class ProcessTensorMPDO:
         return ProcessTensorMPDO(self.rho0, self.sites[:k], site_tol=self.site_tol)
 
 
-def build(channel: ChannelTensor, rho0_se: np.ndarray, k: int) -> ProcessTensorMPDO:
-    """Process tensor of ``k`` steps of a fixed channel from a joint initial state.
+def build(w: np.ndarray, rho0_se: np.ndarray, k: int) -> ProcessTensorMPDO:
+    """Process tensor of ``k`` steps of one site tensor ``w`` from a joint
+    initial state.
 
-    ``rho0_se`` is a density matrix on the composite space, system index slow.
+    ``rho0_se`` is a density matrix on the composite space, system index
+    slow; d and D are read from ``w``, and :class:`ProcessTensorMPDO` checks
+    both.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    d, D = channel.d, channel.D
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 8:
+        raise ValueError(f"site tensor has shape {w.shape}, expected eight indices")
+    d, D = w.shape[0], w.shape[4]
     rho0_se = np.asarray(rho0_se, dtype=complex)
     if rho0_se.shape != (d * D, d * D):
         raise ValueError(f"rho0 has shape {rho0_se.shape}, expected {(d * D, d * D)}")
-    check_density_matrix(rho0_se, name="initial joint state")
     rho0 = rho0_se.reshape(d, D, d, D).transpose(0, 2, 1, 3)
-    return ProcessTensorMPDO(rho0, (channel.w,) * k)
+    return ProcessTensorMPDO(rho0, (w,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +140,7 @@ def _env_states(pt: ProcessTensorMPDO) -> Iterator[np.ndarray]:
     for m, w in enumerate(pt.sites):
         env = np.einsum("iiooaAbB,aA->bB", w, env) / pt.d
         trace = float(np.trace(env).real)
-        if abs(trace - 1.0) > drift_tol:
+        if not abs(trace - 1.0) <= drift_tol:
             raise ValueError(
                 f"environment-state trace drifted to {trace!r} at step {m + 1}; "
                 "site tensors are too far from trace preserving"
@@ -159,10 +181,10 @@ def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> np.ndarray:
     t = np.trace(t, axis1=-2, axis2=-1)
     mat = _as_matrix(t)
     herm = np.abs(mat - mat.conj().T).max()
-    if herm > SITE_TOL * max(np.abs(mat).max(), 1.0):
+    if not herm <= SITE_TOL * max(np.abs(mat).max(), 1.0):
         raise ValueError(f"materialized tensor is not Hermitian: residual {herm:.3e}")
     eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if eigs.min() < -SITE_TOL * max(1.0, eigs.max()):
+    if not eigs.min() >= -SITE_TOL * max(1.0, eigs.max()):
         raise ValueError(f"materialized tensor is not positive: {eigs.min():.3e}")
     return t
 

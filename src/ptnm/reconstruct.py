@@ -63,7 +63,7 @@ import scipy.optimize
 from scipy.linalg.blas import dgemm, dsymv, dsyr2
 from scipy.linalg.lapack import zgeqrf
 
-from .channels import KrausChannel, _tp_residual, random_cptp_channel
+from .channels import KrausChannel, _tp_residual, random_cptp_channel, site_tensor
 from .process_tensor import ProcessTensorMPDO, _sweep, _tt_core, norm_sq
 
 PSI_NORM_TOL = 1e-10
@@ -112,7 +112,7 @@ class ReconstructionAnsatz:
             raise ValueError(f"Kraus rank {r} exceeds (d*D)^2 = {(d * dd) ** 2}")
         if psi.shape != (d * dd,):
             raise ValueError(f"psi0 must have length d*D = {d * dd}, got {psi.shape}")
-        if abs(np.linalg.norm(psi) - 1.0) > PSI_NORM_TOL:
+        if not abs(np.linalg.norm(psi) - 1.0) <= PSI_NORM_TOL:
             raise ValueError(f"psi0 must be unit norm, |psi| = {np.linalg.norm(psi)}")
         object.__setattr__(self, "a_bar", a)
         object.__setattr__(self, "psi0", psi)
@@ -168,14 +168,6 @@ class FitReport:
             raise ValueError("final_loss must be nonnegative")
 
 
-def _site_tensor(a_bar: np.ndarray) -> np.ndarray:
-    # W[i,i',o,o',a,a',b,b'] = sum_s A[s,o,b,i,a] conj(A[s,o',b',i',a']), the
-    # Gram matrix P = M^T conj(M) of the Kraus matrix M with its axes permuted
-    m = a_bar.reshape(a_bar.shape[0], -1)
-    p = (m.T @ m.conj()).reshape(a_bar.shape[1:] * 2)
-    return p.transpose(2, 6, 0, 4, 3, 7, 1, 5)
-
-
 def _rho0_tensor(psi: np.ndarray, d: int, dd: int) -> np.ndarray:
     return np.outer(psi, psi.conj()).reshape(d, dd, d, dd).transpose(0, 2, 1, 3)
 
@@ -185,7 +177,7 @@ def predict(ansatz: ReconstructionAnsatz, k: int) -> ProcessTensorMPDO:
     step is trace preserving within the default site tolerance."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    w = _site_tensor(ansatz.a_bar)
+    w = site_tensor(ansatz.a_bar)
     rho0 = _rho0_tensor(ansatz.psi0, ansatz.d, ansatz.D)
     return ProcessTensorMPDO(rho0, (w,) * k)
 
@@ -199,7 +191,7 @@ def ansatz_from_model(channel: KrausChannel, psi0: np.ndarray) -> Reconstruction
 
 def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
     """Largest deviation of the fitted site tensor from trace preservation."""
-    return _tp_residual(_site_tensor(ansatz.a_bar))
+    return _tp_residual(site_tensor(ansatz.a_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +319,7 @@ class _Objective:
         # the difference train: first tensor [rho0 | -t_rho0], then k copies
         # of the block-diagonal core
         core = self.diff_core
-        core[:nf, :, :nf] = _tt_core(_site_tensor(q.reshape(x_a.shape)))
+        core[:nf, :, :nf] = _tt_core(site_tensor(q.reshape(x_a.shape)))
         first = np.concatenate(
             [rho0.reshape(d * d, nf), -self.t_rho0.reshape(d * d, -1)], axis=1
         )
@@ -388,7 +380,7 @@ class _Objective:
         """
         x_a, psi = self.unpack(x)
         d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
-        core = _tt_core(_site_tensor(x_a))
+        core = _tt_core(site_tensor(x_a))
         first = _rho0_tensor(psi, d, dd).reshape(d * d, nf)
         lefts = _sweep(first, [core] * k, first, [core] * k)
         back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k

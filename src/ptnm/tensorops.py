@@ -3,7 +3,8 @@
 Conventions fixed here and relied on by the rest of the package:
 
 * every entropy is reported in bits (base-2 logarithms),
-* eigenvalues of nominally positive operators are clipped at ``CLIP_TOL``.
+* eigenvalues of nominally positive operators are clipped at ``CLIP_TOL``,
+* every tolerance check is written ``not residual <= tol``, so that NaN fails.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ def _as_probabilities(spectrum) -> np.ndarray:
     p = np.asarray(spectrum, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("empty spectrum")
-    if p.min() < -CLIP_TOL:
-        raise ValueError(f"negative eigenvalue {p.min():.3e} below -{CLIP_TOL:.0e}")
+    if not p.min() >= -CLIP_TOL:
+        raise ValueError(f"eigenvalue {p.min():.3e} is not at least -{CLIP_TOL:.0e}")
     total = p.sum()
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"spectrum sums to {total!r}, expected 1 within {SUM_TOL:.0e}")
     p = np.clip(p, 0.0, 1.0)
     return p / p.sum()
@@ -42,9 +43,10 @@ def von_neumann_entropy(spectrum) -> float:
 
 
 def renyi_entropy(spectrum, alpha: float) -> float:
-    """Renyi entropy of order ``alpha`` in bits; ``alpha`` must be positive and != 1."""
-    if alpha <= 0 or alpha == 1.0:
-        raise ValueError("Renyi order must be positive and different from 1")
+    """Renyi entropy of order ``alpha`` in bits; ``alpha`` must be positive,
+    finite and != 1."""
+    if not 0 < alpha < np.inf or alpha == 1.0:
+        raise ValueError(f"Renyi order must be positive, finite and not 1, got {alpha!r}")
     p = _as_probabilities(spectrum)
     nz = p[p > 0.0]
     return float(np.log2((nz**alpha).sum()) / (1.0 - alpha))
@@ -69,7 +71,7 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "ma
     scale = max(np.abs(m).max(), 1.0)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > tol * scale:
+    if not np.abs(m - m.conj().T).max() <= tol * scale:
         raise ValueError(f"{name} is not Hermitian within {tol:.0e}")
 
 
@@ -78,7 +80,7 @@ def check_unitary(u: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matr
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} must be square, got shape {u.shape}")
     eye = np.eye(u.shape[0])
-    if np.abs(u.conj().T @ u - eye).max() > tol:
+    if not np.abs(u.conj().T @ u - eye).max() <= tol:
         raise ValueError(f"{name} is not unitary within {tol:.0e}")
 
 
@@ -88,8 +90,8 @@ def check_density_matrix(
     rho = np.asarray(rho)
     check_hermitian(rho, tol=tol, name=name)
     trace = np.trace(rho)
-    if abs(trace - 1.0) > tol:
+    if not abs(trace - 1.0) <= tol:
         raise ValueError(f"{name} has trace {trace!r}, expected 1 within {tol:.0e}")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w.min() < -tol:
+    if not w.min() >= -tol:
         raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from ptnm.channels import (
-    ChannelTensor,
     KrausChannel,
     LindbladSpec,
     _tp_residual,
@@ -15,6 +14,7 @@ from ptnm.channels import (
     superop_to_kraus,
 )
 from ptnm.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
+from ptnm.process_tensor import ProcessTensorMPDO
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -55,14 +55,14 @@ def test_kraus_to_w_identity_channel_is_delta_pattern():
     expected = np.einsum(
         "oi,OI,ba,BA->iIoOaAbB", np.eye(2), np.eye(2), np.eye(2), np.eye(2)
     ).astype(complex)
-    np.testing.assert_allclose(ct.w, expected, atol=1e-14)
+    np.testing.assert_allclose(ct, expected, atol=1e-14)
 
 
 def test_channel_tensor_invariants_hold_for_random_channels():
     rng = np.random.default_rng(31)
     for _ in range(5):
         ct = kraus_to_w(random_cptp_channel(2, 2, 4, rng))
-        w = ct.w
+        w = ct
         swap = w.transpose(1, 0, 3, 2, 5, 4, 7, 6)
         np.testing.assert_allclose(w.conj(), swap, atol=1e-12)
         assert _tp_residual(w) < 1e-12
@@ -72,11 +72,10 @@ def test_channel_tensor_invariants_hold_for_random_channels():
 
 
 def test_channel_tensor_rejects_broken_hermiticity():
-    ct = kraus_to_w(KrausChannel((np.eye(2),), 2, 1))
-    w = ct.w.copy()
+    w = kraus_to_w(KrausChannel((np.eye(2),), 2, 1)).copy()
     w[0, 0, 0, 1] += 0.01
-    with pytest.raises(ValueError):
-        ChannelTensor(w)
+    with pytest.raises(ValueError, match="Hermiticity"):
+        ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (w,))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,20 @@ def test_main_rejects_a_channel_file_with_a_fractional_dimension(tmp_path, capsy
     assert not out.exists()
 
 
+def test_main_rejects_a_channel_file_with_a_nan_entry(tmp_path, capsys):
+    # json reads the NaN literal; the channel used to pass every check and
+    # measure to an all-zero table, which reads as a Markovian process
+    channel_file = tmp_path / "channel.json"
+    channel_file.write_text('{"d": 2, "D": 1, "kraus": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channel_file": str(channel_file)}))
+    out = tmp_path / "out"
+    code = main(["measure", "--config", str(cfg), "--k", "6", "--out", str(out)])
+    assert code == EXIT_FILE
+    assert "not trace preserving: residual nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config_text, channel_text, match",
     [

@@ -156,6 +156,12 @@ def test_memory_complexity_rejects_non_unitary():
         memory_complexity(np.eye(4) * 1.1, np.eye(4) / 4.0, 2, 2, 2)
 
 
+def test_memory_complexity_rejects_a_negative_step():
+    # used to return the step-0 entropy
+    with pytest.raises(ValueError, match="j must be nonnegative"):
+        memory_complexity(np.eye(4), np.eye(4) / 4.0, 2, 2, -1)
+
+
 # ---------------------------------------------------------------------------
 # Operational entanglement measure
 # ---------------------------------------------------------------------------
@@ -191,7 +197,7 @@ def test_osee_with_a_different_site_per_step_matches_dense_schmidt_spectrum():
     """The right sweep runs over the sites in reverse; with a different site
     at every step, an order error shows against the dense split."""
     rng = np.random.default_rng(67)
-    sites = tuple(kraus_to_w(random_cptp_channel(2, 2, 3, rng)).w for _ in range(3))
+    sites = tuple(kraus_to_w(random_cptp_channel(2, 2, 3, rng)) for _ in range(3))
     rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     pt = ProcessTensorMPDO(rho0, sites)
     vec = materialize(pt).reshape(-1)
@@ -229,6 +235,13 @@ def test_osee_renyi_orders_against_von_neumann():
         s_one = osee(pt, j)
         s_two = osee(pt, j, alpha=2.0)
         assert s_half + 1e-12 >= s_one >= s_two - 1e-12
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_osee_rejects_a_non_finite_renyi_order(alpha):
+    # used to return NaN
+    with pytest.raises(ValueError, match="Renyi order"):
+        osee(xx_pt(0.0, 4), 2, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +326,7 @@ def test_ee_series_accepts_a_drift_the_site_check_allows():
     environment's trace by up to D * SITE_TOL: here by 1.8e-9 per step, on an
     environment held at |+><+|. The recursion's bound is derived from the
     checks the tensor passed, so it does not reject what they accepted."""
-    w = kraus_to_w(KrausChannel((np.eye(4),), 2, 2)).w.copy()
+    w = kraus_to_w(KrausChannel((np.eye(4),), 2, 2)).copy()
     eps = 0.9 * SITE_TOL
     for i in range(2):  # residual eps on every (i, i, a, a') entry
         w[i, i, 0, 0, :, :, 0, 0] += eps

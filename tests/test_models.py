@@ -38,7 +38,7 @@ def random_density(rng, n):
 def channel_action(ct, rho):
     """Evolve a joint 4x4 state through the channel's site-ready tensor."""
     r = rho.reshape(2, 2, 2, 2)
-    out = np.einsum("iIoOaAbB,iaIA->obOB", ct.w, r)
+    out = np.einsum("iIoOaAbB,iaIA->obOB", ct, r)
     return out.reshape(4, 4)
 
 
@@ -146,7 +146,7 @@ def test_ruqdm_step_damps_coherence():
 
 def channel_action_on_system(ct, rho):
     # trivial environment: single env level on both bond axes
-    out = np.einsum("iIoOaAbB,iI->oOaAbB", ct.w, rho)
+    out = np.einsum("iIoOaAbB,iI->oOaAbB", ct, rho)
     return out[:, :, 0, 0, 0, 0]
 
 

@@ -50,7 +50,7 @@ def random_pt(rng, k, kraus_rank=3):
 def random_steps_pt(rng, k, kraus_rank=3):
     """A process tensor with a different random channel at every step."""
     sites = tuple(
-        kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng)).w for _ in range(k)
+        kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng)) for _ in range(k)
     )
     rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     return ProcessTensorMPDO(rho0, sites)
@@ -84,6 +84,8 @@ def test_build_rejects_bad_inputs():
         build(channel, np.eye(2) / 2.0, 3)
     with pytest.raises(ValueError):
         build(channel, np.eye(4), 3)  # trace 4, not a state
+    with pytest.raises(ValueError, match="eight indices"):
+        build(channel.reshape(16, 16), rho0, 3)  # a matrix, not a site tensor
 
 
 def test_process_tensor_rejects_non_trace_preserving_site():

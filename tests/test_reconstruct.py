@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
+from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel, site_tensor
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import (
     ProcessTensorMPDO,
@@ -32,7 +32,6 @@ from ptnm.reconstruct import (
     _initial_point,
     _Objective,
     _rank_two_update,
-    _site_tensor,
     _stage,
     ansatz_from_model,
     fit,
@@ -122,9 +121,9 @@ def test_site_tensor_matches_its_einsum_definition(r):
     a_bar = rng.normal(size=(r, 2, 2, 2, 2)) + 1j * rng.normal(size=(r, 2, 2, 2, 2))
     reference = np.einsum("sobia,spcje->ijopaebc", a_bar, a_bar.conj())
     scale = np.abs(reference).max()
-    np.testing.assert_allclose(_site_tensor(a_bar), reference, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(site_tensor(a_bar), reference, rtol=0, atol=1e-14 * scale)
     np.testing.assert_allclose(
-        _tt_core(_site_tensor(a_bar)), _tt_core(reference), rtol=0, atol=1e-14 * scale
+        _tt_core(site_tensor(a_bar)), _tt_core(reference), rtol=0, atol=1e-14 * scale
     )
 
 
@@ -330,7 +329,7 @@ def test_levenberg_marquardt_reaches_ftol_from_a_perturbed_truth():
 
 def test_objective_rejects_a_target_with_distinct_sites():
     rng = np.random.default_rng(115)
-    w1, w2 = (kraus_to_w(random_cptp_channel(2, 2, 2, rng)).w for _ in range(2))
+    w1, w2 = (kraus_to_w(random_cptp_channel(2, 2, 2, rng)) for _ in range(2))
     psi = random_state(rng, 4)
     rho0 = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     target = ProcessTensorMPDO(rho0, (w1, w2))

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from ptnm.channels import KrausChannel, kraus_to_w, superop_to_kraus
+from ptnm.process_tensor import ProcessTensorMPDO
+from ptnm.reconstruct import ReconstructionAnsatz
 from ptnm.tensorops import (
     check_density_matrix,
     check_hermitian,
@@ -53,7 +56,7 @@ def test_renyi_entropy_approaches_von_neumann():
         np.testing.assert_allclose(renyi_entropy(p, alpha), target, atol=1e-4)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, np.inf, np.nan])
 def test_renyi_entropy_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):
         renyi_entropy([0.5, 0.5], alpha)
@@ -119,3 +122,36 @@ def test_check_density_matrix_rejects_negative_and_untraced():
         check_density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         check_density_matrix(np.eye(2))
+
+
+def _nan_site():
+    w = kraus_to_w(KrausChannel((np.eye(2),), 2, 1)).copy()
+    w[0, 0, 0, 0, 0, 0, 0, 0] = np.nan
+    return w
+
+
+NAN_2 = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_hermitian(NAN_2),
+        lambda: check_unitary(NAN_2),
+        lambda: check_density_matrix(NAN_2 / 2.0),
+        lambda: von_neumann_entropy([0.5, 0.5, np.nan]),
+        lambda: renyi_entropy([0.5, 0.5, np.nan], 2.0),
+        lambda: KrausChannel((NAN_2,), 2, 1),
+        lambda: superop_to_kraus(np.kron(NAN_2, NAN_2.conj()), 2, 1),
+        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (_nan_site(),)),
+        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (_nan_site(),),
+                                  site_tol=None),
+        lambda: ReconstructionAnsatz(np.eye(2).reshape(1, 2, 1, 2, 1), [np.nan, 0.0]),
+    ],
+    ids=["hermitian", "unitary", "density-matrix", "von-neumann", "renyi", "kraus",
+         "superop", "site", "site-hermiticity", "ansatz-state"],
+)
+def test_nan_fails_every_check(check):
+    # each check used to read `residual > tol`, which is false for NaN
+    with pytest.raises(ValueError):
+        check()
