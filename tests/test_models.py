@@ -3,7 +3,8 @@ continuous-mode dephasing qubit.
 
 The exchange-pair channel is checked against direct superoperator evolution
 and exact stationary states; the dephasing model against its analytic
-coherence decay and the rank bound on the mode entropy.
+coherence decay, the rank bound on the mode entropy and the entropy of the
+averaged mode state.
 """
 
 import math
@@ -15,6 +16,8 @@ import scipy.linalg
 from ptnm.models import (
     UQDMParams,
     XXChainParams,
+    _binomial_log_weights,
+    _gram_spectrum,
     ruqdm_channel,
     uqdm_coherence,
     uqdm_env_entropy,
@@ -25,6 +28,7 @@ from ptnm.models import (
     xx_chain_model,
     xx_chain_unitary,
 )
+from ptnm.tensorops import von_neumann_entropy
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -199,6 +203,73 @@ def test_uqdm_overlaps_start_at_one_and_stay_contractive():
     assert np.all(np.abs(c) <= 1.0 + 1e-12)
     # dephasing: overlap magnitudes fall off with the power
     assert abs(c[40]) < abs(c[4]) < abs(c[0])
+
+
+def complex_overlaps(model, max_power):
+    """The overlap recursion kept in complex arithmetic, imaginary part and
+    all."""
+    out = np.empty(max_power + 1, dtype=complex)
+    cur = (np.abs(model.psi) ** 2).astype(complex)
+    for m in range(max_power + 1):
+        out[m] = cur.sum()
+        cur = cur * model.phases
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_uqdm_overlaps_are_the_real_part_and_drop_only_rounding(gamma):
+    # paper scale: the imaginary part the float overlaps leave out is the
+    # recursion's rounding error, since |psi|^2 is even on the grid
+    model = uqdm_model(UQDMParams(gamma=gamma, grid_points=5000))
+    full = complex_overlaps(model, 400)
+    c = uqdm_overlaps(model, 400)
+    assert c.dtype == np.float64
+    assert np.array_equal(c, full.real)
+    assert np.abs(full.imag).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.7, 5.0])
+def test_uqdm_split_spectrum_matches_the_complex_gram_matrix(gamma):
+    """The even and odd blocks carry the spectrum of the full Hermitian
+    Gram matrix built from the complex overlaps."""
+    model = uqdm_model(UQDMParams(gamma=gamma, grid_points=500))
+    full = complex_overlaps(model, 80)
+    c = uqdm_overlaps(model, 80)
+    for j in range(1, 41):
+        c2 = full[0 : 2 * j + 1 : 2]
+        w = np.exp(_binomial_log_weights(j))
+        gram = scipy.linalg.toeplitz(c2.conj(), c2) * np.sqrt(np.outer(w, w))
+        expected = np.linalg.eigvalsh(gram)
+        split = np.sort(_gram_spectrum(c, j))
+        assert split.shape == (j + 1,)
+        np.testing.assert_allclose(split, expected, rtol=0, atol=1e-13 * expected[-1])
+
+
+def test_uqdm_entropy_rejects_complex_overlaps():
+    model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
+    with pytest.raises(ValueError, match="real"):
+        uqdm_env_entropy(model, 3, overlaps=complex_overlaps(model, 6))
+
+
+def test_uqdm_entropy_rejects_too_few_overlaps():
+    model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
+    with pytest.raises(ValueError, match=r"j=5 needs the 2j\+1 = 11 overlap powers"):
+        uqdm_env_entropy(model, 5, overlaps=uqdm_overlaps(model, 3))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_uqdm_entropy_matches_the_averaged_mode_state(gamma):
+    """Independent of the Gram matrix: averaging over interventions leaves
+    the mode in rho_E(j) = (psi psi^H) * cos^j(g delta (x - x') / 2) on the
+    grid, whose spectrum gives the entropy directly."""
+    p = UQDMParams(gamma=gamma, grid_points=300)
+    model = uqdm_model(p)
+    outer = np.outer(model.psi, model.psi.conj())
+    kernel = np.cos(p.g * p.delta * np.subtract.outer(model.x, model.x) / 2.0)
+    for j in range(31):  # both parities of j + 1
+        rho = outer * kernel**j
+        expected = von_neumann_entropy(np.linalg.eigvalsh(rho))
+        assert abs(uqdm_env_entropy(model, j) - expected) < 1e-10
 
 
 def test_uqdm_entropy_zero_at_step_zero():
