@@ -103,6 +103,8 @@ def fit_report_to_dict(report: FitReport) -> dict:
         "iterations": report.iterations,
         "converged": report.converged,
         "stages": [dataclasses.asdict(stage) for stage in report.stages],
+        "rank": report.rank,
+        "rungs": [dataclasses.asdict(rung) for rung in report.rungs],
     }
 
 

@@ -47,6 +47,13 @@ and each LM step is one Cholesky solve of ``(2 Re(J^H J) + mu I) step =
 factor's tangent map is a projector. The stage ends once the loss is down
 to ``LM_FLOOR``, a hundredth of ``FTOL``, or on BFGS's own rules.
 
+``fit`` returns the smallest Kraus rank on a ladder 1, 2, 4, ... under the
+cap R whose stages all converge. At the cap most of the Kraus stack is gauge
+(a fig2a fit at R=16 uses about two of its sixteen Kraus directions), the
+Gauss-Newton matrix is 520x520 and LM converges only linearly along a
+curved valley; at rank 2 the matrix is 72x72 and LM finishes a stage in a
+few steps.
+
 Gradient conventions: for a real loss L of complex parameters x, the reported
 arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
 2 Im(dL/d conj x).
@@ -54,6 +61,7 @@ arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -154,7 +162,24 @@ class FitStage:
 
 
 @dataclass(frozen=True)
+class FitRung:
+    """A Kraus rank the fit tried and abandoned: the stage ``k`` whose loss
+    ended at or above ``FTOL``, the rung's iterations over its stages, that
+    stage's final loss and why it stopped (``FitStage.reason``)."""
+
+    rank: int
+    k: int
+    iterations: int
+    final_loss: float
+    reason: str
+
+
+@dataclass(frozen=True)
 class FitReport:
+    """A fit's outcome. ``stages``, ``iterations`` and ``loss_history`` are
+    the returned rung's, ``rank`` is its Kraus rank, and ``rungs`` lists the
+    rungs abandoned below it, in ladder order."""
+
     final_loss: float
     loss_history: tuple[float, ...]
     k_schedule: tuple[int, ...]
@@ -162,6 +187,8 @@ class FitReport:
     iterations: int
     converged: bool
     stages: tuple[FitStage, ...]
+    rank: int
+    rungs: tuple[FitRung, ...]
 
     def __post_init__(self):
         if self.final_loss < 0:
@@ -684,45 +711,22 @@ def _decoupled_initial_point(
     return a_bar, phi / np.linalg.norm(phi)
 
 
-def fit(
+def _descend(
     target: ProcessTensorMPDO,
-    D: int = 2,
-    R: int = 16,
-    k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
-    max_iter: int = 10000,
-    seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    init: str = "gaussian",
-) -> tuple[ReconstructionAnsatz, FitReport]:
-    """Fit a hidden Markovian model to ``target`` from one random start.
-
-    The start is drawn from ``seed``; a BFGS stage then runs per entry of
-    ``k_schedule``, warm-starting from the polar factor of the previous
-    stage's last point. Restarts are the caller's business (the command line
-    runs them in ``cli._fit_selected``). Non-convergence is reported through
-    ``converged``, never raised: some targets genuinely cannot be descended
-    to ``FTOL``.
-
-    ``init`` selects the starting-point family: ``"gaussian"`` (generic) or
-    ``"decoupled"`` (perturbed memoryless model; converges to representations
-    that use the environment sparingly, which is what the reconstruction is
-    for in the first place).
-    """
-    if not k_schedule:
-        raise ValueError("k_schedule must be nonempty")
-    if target.k < max(k_schedule):
-        raise ValueError(
-            f"target has {target.k} steps but the schedule needs {max(k_schedule)}"
-        )
-    if init not in ("gaussian", "decoupled"):
-        raise ValueError(f"unknown init {init!r}; expected 'gaussian' or 'decoupled'")
-    draw = _initial_point if init == "gaussian" else _decoupled_initial_point
-    d = target.d
-    # rejects an impossible Kraus rank before any stage
-    ansatz = _anchored(*draw(np.random.default_rng(seed), d, D, R))
+    ansatz: ReconstructionAnsatz,
+    k_schedule: tuple[int, ...],
+    max_iter: int,
+    abandon: bool,
+) -> tuple[ReconstructionAnsatz, list[FitStage], tuple[float, ...]]:
+    """Runs the stages of ``k_schedule`` from ``ansatz``, each warm-started
+    from the polar factor of the previous stage's last point; with
+    ``abandon``, stops after the first stage whose loss ends at or above
+    ``FTOL``. Returns the last point, the stage records and the loss after
+    every iteration."""
     history: tuple[float, ...] = ()
     stages = []
     for k in k_schedule:
-        obj = _Objective(target, k, d, D, R)
+        obj = _Objective(target, k, ansatz.d, ansatz.D, ansatz.R)
         res = scipy.optimize.minimize(
             obj.value_and_grad,
             obj.pack(ansatz.a_bar, ansatz.psi0),
@@ -745,6 +749,72 @@ def fit(
             max_abs_grad=float(np.max(np.abs(res.jac))),
             reason=res.reason,
         ))
+        if abandon and loss >= FTOL:
+            break
+    return ansatz, stages, history
+
+
+def fit(
+    target: ProcessTensorMPDO,
+    D: int = 2,
+    R: int = 16,
+    k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
+    max_iter: int = 10000,
+    seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+    init: str = "gaussian",
+) -> tuple[ReconstructionAnsatz, FitReport]:
+    """Fit a hidden Markovian model to ``target`` from one random start, at
+    the smallest Kraus rank on a ladder under the cap ``R`` that converges.
+
+    The rungs are the Kraus ranks 1, 2, 4, ... below ``R``, then ``R``.
+    Each rung draws its start from ``seed`` alone and runs a stage per entry
+    of ``k_schedule``, warm-starting from the polar factor of the previous
+    stage's last point. A rung below the cap is abandoned as soon as one of
+    its stages ends with a loss at or above ``FTOL``; the first rung whose
+    stages all end below ``FTOL`` is returned, and when none does, the cap
+    rung's fit is. The cap's start is the one a fit at ``R`` alone would
+    draw, and a ``Generator`` seed advances by that one draw whichever rung
+    is returned: the rungs below the cap draw from copies of it.
+
+    Restarts are the caller's business (the command line runs them in
+    ``cli._fit_selected``). Non-convergence is reported through
+    ``converged``, never raised: some targets genuinely cannot be descended
+    to ``FTOL``.
+
+    ``init`` selects the starting-point family: ``"gaussian"`` (generic) or
+    ``"decoupled"`` (perturbed memoryless model; converges to representations
+    that use the environment sparingly, which is what the reconstruction is
+    for in the first place).
+    """
+    if not k_schedule:
+        raise ValueError("k_schedule must be nonempty")
+    if target.k < max(k_schedule):
+        raise ValueError(
+            f"target has {target.k} steps but the schedule needs {max(k_schedule)}"
+        )
+    if init not in ("gaussian", "decoupled"):
+        raise ValueError(f"unknown init {init!r}; expected 'gaussian' or 'decoupled'")
+    draw = _initial_point if init == "gaussian" else _decoupled_initial_point
+    d = target.d
+    rng = np.random.default_rng(seed)
+    fresh = copy.deepcopy(rng)
+    # the cap's start, drawn first: it rejects an impossible Kraus rank
+    # before any stage
+    cap_start = _anchored(*draw(rng, d, D, R))
+    rungs = []
+    for rank in [2**i for i in range(int(R).bit_length()) if 2**i < R] + [R]:
+        start = cap_start if rank == R else _anchored(*draw(copy.deepcopy(fresh), d, D, rank))
+        ansatz, stages, history = _descend(target, start, tuple(k_schedule), max_iter, rank < R)
+        loss = stages[-1].final_loss
+        if rank == R or loss < FTOL:
+            break
+        rungs.append(FitRung(
+            rank=rank,
+            k=stages[-1].k,
+            iterations=sum(stage.iterations for stage in stages),
+            final_loss=loss,
+            reason=stages[-1].reason,
+        ))
 
     report = FitReport(
         final_loss=loss,
@@ -754,5 +824,7 @@ def fit(
         iterations=sum(stage.iterations for stage in stages),
         converged=loss < FTOL,
         stages=tuple(stages),
+        rank=rank,
+        rungs=tuple(rungs),
     )
     return ansatz, report

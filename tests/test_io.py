@@ -23,7 +23,7 @@ from ptnm.io import (
     write_csv_atomic,
     write_json_atomic,
 )
-from ptnm.reconstruct import FitReport, FitStage, ansatz_from_model
+from ptnm.reconstruct import FitReport, FitRung, FitStage, ansatz_from_model
 
 
 def test_pairs_round_trip_preserves_values():
@@ -188,6 +188,8 @@ def test_fit_report_dict_fields():
         iterations=140,
         converged=True,
         stages=stages,
+        rank=2,
+        rungs=(FitRung(rank=1, k=2, iterations=31, final_loss=0.25, reason="stall"),),
     )
     data = fit_report_to_dict(report)
     assert data["converged"] is True
@@ -198,6 +200,10 @@ def test_fit_report_dict_fields():
          "relative_loss": 1e-9, "max_abs_grad": 3e-6, "reason": "stall"},
         {"k": 3, "iterations": 50, "lm_steps": 7, "evaluations": 52, "final_loss": 1.5e-9,
          "relative_loss": 5e-10, "max_abs_grad": 9e-9, "reason": "ftol"},
+    ]
+    assert data["rank"] == 2
+    assert data["rungs"] == [
+        {"rank": 1, "k": 2, "iterations": 31, "final_loss": 0.25, "reason": "stall"}
     ]
     json.dumps(data)  # everything JSON-serializable
 

@@ -29,6 +29,7 @@ from ptnm.reconstruct import (
     ReconstructionAnsatz,
     _anchored,
     _decoupled_initial_point,
+    _descend,
     _initial_point,
     _Objective,
     _rank_two_update,
@@ -484,6 +485,16 @@ def test_fit_report_fields_are_consistent():
         assert [stage.k for stage in report.stages] == [2, 3]
         assert sum(stage.iterations for stage in report.stages) == report.iterations
         assert report.stages[-1].final_loss == report.final_loss
+        # the stages are the returned rung's; the abandoned rungs sit below
+        # it on the ladder 1, 2, 4, each stopped at a stage with loss >= FTOL
+        assert report.rank in (1, 2, 4)
+        assert [rung.rank for rung in report.rungs] == [r for r in (1, 2) if r < report.rank]
+        assert report.converged or report.rank == 4
+        for rung in report.rungs:
+            assert rung.k in (2, 3)
+            assert rung.final_loss >= FTOL
+            assert rung.iterations > 0
+            assert rung.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
         for stage in report.stages:
             assert stage.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
             assert 0 <= stage.lm_steps <= stage.iterations
@@ -493,6 +504,58 @@ def test_fit_report_fields_are_consistent():
             assert stage.relative_loss == pytest.approx(stage.final_loss / t0, rel=1e-12)
             if stage.reason == "gtol":
                 assert stage.max_abs_grad <= 1e-8
+
+
+def test_fit_returns_the_smallest_rank_that_reaches_ftol():
+    # a rank-2 truth under the cap R=16: rank 1 cannot reproduce it, so the
+    # ladder abandons it and returns the rank-2 rung
+    rng = np.random.default_rng(115)
+    truth = ReconstructionAnsatz(*_initial_point(rng, 2, 2, 2))
+    target = predict(truth, 3)
+    ansatz, report = fit(target, D=2, R=16, k_schedule=(2, 3), seed=1, max_iter=2000)
+    assert report.converged and report.final_loss < FTOL
+    assert report.rank == ansatz.R <= 2
+    assert [rung.rank for rung in report.rungs] == list(range(1, report.rank))
+
+
+def test_fit_falls_back_to_the_cap_when_no_rank_converges():
+    # a memoryless model (D=1) cannot reproduce a target with memory at any
+    # rank, so every rung below the cap is abandoned at its first stage
+    target = random_target(np.random.default_rng(113), 3)
+    rng = np.random.default_rng(0)
+    ansatz, report = fit(target, D=1, R=4, k_schedule=(2, 3), seed=rng, max_iter=500)
+    assert not report.converged
+    assert report.rank == ansatz.R == 4
+    assert [(rung.rank, rung.k) for rung in report.rungs] == [(1, 2), (2, 2)]
+    assert all(rung.final_loss >= FTOL for rung in report.rungs)
+    # the cap rung starts where a fit at the cap alone would, and the
+    # generator advances by that one draw
+    replay = np.random.default_rng(0)
+    start = _anchored(*_initial_point(replay, 2, 1, 4))
+    assert rng.bit_generator.state == replay.bit_generator.state
+    _, stages, _ = _descend(target, start, (2, 3), 500, abandon=False)
+    assert list(report.stages) == stages
+    # a rung below the cap draws from the seed, not after the cap's draw
+    single = fit(target, D=1, R=1, k_schedule=(2, 3), seed=0, max_iter=500)[1]
+    assert single.rank == 1 and single.rungs == ()
+    assert single.stages[0].final_loss == report.rungs[0].final_loss
+
+
+@pytest.mark.parametrize("seed", [3, 10, 14])
+def test_fitted_nm_ee_is_reproducible_under_a_one_ulp_target_change(seed):
+    # a fit at the leanest converged rank is a function of the target: one
+    # ulp on the target site leaves the fitted nm_ee series in place
+    from ptnm import cli
+
+    cfg = cli.resolve_config("fig2a", {"gammas": [1.0], "restarts": 1, "seed": seed}, None)
+    target = cli._xx_target(cfg, 1.0, cfg.k, pure_system=True)
+    nudged = ProcessTensorMPDO(target.rho0, tuple(site * (1 + 2**-52) for site in target.sites))
+    series = []
+    for t in (target, nudged):
+        ansatz, report, _ = cli._fit_selected(t, cfg, 0)
+        assert report.converged
+        series.append(np.array([row[2] for row in cli._measure_rows(predict(ansatz, cfg.k))]))
+    assert np.max(np.abs(series[0] - series[1])) <= 1e-12
 
 
 def test_fit_validates_arguments(monkeypatch):
@@ -524,4 +587,6 @@ def test_fit_report_rejects_negative_loss():
             iterations=1,
             converged=False,
             stages=(),
+            rank=1,
+            rungs=(),
         )
