@@ -50,7 +50,7 @@ from .process_tensor import (
     materialize,
     norm_sq,
 )
-from .reconstruct import FTOL, FitReport, ReconstructionAnsatz, fit, predict
+from .reconstruct import FitReport, ReconstructionAnsatz, fit, predict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,34 +264,30 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
 class ResultBundle:
     """Everything one run produced: metadata, series tables, fit reports.
 
-    ``metadata`` includes wall time for the caller; the file writer drops it
-    so outputs stay byte-identical across repeated runs.
+    Nothing in it depends on the clock, so outputs stay byte-identical across
+    repeated runs.
     """
 
     metadata: dict
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]]
     reports: dict[str, dict]
 
-    def file_metadata(self) -> dict:
-        return {k: v for k, v in self.metadata.items() if k != "wall_time_s"}
-
     def write(self, out_dir: str, fmt: str) -> list[str]:
         os.makedirs(out_dir, exist_ok=True)
-        meta = self.file_metadata()
         written: list[str] = []
         for name, (header, rows) in self.tables.items():
             if fmt == "csv":
                 path = os.path.join(out_dir, f"{name}.csv")
                 write_csv_atomic(path, header, rows)
                 sidecar = os.path.join(out_dir, f"{name}.meta.json")
-                write_json_atomic(sidecar, meta)
+                write_json_atomic(sidecar, self.metadata)
                 written += [path, sidecar]
             else:
                 path = os.path.join(out_dir, f"{name}.json")
                 write_json_atomic(
                     path,
                     {
-                        "metadata": meta,
+                        "metadata": self.metadata,
                         "header": list(header),
                         "rows": [[_json_number(c) for c in row] for row in rows],
                     },
@@ -299,7 +295,7 @@ class ResultBundle:
                 written.append(path)
         for name, report in self.reports.items():
             path = os.path.join(out_dir, f"{name}.json")
-            write_json_atomic(path, {"metadata": meta, **report})
+            write_json_atomic(path, {"metadata": self.metadata, **report})
             written.append(path)
         return written
 
@@ -396,20 +392,19 @@ def _fit_selected(
     cfg: ExperimentConfig,
     curve_index: int,
 ) -> tuple[ReconstructionAnsatz, FitReport, int]:
-    """Fit with ``cfg.restarts`` independent starts and pick the candidate
-    with the least environment use among (near-)ties in loss.
+    """Fit with ``cfg.restarts`` starts, which differ only in their seed, and
+    pick the candidate with the least environment use among (near-)ties in
+    loss.
 
     The loss alone does not identify the model: representations far apart in
     environment entropy can reproduce the same process. Reconstruction is
     after the smallest environment consistent with the data, so among
     candidates converged to ``FTOL`` -- or, when nothing converges, within a
     factor 2 of the best achieved loss -- the one with the smallest mid-range
-    environment entropy wins. Starts alternate between a perturbed memoryless
-    model and a generic Gaussian draw.
+    environment entropy wins.
     """
     candidates = []
     for r in range(cfg.restarts):
-        init = "decoupled" if r % 2 == 0 else "gaussian"
         ansatz, report = fit(
             target,
             D=cfg.D,
@@ -417,15 +412,12 @@ def _fit_selected(
             k_schedule=cfg.k_schedule,
             max_iter=cfg.max_iter,
             seed=_seed_seq(cfg.seed, curve_index, r),
-            init=init,
         )
         candidates.append((ansatz, report, r))
-    best_loss = min(rep.final_loss for _, rep, _ in candidates)
-    tied = [
-        (ans, rep, r)
-        for ans, rep, r in candidates
-        if rep.final_loss < FTOL or rep.final_loss <= 2.0 * best_loss
-    ]
+    tied = [(ans, rep, r) for ans, rep, r in candidates if rep.converged]
+    if not tied:
+        best_loss = min(rep.final_loss for _, rep, _ in candidates)
+        tied = [(ans, rep, r) for ans, rep, r in candidates if rep.final_loss <= 2.0 * best_loss]
     scored = [
         (_mid_entropy(ans, target.k), rep.final_loss, r, ans, rep) for ans, rep, r in tied
     ]
@@ -440,7 +432,6 @@ def _fit_selected(
 
 
 def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
-    t0 = time.perf_counter()
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
     reports: dict[str, dict] = {}
     non_converged: list[float] = []
@@ -460,12 +451,10 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
         }
     metadata = _metadata(cfg)
     metadata["non_converged_gammas"] = non_converged
-    metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(metadata, tables, reports)
 
 
 def run_fig3(cfg: ExperimentConfig) -> ResultBundle:
-    t0 = time.perf_counter()
     rows: list[tuple] = []
     for gamma in cfg.gammas:
         params = UQDMParams(
@@ -474,24 +463,18 @@ def run_fig3(cfg: ExperimentConfig) -> ResultBundle:
         series = uqdm_memory_series(params, cfg.j_max)
         rows.append((gamma, 0, 0.0))  # pure initial environment
         rows += [(gamma, j, value) for j, value in zip(series.steps, series.values)]
-    metadata = _metadata(cfg)
-    metadata["wall_time_s"] = time.perf_counter() - t0
-    return ResultBundle(metadata, {"fig3": (("gamma", "j", "memory_complexity"), rows)}, {})
+    return ResultBundle(_metadata(cfg), {"fig3": (("gamma", "j", "memory_complexity"), rows)}, {})
 
 
 def run_measure(cfg: ExperimentConfig) -> ResultBundle:
-    t0 = time.perf_counter()
     pt = _model_process_tensor(cfg, pure_system=False)
     rows = _measure_rows(pt)
-    metadata = _metadata(cfg)
-    metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(
-        metadata, {"measure": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}, {}
+        _metadata(cfg), {"measure": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}, {}
     )
 
 
 def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
-    t0 = time.perf_counter()
     target = _model_process_tensor(cfg, pure_system=True)
     ansatz, report, chosen = _fit_selected(target, cfg, 0)
     fitted = predict(ansatz, cfg.k)
@@ -503,15 +486,12 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
         "reconstruct_ansatz": ansatz_to_dict(ansatz),
         "reconstruct_fit": {"selected_restart": chosen, **fit_report_to_dict(report)},
     }
-    metadata["wall_time_s"] = time.perf_counter() - t0
     return ResultBundle(metadata, tables, reports)
 
 
 def run_build(cfg: ExperimentConfig) -> ResultBundle:
-    t0 = time.perf_counter()
     pt = _model_process_tensor(cfg, pure_system=False)
     dense = materialize(pt, k_max=MATERIALIZE_GUARD)
-    metadata = _metadata(cfg)
     report = {
         "d": pt.d,
         "D": pt.D,
@@ -519,8 +499,7 @@ def run_build(cfg: ExperimentConfig) -> ResultBundle:
         "norm_sq": float(format_float(norm_sq(pt))),
         "upsilon": complex_to_pairs(_as_matrix(dense)),
     }
-    metadata["wall_time_s"] = time.perf_counter() - t0
-    return ResultBundle(metadata, {}, {"build": report})
+    return ResultBundle(_metadata(cfg), {}, {"build": report})
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -586,6 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    t0 = time.perf_counter()
     try:
         bundle = _RUNNERS[cfg.experiment](cfg)
     except MaterializationLimitError as exc:
@@ -600,13 +580,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"{kind} error: {exc}", file=sys.stderr)
         return code
+    wall_time = time.perf_counter() - t0
     written = bundle.write(cfg.output_dir, cfg.output_format)
     for path in written:
         print(path)
     if bundle.metadata.get("non_converged_gammas"):
         flagged = ", ".join(f"{g:g}" for g in bundle.metadata["non_converged_gammas"])
         print(f"note: fit did not converge for gamma = {flagged}")
-    print(f"done in {bundle.metadata['wall_time_s']:.1f}s")
+    print(f"done in {wall_time:.1f}s")
     return EXIT_OK
 
 

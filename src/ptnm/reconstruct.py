@@ -676,6 +676,9 @@ def _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gto
 
 
 def _initial_point(rng: np.random.Generator, d: int, dd: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random hidden model, the polar factor of a Gaussian Kraus stack and
+    a unit Gaussian state: the truths and points the tests draw. No fit
+    starts from it."""
     shape = (r, d, dd, d, dd)
     a_bar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     phi = rng.standard_normal(d * dd) + 1j * rng.standard_normal(d * dd)
@@ -761,7 +764,6 @@ def fit(
     k_schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
     max_iter: int = 10000,
     seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    init: str = "gaussian",
 ) -> tuple[ReconstructionAnsatz, FitReport]:
     """Fit a hidden Markovian model to ``target`` from one random start, at
     the smallest Kraus rank on a ladder under the cap ``R`` that converges.
@@ -780,11 +782,6 @@ def fit(
     ``cli._fit_selected``). Non-convergence is reported through
     ``converged``, never raised: some targets genuinely cannot be descended
     to ``FTOL``.
-
-    ``init`` selects the starting-point family: ``"gaussian"`` (generic) or
-    ``"decoupled"`` (perturbed memoryless model; converges to representations
-    that use the environment sparingly, which is what the reconstruction is
-    for in the first place).
     """
     if not k_schedule:
         raise ValueError("k_schedule must be nonempty")
@@ -792,18 +789,18 @@ def fit(
         raise ValueError(
             f"target has {target.k} steps but the schedule needs {max(k_schedule)}"
         )
-    if init not in ("gaussian", "decoupled"):
-        raise ValueError(f"unknown init {init!r}; expected 'gaussian' or 'decoupled'")
-    draw = _initial_point if init == "gaussian" else _decoupled_initial_point
     d = target.d
     rng = np.random.default_rng(seed)
     fresh = copy.deepcopy(rng)
     # the cap's start, drawn first: it rejects an impossible Kraus rank
     # before any stage
-    cap_start = _anchored(*draw(rng, d, D, R))
+    cap_start = _anchored(*_decoupled_initial_point(rng, d, D, R))
     rungs = []
     for rank in [2**i for i in range(int(R).bit_length()) if 2**i < R] + [R]:
-        start = cap_start if rank == R else _anchored(*draw(copy.deepcopy(fresh), d, D, rank))
+        start = (
+            cap_start if rank == R
+            else _anchored(*_decoupled_initial_point(copy.deepcopy(fresh), d, D, rank))
+        )
         ansatz, stages, history = _descend(target, start, tuple(k_schedule), max_iter, rank < R)
         loss = stages[-1].final_loss
         if rank == R or loss < FTOL:

@@ -8,6 +8,7 @@ import math
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,6 +323,39 @@ def test_reconstruct_smoke_on_trivial_environment(tmp_path):
     assert ansatz["d"] == 2 and ansatz["D"] == 1
     table = Path(out, "reconstruct_measures.csv").read_text().splitlines()
     assert table[0] == "j,nm_osee,nm_ee,boundary_flag"
+
+
+@pytest.mark.parametrize(
+    "losses, chosen",
+    [
+        # a restart within a factor 2 of a converged one, but not converged
+        # itself, does not compete on environment entropy
+        ((6e-9, 1.1e-8), 0),
+        # when nothing converges, the near-ties in loss compete
+        ((1e-3, 1.5e-3), 1),
+        ((1e-3, 3e-3), 0),
+    ],
+)
+def test_restart_selection_prefers_converged_fits(monkeypatch, losses, chosen):
+    # restart r's fit has loss losses[r] and mid-range entropy ees[r]: the
+    # second restart is always the leaner one
+    ees = (0.5, 0.1)
+    calls = []
+
+    def fake_fit(target, seed, **kwargs):
+        r = len(calls)
+        calls.append((seed.entropy, kwargs))
+        return r, SimpleNamespace(final_loss=losses[r], converged=losses[r] < 1e-8)
+
+    monkeypatch.setattr(ptnm.cli, "fit", fake_fit)
+    monkeypatch.setattr(ptnm.cli, "_mid_entropy", lambda ansatz, k: ees[ansatz])
+    cfg = resolve_config("fig2a", {"restarts": 2, "seed": 3}, ns())
+    ansatz, report, r = ptnm.cli._fit_selected(SimpleNamespace(k=cfg.k), cfg, 1)
+    assert r == ansatz == chosen
+    assert report.final_loss == losses[chosen]
+    # the restarts differ only in their seed
+    assert [entropy for entropy, _ in calls] == [[3, 1, 0], [3, 1, 1]]
+    assert calls[0][1] == calls[1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -449,7 +449,7 @@ def test_decoupled_start_is_trace_preserving_at_zero_noise():
 def test_fit_recovers_a_random_hidden_model():
     rng = np.random.default_rng(112)
     a_bar, phi = _initial_point(rng, 2, 2, 4)
-    # the Gaussian start is the polar factor of a random Kraus stack, so the
+    # _initial_point draws the polar factor of a random Kraus stack, so the
     # truth is a trace-preserving model inside the fitted class
     truth = ReconstructionAnsatz(a_bar, phi / np.linalg.norm(phi))
     target = predict(truth, 4)
@@ -471,39 +471,38 @@ def test_fit_recovers_a_random_hidden_model():
 def test_fit_report_fields_are_consistent():
     rng = np.random.default_rng(113)
     target = random_target(rng, 3)
-    for init in ("gaussian", "decoupled"):
-        _, report = fit(target, R=4, k_schedule=(2, 3), seed=3, max_iter=500, init=init)
-        assert report.k_schedule == (2, 3)
-        assert report.converged == (report.final_loss < 1e-8)
-        assert report.iterations > 0
-        assert len(report.loss_history) > 0
-        # the optimizer records one loss per iteration, over every stage
-        assert len(report.loss_history) == report.iterations
-        # trace preservation holds by construction
-        assert report.normalization_residual < 1e-12
-        # one record per stage, in schedule order, adding up to the totals
-        assert [stage.k for stage in report.stages] == [2, 3]
-        assert sum(stage.iterations for stage in report.stages) == report.iterations
-        assert report.stages[-1].final_loss == report.final_loss
-        # the stages are the returned rung's; the abandoned rungs sit below
-        # it on the ladder 1, 2, 4, each stopped at a stage with loss >= FTOL
-        assert report.rank in (1, 2, 4)
-        assert [rung.rank for rung in report.rungs] == [r for r in (1, 2) if r < report.rank]
-        assert report.converged or report.rank == 4
-        for rung in report.rungs:
-            assert rung.k in (2, 3)
-            assert rung.final_loss >= FTOL
-            assert rung.iterations > 0
-            assert rung.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
-        for stage in report.stages:
-            assert stage.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
-            assert 0 <= stage.lm_steps <= stage.iterations
-            assert stage.evaluations >= stage.iterations > 0
-            assert stage.max_abs_grad >= 0.0
-            t0 = norm_sq(target.truncated(stage.k))
-            assert stage.relative_loss == pytest.approx(stage.final_loss / t0, rel=1e-12)
-            if stage.reason == "gtol":
-                assert stage.max_abs_grad <= 1e-8
+    _, report = fit(target, R=4, k_schedule=(2, 3), seed=3, max_iter=500)
+    assert report.k_schedule == (2, 3)
+    assert report.converged == (report.final_loss < 1e-8)
+    assert report.iterations > 0
+    assert len(report.loss_history) > 0
+    # the optimizer records one loss per iteration, over every stage
+    assert len(report.loss_history) == report.iterations
+    # trace preservation holds by construction
+    assert report.normalization_residual < 1e-12
+    # one record per stage, in schedule order, adding up to the totals
+    assert [stage.k for stage in report.stages] == [2, 3]
+    assert sum(stage.iterations for stage in report.stages) == report.iterations
+    assert report.stages[-1].final_loss == report.final_loss
+    # the stages are the returned rung's; the abandoned rungs sit below
+    # it on the ladder 1, 2, 4, each stopped at a stage with loss >= FTOL
+    assert report.rank in (1, 2, 4)
+    assert [rung.rank for rung in report.rungs] == [r for r in (1, 2) if r < report.rank]
+    assert report.converged or report.rank == 4
+    for rung in report.rungs:
+        assert rung.k in (2, 3)
+        assert rung.final_loss >= FTOL
+        assert rung.iterations > 0
+        assert rung.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
+    for stage in report.stages:
+        assert stage.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
+        assert 0 <= stage.lm_steps <= stage.iterations
+        assert stage.evaluations >= stage.iterations > 0
+        assert stage.max_abs_grad >= 0.0
+        t0 = norm_sq(target.truncated(stage.k))
+        assert stage.relative_loss == pytest.approx(stage.final_loss / t0, rel=1e-12)
+        if stage.reason == "gtol":
+            assert stage.max_abs_grad <= 1e-8
 
 
 def test_fit_returns_the_smallest_rank_that_reaches_ftol():
@@ -531,7 +530,7 @@ def test_fit_falls_back_to_the_cap_when_no_rank_converges():
     # the cap rung starts where a fit at the cap alone would, and the
     # generator advances by that one draw
     replay = np.random.default_rng(0)
-    start = _anchored(*_initial_point(replay, 2, 1, 4))
+    start = _anchored(*_decoupled_initial_point(replay, 2, 1, 4))
     assert rng.bit_generator.state == replay.bit_generator.state
     _, stages, _ = _descend(target, start, (2, 3), 500, abandon=False)
     assert list(report.stages) == stages
@@ -565,16 +564,13 @@ def test_fit_validates_arguments(monkeypatch):
         fit(target, k_schedule=())
     with pytest.raises(ValueError):
         fit(target, k_schedule=(2, 5))  # target too short
-    with pytest.raises(ValueError):
-        fit(target, k_schedule=(2,), init="warm")
 
     def no_stage(*args, **kwargs):
         raise AssertionError("a stage ran before the Kraus rank was checked")
 
     monkeypatch.setattr(scipy.optimize, "minimize", no_stage)
-    for init in ("gaussian", "decoupled"):
-        with pytest.raises(ValueError, match="Kraus rank 17 exceeds"):
-            fit(target, D=2, R=17, k_schedule=(2,), init=init)
+    with pytest.raises(ValueError, match="Kraus rank 17 exceeds"):
+        fit(target, D=2, R=17, k_schedule=(2,))
 
 
 def test_fit_report_rejects_negative_loss():
