@@ -581,7 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{kind} error: {exc}", file=sys.stderr)
         return code
     wall_time = time.perf_counter() - t0
-    written = bundle.write(cfg.output_dir, cfg.output_format)
+    try:
+        written = bundle.write(cfg.output_dir, cfg.output_format)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_FILE
     for path in written:
         print(path)
     if bundle.metadata.get("non_converged_gammas"):

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import (
@@ -117,6 +115,8 @@ def xx_chain_model(p: XXChainParams) -> tuple[np.ndarray, np.ndarray]:
     if p.gamma == 0:
         channel = KrausChannel((xx_chain_unitary(p),), 2, 2)
     else:
+        import scipy.linalg  # only here: the other models run on numpy alone
+
         superop = scipy.linalg.expm(xx_chain_liouvillian(p) * p.delta)
         channel = superop_to_kraus(superop, 2, 2)
     rho0 = np.kron(p.system_state(), p.environment_state())
@@ -209,13 +209,10 @@ def uqdm_overlaps(model: UQDMModel, max_power: int) -> np.ndarray:
 
 
 def _binomial_log_weights(j: int) -> np.ndarray:
-    t = np.arange(j + 1, dtype=float)
-    return (
-        scipy.special.gammaln(j + 1)
-        - scipy.special.gammaln(t + 1)
-        - scipy.special.gammaln(j - t + 1)
-        - j * math.log(2.0)
-    )
+    """``log(C(j, t) / 2^j)`` for ``t = 0..j``, from the ratio recursion
+    ``C(j, t+1) = C(j, t) (j - t) / (t + 1)``."""
+    t = np.arange(j, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.log((j - t) / (t + 1))))) - j * math.log(2.0)
 
 
 def _gram_spectrum(overlaps: np.ndarray, j: int) -> np.ndarray:

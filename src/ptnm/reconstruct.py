@@ -57,6 +57,10 @@ few steps.
 Gradient conventions: for a real loss L of complex parameters x, the reported
 arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
 2 Im(dL/d conj x).
+
+scipy is imported only inside the functions that fit, so importing this
+module loads numpy alone, and a scipy that moves the private line search of
+its BFGS (the pin is <1.18) breaks only fitting.
 """
 
 from __future__ import annotations
@@ -66,10 +70,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-from scipy.linalg.blas import dgemm, dsymv, dsyr2
-from scipy.linalg.lapack import zgeqrf
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel, site_tensor
 from .process_tensor import ProcessTensorMPDO, _sweep, _tt_core, norm_sq
@@ -320,6 +320,8 @@ class _Objective:
         two large terms are ever subtracted. Also returns the factors
         ``R_0, ..., R_{k-1}`` the sweep passes, zero-padded to square:
         ``R_m^H R_m`` is the train's left boundary after m sites."""
+        from scipy.linalg.lapack import zgeqrf
+
         b = self.diff_core.shape[0]
         core = self.diff_core.reshape(b, -1)
         factors = np.zeros((self.k + 1, b, b), dtype=complex)
@@ -464,6 +466,8 @@ class _Objective:
         the orthonormal basis ``X S_j`` (S_j the Hermitian basis, X the
         stack) and psi, so ``Pi h Pi = h - B^T C - C^T B`` with ``C = B h -
         (B h B^T) B / 2``, one BLAS update of ``h`` in place."""
+        from scipy.linalg.blas import dgemm
+
         q, psi = self.unpack(x)
         normal = (q.reshape(-1, self.d * self.dd) @ self.hermitian).reshape(len(self.hermitian), -1)
         b = np.zeros((len(normal) + 1, h.shape[0]))
@@ -524,6 +528,8 @@ def _rank_two_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     rank-two ``s v^T + v s^T``, ``v = (c/2) s - rho Hy``, of one ``dsyr2``.
     ``h`` must be a Fortran-ordered float array, the one layout BLAS updates
     in place; given any other, the wrapper would update a copy."""
+    from scipy.linalg.blas import dsymv, dsyr2
+
     if not h.flags.f_contiguous or h.dtype != np.float64:
         raise ValueError("h must be a Fortran-ordered float64 array")
     ys = y @ s
@@ -552,6 +558,8 @@ def _stage(fun, x0, jac, hess, maxiter, gtol, switch, anchor, **_):
     ``callback``, ``args`` and the other arguments ``minimize`` hands every
     custom method are ignored.
     """
+    import scipy.optimize
+
     nfev = 0
 
     def f(x):
@@ -586,8 +594,7 @@ def _quasi_newton(f, jac, x, fval, g, history, maxiter, gtol, switch):
     """BFGS iterations from x until a stopping rule fires or the loss falls to
     ``switch``; returns the last point, its loss and gradient, and the stop
     reason (``None`` at ``switch`` or ``maxiter``)."""
-    # private, but the step-length search of scipy's own BFGS; imported here
-    # so that a scipy which moves it breaks only fitting (the pin is <1.18)
+    from scipy.linalg.blas import dsymv
     from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
 
     h = np.eye(x.size, order="F")
@@ -638,6 +645,8 @@ def _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gto
     than ``LM_GAIN`` of the loss, the phase hands the stage back to BFGS.
     Returns the last point, its loss and gradient, and the stop reason
     (``None`` at ``maxiter`` or on handing back)."""
+    import scipy.linalg
+
     start, mu, nu = len(history), None, 2.0
     while len(history) < maxiter:
         h = hess(x)
@@ -726,6 +735,8 @@ def _descend(
     ``abandon``, stops after the first stage whose loss ends at or above
     ``FTOL``. Returns the last point, the stage records and the loss after
     every iteration."""
+    import scipy.optimize
+
     history: tuple[float, ...] = ()
     stages = []
     for k in k_schedule:

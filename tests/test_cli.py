@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -188,6 +190,55 @@ def test_main_missing_config_file(tmp_path, capsys):
     code = main(["measure", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_FILE
     assert "file error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["a file", "below a file"])
+def test_main_unwritable_out_is_a_file_error(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    cfg = _cfg(tmp_path, {"j_max": 4, "grid_points": 200})
+    code = main(["fig3", "--config", cfg, "--gamma", "1", "--out", str(blocker.joinpath(*under))])
+    assert code == EXIT_FILE
+    assert "file error" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
+
+
+# each case runs main in a fresh interpreter, as this one has scipy loaded
+# already, and prints its exit code and the scipy modules it loaded
+_COLD_START = """
+import json, sys
+import ptnm.cli
+code = ptnm.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg, loaded, absent",
+    [
+        (["fig3", "--gamma", "0.5,2"], None, (), ("scipy",)),
+        (["measure", "--gamma", "0", "--k", "8"], None, (), ("scipy",)),
+        (["measure", "--gamma", "1.2", "--k", "8"], {"model": "ruqdm"}, (), ("scipy",)),
+        # the damped chain's step is one scipy.linalg.expm
+        (["measure", "--gamma", "1", "--k", "8"], None, ("scipy.linalg",), ("scipy.optimize",)),
+        (["fig2a", "--gamma", "1"], {"restarts": 1, "max_iter": 2, "k_schedule": [2]},
+         ("scipy.optimize",), ()),
+    ],
+    ids=["fig3", "measure-gamma0", "measure-ruqdm", "measure-gamma1", "fig2a-fit"],
+)
+def test_cold_start_loads_scipy_only_where_it_is_used(tmp_path, argv, file_cfg, loaded, absent):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptnm.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if file_cfg is not None:
+        argv = argv + ["--config", _cfg(tmp_path, file_cfg)]
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START, *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert [name for name in loaded if name not in modules] == []
+    assert [m for m in modules if any(m == a or m.startswith(a + ".") for a in absent)] == []
 
 
 def test_main_build_guard(tmp_path, capsys):

@@ -245,6 +245,15 @@ def test_uqdm_split_spectrum_matches_the_complex_gram_matrix(gamma):
         np.testing.assert_allclose(split, expected, rtol=0, atol=1e-13 * expected[-1])
 
 
+def test_binomial_weights_match_exact_integer_binomials():
+    """The log-space weights against ``C(j, t) / 2^j`` in exact integer
+    arithmetic, correctly rounded, out to j = 400 (fig3 at paper scale needs
+    j <= 200)."""
+    for j in range(401):
+        exact = np.array([math.comb(j, t) / 2**j for t in range(j + 1)])
+        np.testing.assert_allclose(np.exp(_binomial_log_weights(j)), exact, rtol=1e-12, atol=0)
+
+
 def test_uqdm_entropy_rejects_complex_overlaps():
     model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
     with pytest.raises(ValueError, match="real"):
