@@ -33,7 +33,6 @@ from .io import (
     ansatz_to_dict,
     channel_from_dict,
     complex_to_pairs,
-    fit_report_to_dict,
     format_float,
     load_json,
     pairs_to_complex,
@@ -447,7 +446,7 @@ def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
             "gamma": gamma,
             "n": cfg.n,
             "selected_restart": chosen,
-            **fit_report_to_dict(report),
+            **dataclasses.asdict(report),
         }
     metadata = _metadata(cfg)
     metadata["non_converged_gammas"] = non_converged
@@ -484,7 +483,7 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
     tables = {"reconstruct_measures": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}
     reports = {
         "reconstruct_ansatz": ansatz_to_dict(ansatz),
-        "reconstruct_fit": {"selected_restart": chosen, **fit_report_to_dict(report)},
+        "reconstruct_fit": {"selected_restart": chosen, **dataclasses.asdict(report)},
     }
     return ResultBundle(metadata, tables, reports)
 

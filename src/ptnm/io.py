@@ -8,7 +8,6 @@ observe a half-written result.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import KrausChannel
-from .reconstruct import FitReport, ReconstructionAnsatz
+from .reconstruct import ReconstructionAnsatz
 
 
 def complex_to_pairs(arr: np.ndarray):
@@ -92,20 +91,6 @@ def channel_from_dict(data: dict) -> KrausChannel:
                 f"field 'kraus[{t}]' has shape {op.shape}, expected {(d * dd, d * dd)}"
             )
     return KrausChannel(ops, d, dd)
-
-
-def fit_report_to_dict(report: FitReport) -> dict:
-    return {
-        "final_loss": report.final_loss,
-        "loss_history": list(report.loss_history),
-        "k_schedule": list(report.k_schedule),
-        "normalization_residual": report.normalization_residual,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "stages": [dataclasses.asdict(stage) for stage in report.stages],
-        "rank": report.rank,
-        "rungs": [dataclasses.asdict(rung) for rung in report.rungs],
-    }
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,8 +93,6 @@ LM_DAMPING = 1e-6
 LM_FLOOR = 1e-2 * FTOL
 LM_WINDOW = 10
 LM_GAIN = 1e-2
-# columns of P_y per pass of _gram_chain, which bounds its scratch memory
-_GRAM_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -162,23 +160,12 @@ class FitStage:
 
 
 @dataclass(frozen=True)
-class FitRung:
-    """A Kraus rank the fit tried and abandoned: the stage ``k`` whose loss
-    ended at or above ``FTOL``, the rung's iterations over its stages, that
-    stage's final loss and why it stopped (``FitStage.reason``)."""
-
-    rank: int
-    k: int
-    iterations: int
-    final_loss: float
-    reason: str
-
-
-@dataclass(frozen=True)
 class FitReport:
-    """A fit's outcome. ``stages``, ``iterations`` and ``loss_history`` are
-    the returned rung's, ``rank`` is its Kraus rank, and ``rungs`` lists the
-    rungs abandoned below it, in ladder order."""
+    """A fit at one Kraus rank ``rank``: its stage records, the loss after
+    every iteration over them and their totals. The report ``fit`` returns
+    is the returned rung's, and ``rungs`` holds the reports of the ranks
+    abandoned below it, in ladder order; an abandoned rung's own ``rungs``
+    is empty."""
 
     final_loss: float
     loss_history: tuple[float, ...]
@@ -188,7 +175,7 @@ class FitReport:
     converged: bool
     stages: tuple[FitStage, ...]
     rank: int
-    rungs: tuple[FitRung, ...]
+    rungs: tuple[FitReport, ...] = ()
 
     def __post_init__(self):
         if self.final_loss < 0:
@@ -501,19 +488,17 @@ def _gram_chain(n: np.ndarray, mx: np.ndarray, my: np.ndarray, out: np.ndarray) 
         out[rows, cols].reshape(rx, ux, ry, uy)
         for rows in (slice(a), slice(a, None)) for cols in (slice(b), slice(b, None))
     )
-    for w in range(0, uy, _GRAM_COLUMNS):  # a few columns w at a time, to bound memory
-        cols = slice(w, w + _GRAM_COLUMNS)
-        # n K1 over (u, v | w, t), times 4: the 2 of 2 Re(.) and the 2 of
-        # each conjugate pair below
-        right = np.tensordot(n[:, :, cols], 4 * my.conj(), axes=(3, 1))
-        # K1^H n K1 and K1^H n K2 = conj(K1^H n K1 with u and v swapped)
-        q11 = np.matmul(mx, right.reshape(ux, ux, -1)).reshape(ux, rx, -1, ry).transpose(1, 0, 3, 2)
-        q12 = (mx.conj() @ right.reshape(ux, -1)).reshape(rx, ux, -1, ry).transpose(0, 1, 3, 2)
-        np.conjugate(q12, out=q12)
-        np.add(q11.real, q12.real, out=rr[..., cols])
-        np.subtract(q12.imag, q11.imag, out=ri[..., cols])
-        np.add(q11.imag, q12.imag, out=ir[..., cols])
-        np.subtract(q11.real, q12.real, out=ii[..., cols])
+    # n K1 over (u, v | w, t), times 4: the 2 of 2 Re(.) and the 2 of each
+    # conjugate pair below
+    right = np.tensordot(n, 4 * my.conj(), axes=(3, 1))
+    # K1^H n K1 and K1^H n K2 = conj(K1^H n K1 with u and v swapped)
+    q11 = np.matmul(mx, right.reshape(ux, ux, -1)).reshape(ux, rx, uy, ry).transpose(1, 0, 3, 2)
+    q12 = (mx.conj() @ right.reshape(ux, -1)).reshape(rx, ux, uy, ry).transpose(0, 1, 3, 2)
+    np.conjugate(q12, out=q12)
+    np.add(q11.real, q12.real, out=rr)
+    np.subtract(q12.imag, q11.imag, out=ri)
+    np.add(q11.imag, q12.imag, out=ir)
+    np.subtract(q11.real, q12.real, out=ii)
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +714,11 @@ def _descend(
     k_schedule: tuple[int, ...],
     max_iter: int,
     abandon: bool,
-) -> tuple[ReconstructionAnsatz, list[FitStage], tuple[float, ...]]:
+) -> tuple[ReconstructionAnsatz, FitReport]:
     """Runs the stages of ``k_schedule`` from ``ansatz``, each warm-started
     from the polar factor of the previous stage's last point; with
     ``abandon``, stops after the first stage whose loss ends at or above
-    ``FTOL``. Returns the last point, the stage records and the loss after
-    every iteration."""
+    ``FTOL``. Returns the last point and the report of this rank."""
     import scipy.optimize
 
     history: tuple[float, ...] = ()
@@ -752,7 +736,7 @@ def _descend(
         )
         ansatz = _anchored(*obj.unpack(res.x))
         history += tuple(res.loss_history)
-        loss = max(float(res.fun), 0.0)
+        loss = res.fun
         stages.append(FitStage(
             k=k,
             iterations=res.nit,
@@ -765,7 +749,16 @@ def _descend(
         ))
         if abandon and loss >= FTOL:
             break
-    return ansatz, stages, history
+    return ansatz, FitReport(
+        final_loss=loss,
+        loss_history=history,
+        k_schedule=k_schedule,
+        normalization_residual=normalization_residual(ansatz),
+        iterations=sum(stage.iterations for stage in stages),
+        converged=loss < FTOL,
+        stages=tuple(stages),
+        rank=ansatz.R,
+    )
 
 
 def fit(
@@ -785,7 +778,8 @@ def fit(
     stage's last point. A rung below the cap is abandoned as soon as one of
     its stages ends with a loss at or above ``FTOL``; the first rung whose
     stages all end below ``FTOL`` is returned, and when none does, the cap
-    rung's fit is. The cap's start is the one a fit at ``R`` alone would
+    rung's fit is, its report carrying the abandoned rungs' reports in
+    ``rungs``. The cap's start is the one a fit at ``R`` alone would
     draw, and a ``Generator`` seed advances by that one draw whichever rung
     is returned: the rungs below the cap draw from copies of it.
 
@@ -812,27 +806,8 @@ def fit(
             cap_start if rank == R
             else _anchored(*_decoupled_initial_point(copy.deepcopy(fresh), d, D, rank))
         )
-        ansatz, stages, history = _descend(target, start, tuple(k_schedule), max_iter, rank < R)
-        loss = stages[-1].final_loss
-        if rank == R or loss < FTOL:
+        ansatz, report = _descend(target, start, tuple(k_schedule), max_iter, rank < R)
+        if rank == R or report.converged:
             break
-        rungs.append(FitRung(
-            rank=rank,
-            k=stages[-1].k,
-            iterations=sum(stage.iterations for stage in stages),
-            final_loss=loss,
-            reason=stages[-1].reason,
-        ))
-
-    report = FitReport(
-        final_loss=loss,
-        loss_history=history,
-        k_schedule=tuple(k_schedule),
-        normalization_residual=normalization_residual(ansatz),
-        iterations=sum(stage.iterations for stage in stages),
-        converged=loss < FTOL,
-        stages=tuple(stages),
-        rank=rank,
-        rungs=tuple(rungs),
-    )
-    return ansatz, report
+        rungs.append(report)
+    return ansatz, replace(report, rungs=tuple(rungs))

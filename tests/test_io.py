@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 
 from ptnm.channels import random_cptp_channel
-from ptnm.cli import EXIT_FILE, main
+from ptnm.cli import EXIT_FILE, EXIT_OK, main
 from ptnm.io import (
     ansatz_from_dict,
     ansatz_to_dict,
     channel_from_dict,
     channel_to_dict,
     complex_to_pairs,
-    fit_report_to_dict,
     format_float,
     load_json,
     pairs_to_complex,
     write_csv_atomic,
     write_json_atomic,
 )
-from ptnm.reconstruct import FitReport, FitRung, FitStage, ansatz_from_model
+from ptnm.reconstruct import ansatz_from_model
 
 
 def test_pairs_round_trip_preserves_values():
@@ -173,39 +172,24 @@ def test_main_rejects_a_json_file_that_is_not_an_object(
     assert not out.exists()
 
 
-def test_fit_report_dict_fields():
-    stages = (
-        FitStage(k=2, iterations=90, lm_steps=0, evaluations=97, final_loss=2e-9,
-                 relative_loss=1e-9, max_abs_grad=3e-6, reason="stall"),
-        FitStage(k=3, iterations=50, lm_steps=7, evaluations=52, final_loss=1.5e-9,
-                 relative_loss=5e-10, max_abs_grad=9e-9, reason="ftol"),
-    )
-    report = FitReport(
-        final_loss=1.5e-9,
-        loss_history=(0.5, 1e-8, 1.5e-9),
-        k_schedule=(2, 3),
-        normalization_residual=2e-6,
-        iterations=140,
-        converged=True,
-        stages=stages,
-        rank=2,
-        rungs=(FitRung(rank=1, k=2, iterations=31, final_loss=0.25, reason="stall"),),
-    )
-    data = fit_report_to_dict(report)
-    assert data["converged"] is True
-    assert data["k_schedule"] == [2, 3]
-    assert data["final_loss"] == 1.5e-9
-    assert data["stages"] == [
-        {"k": 2, "iterations": 90, "lm_steps": 0, "evaluations": 97, "final_loss": 2e-9,
-         "relative_loss": 1e-9, "max_abs_grad": 3e-6, "reason": "stall"},
-        {"k": 3, "iterations": 50, "lm_steps": 7, "evaluations": 52, "final_loss": 1.5e-9,
-         "relative_loss": 5e-10, "max_abs_grad": 9e-9, "reason": "ftol"},
+def test_fit_report_file_records_each_abandoned_rank_as_a_report(tmp_path):
+    # a short chain fit: rank 1 cannot reproduce the target, so the ladder
+    # abandons it and writes its whole report under "rungs"
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"k": 4, "k_schedule": [2], "R": 4, "restarts": 1}))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    data = load_json(str(out / "reconstruct_fit.json"))
+    assert sorted(data) == [
+        "converged", "final_loss", "iterations", "k_schedule", "loss_history", "metadata",
+        "normalization_residual", "rank", "rungs", "selected_restart", "stages",
     ]
-    assert data["rank"] == 2
-    assert data["rungs"] == [
-        {"rank": 1, "k": 2, "iterations": 31, "final_loss": 0.25, "reason": "stall"}
-    ]
-    json.dumps(data)  # everything JSON-serializable
+    assert data["rungs"]
+    for rung in data["rungs"]:
+        assert rung["converged"] is False and rung["rungs"] == []
+        assert rung["rank"] < data["rank"]
+        assert rung["iterations"] == sum(stage["iterations"] for stage in rung["stages"])
+        assert rung["stages"][-1]["final_loss"] >= 1e-8
 
 
 def test_json_atomic_round_trip(tmp_path):

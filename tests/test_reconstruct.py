@@ -5,6 +5,8 @@ random instances, which is the load-bearing check for everything the
 optimizer does; recovery of a known random model closes the loop.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -24,6 +26,7 @@ from ptnm.reconstruct import (
     FTOL,
     GTOL,
     LM_FLOOR,
+    LM_WINDOW,
     STALL_WINDOW,
     FitReport,
     ReconstructionAnsatz,
@@ -414,6 +417,30 @@ def test_bfgs_honours_maxiter():
     assert res.nit == len(res.loss_history) == 3
 
 
+def test_levenberg_marquardt_hands_a_crawl_back_to_bfgs():
+    # an overdetermined least-squares loss with a nonzero minimum and a
+    # Gauss-Newton matrix far too stiff: LM starts at once (switch=inf),
+    # crawls, gives the stage back after LM_WINDOW + 1 steps, and BFGS
+    # finishes it at the least-squares solution
+    rng = np.random.default_rng(125)
+    a, b = rng.normal(size=(8, 4)), rng.normal(size=8)
+    solution = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.sum((a @ solution - b) ** 2) > 0.1
+
+    def fun(x):
+        r = a @ x - b
+        return r @ r, 2 * a.T @ r
+
+    res = scipy.optimize.minimize(
+        fun, np.zeros(4), jac=True, hess=lambda x: 1e6 * np.eye(4), method=_stage,
+        options={"maxiter": 1000, "gtol": 1e-8, "switch": np.inf, "anchor": lambda x: x},
+    )
+    assert res.reason == "gtol"
+    assert res.lm_steps == LM_WINDOW + 1
+    assert res.nit > res.lm_steps
+    np.testing.assert_allclose(res.x, solution, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Starting points
 # ---------------------------------------------------------------------------
@@ -490,10 +517,11 @@ def test_fit_report_fields_are_consistent():
     assert [rung.rank for rung in report.rungs] == [r for r in (1, 2) if r < report.rank]
     assert report.converged or report.rank == 4
     for rung in report.rungs:
-        assert rung.k in (2, 3)
-        assert rung.final_loss >= FTOL
+        assert rung.stages[-1].k in (2, 3)
+        assert rung.final_loss == rung.stages[-1].final_loss >= FTOL
+        assert not rung.converged and rung.rungs == ()
         assert rung.iterations > 0
-        assert rung.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
+        assert rung.stages[-1].reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
     for stage in report.stages:
         assert stage.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
         assert 0 <= stage.lm_steps <= stage.iterations
@@ -525,19 +553,20 @@ def test_fit_falls_back_to_the_cap_when_no_rank_converges():
     ansatz, report = fit(target, D=1, R=4, k_schedule=(2, 3), seed=rng, max_iter=500)
     assert not report.converged
     assert report.rank == ansatz.R == 4
-    assert [(rung.rank, rung.k) for rung in report.rungs] == [(1, 2), (2, 2)]
+    assert [(rung.rank, rung.stages[-1].k) for rung in report.rungs] == [(1, 2), (2, 2)]
     assert all(rung.final_loss >= FTOL for rung in report.rungs)
     # the cap rung starts where a fit at the cap alone would, and the
     # generator advances by that one draw
     replay = np.random.default_rng(0)
     start = _anchored(*_decoupled_initial_point(replay, 2, 1, 4))
     assert rng.bit_generator.state == replay.bit_generator.state
-    _, stages, _ = _descend(target, start, (2, 3), 500, abandon=False)
-    assert list(report.stages) == stages
-    # a rung below the cap draws from the seed, not after the cap's draw
-    single = fit(target, D=1, R=1, k_schedule=(2, 3), seed=0, max_iter=500)[1]
+    _, cap = _descend(target, start, (2, 3), 500, abandon=False)
+    assert report == replace(cap, rungs=report.rungs)
+    # a rung below the cap draws from the seed, not after the cap's draw:
+    # its record is that of a fit at its rank alone over the stages it ran
+    single = fit(target, D=1, R=1, k_schedule=(2,), seed=0, max_iter=500)[1]
     assert single.rank == 1 and single.rungs == ()
-    assert single.stages[0].final_loss == report.rungs[0].final_loss
+    assert report.rungs[0].stages == single.stages
 
 
 @pytest.mark.parametrize("seed", [3, 10, 14])
@@ -584,5 +613,4 @@ def test_fit_report_rejects_negative_loss():
             converged=False,
             stages=(),
             rank=1,
-            rungs=(),
         )
