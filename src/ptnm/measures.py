@@ -33,16 +33,18 @@ def env_state(pt: ProcessTensorMPDO, j: int) -> np.ndarray:
     return next(itertools.islice(_env_states(pt), j, None))
 
 
-def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float:
-    """Von Neumann (``alpha=None``) or Renyi entropy in bits."""
+def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float | np.ndarray:
+    """Von Neumann (``alpha=None``) or Renyi entropy in bits, of one spectrum
+    or of each along the last axis of a stack."""
     if alpha is None:
         return von_neumann_entropy(eigenvalues)
     return renyi_entropy(eigenvalues, alpha)
 
 
-def _entropy_of_state(rho: np.ndarray) -> float:
-    """Von Neumann entropy of a density matrix, in bits."""
-    return _entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), None)
+def _entropy_of_state(rho: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy in bits of a density matrix, or of each matrix in
+    a stack by one ``eigvalsh``."""
+    return _entropy(np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0), None)
 
 
 def nm_ee(pt: ProcessTensorMPDO, j: int) -> float:
@@ -58,39 +60,48 @@ def nm_ee(pt: ProcessTensorMPDO, j: int) -> float:
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    """Square root of a positive semidefinite matrix, or of each in a stack."""
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _grams(
     pt: ProcessTensorMPDO, stop: int, start: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Left Grams ``[l_0, ..., l_stop]`` and right Grams ``[r_start, ...,
-    r_k]`` of the process tensor with itself, each a ``(D**2, D**2)`` matrix
-    over the bond pair, by one :func:`_sweep` each. ``l_j`` contracts the
-    initial tensor and the sites before step ``j``; ``r_j`` the sites from
-    ``j`` on and the final environment trace."""
+    r_k]`` of the process tensor with itself, each stacked into one array of
+    ``(D**2, D**2)`` matrices over the bond pair, by one :func:`_sweep` each.
+    ``l_j`` contracts the initial tensor and the sites before step ``j``;
+    ``r_j`` the sites from ``j`` on and the final environment trace."""
     first = pt.rho0.reshape(pt.d**2, -1)
     cores = [_tt_core(w) for w in pt.sites]
     lefts = _sweep(first, cores[:stop], first, cores[:stop])
     trace = np.eye(pt.D).reshape(1, -1)
     back = [c.transpose(2, 1, 0) for c in reversed(cores[start:])]
-    return lefts, _sweep(trace, back, trace, back)[::-1]
+    return np.stack(lefts), np.stack(_sweep(trace, back, trace, back)[::-1])
 
 
-def _cut_spectrum(gram_left: np.ndarray, gram_right: np.ndarray) -> np.ndarray:
-    """Normalized Schmidt spectrum across a cut from the two bond Grams.
+def _cut_spectrum(
+    gram_left: np.ndarray, gram_right: np.ndarray, steps: int | tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Normalized Schmidt spectrum across a cut from the two bond Grams, or
+    across each cut of two stacks of them, by one ``eigh`` and one
+    ``eigvalsh`` in all.
 
     The reduced state of the left block is ``L G_R^T L^†`` for left-block
     vectors ``L``, so its nonzero spectrum is that of ``G_R^T G_L``, evaluated
     here in the manifestly Hermitian form ``sqrt(G_L) G_R^T sqrt(G_L)``.
+    ``steps``, the step of the cut or of each stacked cut, names the first
+    cut of zero norm in the error that it raises.
     """
     s = _sqrt_psd(gram_left)
-    eigs = np.linalg.eigvalsh(s @ gram_right.T @ s)
-    total = eigs.sum()
-    if not total > 0:
-        raise ValueError("process tensor has zero norm across the cut")
+    eigs = np.linalg.eigvalsh(s @ gram_right.swapaxes(-1, -2) @ s)
+    total = eigs.sum(axis=-1, keepdims=True)
+    zero = ~(total[..., 0] > 0)
+    if zero.any():
+        at = "" if steps is None else f" at step {np.broadcast_to(steps, zero.shape)[zero][0]}"
+        raise ValueError(f"process tensor has zero norm across the cut{at}")
     return eigs / total
 
 
@@ -105,7 +116,7 @@ def osee(pt: ProcessTensorMPDO, j: int, alpha: float | None = None) -> float:
     if not 1 <= j <= pt.k - 1:
         raise ValueError(f"bond cut needs 1 <= j <= {pt.k - 1}, got {j}")
     lefts, rights = _grams(pt, j, j)
-    return _entropy(_cut_spectrum(lefts[-1], rights[0]), alpha) / 2.0
+    return _entropy(_cut_spectrum(lefts[-1], rights[0], j), alpha) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +186,20 @@ def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
 
     ``kind`` is ``"osee"`` (steps ``1..k-1``, right-boundary points flagged
     within ``k/5`` of ``k``) or ``"ee"`` (steps ``1..k``). Either costs one
-    pass over the sites: ``osee`` one left and one right boundary sweep,
-    ``ee`` one environment recursion.
+    pass over the sites and one batched eigensolve over the stacked steps:
+    ``osee`` one left and one right boundary sweep and the cut spectra of all
+    steps at once, ``ee`` one environment recursion and the spectra of all
+    its states at once. Each value is the one ``osee`` or ``nm_ee`` gives at
+    its step, to the last bit.
     """
     if kind == "osee":
         steps = tuple(range(1, pt.k))
         lefts, rights = _grams(pt, pt.k, 0)
-        values = [_entropy(_cut_spectrum(lefts[j], rights[j]), None) / 2.0 for j in steps]
+        values = _entropy(_cut_spectrum(lefts[1:-1], rights[1:-1], steps), None) / 2.0
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
-        return MeasureSeries(kind, steps, tuple(values), flagged)
+        return MeasureSeries(kind, steps, tuple(values.tolist()), flagged)
     if kind == "ee":
-        values = tuple(_entropy_of_state(env) for env in itertools.islice(_env_states(pt), 1, None))
-        return MeasureSeries(kind, tuple(range(1, pt.k + 1)), values)
+        states = np.stack(list(itertools.islice(_env_states(pt), 1, None)))
+        values = _entropy_of_state(states)
+        return MeasureSeries(kind, tuple(range(1, pt.k + 1)), tuple(values.tolist()))
     raise ValueError(f"unknown measure kind {kind!r}; expected 'osee' or 'ee'")

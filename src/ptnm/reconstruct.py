@@ -619,8 +619,9 @@ def _stopped(history: list[float], g: np.ndarray, gtol: float) -> str | None:
 
 def _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gtol):
     """The LM phase of a stage from an anchored point. Each iteration
-    assembles the Gauss-Newton matrix H, solves ``(H + mu I) step = -g`` by
-    one Cholesky factorization in place and tries the anchored ``x + step``.
+    solves ``(H + mu I) step = -g`` for the Gauss-Newton matrix H by one
+    Cholesky factorization of a damped copy and tries the anchored
+    ``x + step``; H is assembled once per point, so a rejected step reuses it.
     An accepted step rescales ``mu`` by Nielsen's rule on the ratio of the
     actual to the model's decrease; a rejected one raises it, and once the
     step no longer moves ``x`` the search has failed (``line_search``). The
@@ -632,20 +633,21 @@ def _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gto
     (``None`` at ``maxiter`` or on handing back)."""
     import scipy.linalg
 
-    start, mu, nu = len(history), None, 2.0
+    start, mu, nu, h = len(history), None, 2.0, None
     while len(history) < maxiter:
-        h = hess(x)
+        if h is None:  # kept across rejected steps, which leave x where it is
+            h = hess(x)
         if mu is None:
             mu = LM_DAMPING * np.max(np.diag(h))
-        h.flat[:: x.size + 1] += mu
-        try:  # h is symmetric: its transpose is the Fortran-ordered matrix LAPACK factors in place
+        damped = h.copy()
+        damped.flat[:: x.size + 1] += mu
+        try:  # damped is symmetric: its transpose is the Fortran-ordered matrix LAPACK factors in place
             step = -scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(h.T, overwrite_a=True, check_finite=False), g,
+                scipy.linalg.cho_factor(damped.T, overwrite_a=True, check_finite=False), g,
                 check_finite=False,
             )
         except np.linalg.LinAlgError:
             step = None
-        h = None  # one n x n matrix at a time: a rejected step assembles it again
         if step is not None and np.array_equal(x + step, x):
             return x, fval, g, "line_search"
         trial = None if step is None else anchor(x + step)
@@ -655,7 +657,7 @@ def _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gto
             predicted = 0.5 * (mu * (step @ step) - g @ step)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * (fval - f_trial) / predicted - 1.0) ** 3)
             nu = 2.0
-            x, fval, g = trial, f_trial, jac(trial)
+            x, fval, g, h = trial, f_trial, jac(trial), None
             history.append(fval)
             reason = "ftol" if fval <= LM_FLOOR else _stopped(history, g, gtol)
             if reason is not None:

@@ -2,7 +2,8 @@
 
 Conventions fixed here and relied on by the rest of the package:
 
-* every entropy is reported in bits (base-2 logarithms),
+* every entropy is reported in bits (base-2 logarithms), of one spectrum or
+  of each spectrum along the last axis of a stack,
 * eigenvalues of nominally positive operators are clipped at ``CLIP_TOL``,
 * every tolerance check is written ``not residual <= tol``, so that NaN fails.
 """
@@ -16,40 +17,47 @@ SUM_TOL = 1e-8
 HERMITICITY_TOL = 1e-9
 
 
-def _as_probabilities(spectrum) -> np.ndarray:
-    p = np.asarray(spectrum, dtype=float).ravel()
-    if p.size == 0:
-        raise ValueError("empty spectrum")
-    if not p.min() >= -CLIP_TOL:
+def _as_probabilities(spectra) -> np.ndarray:
+    """The spectra along the last axis as probability vectors: checked,
+    clipped to ``[0, 1]`` and renormalized row by row."""
+    p = np.asarray(spectra, dtype=float)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValueError(f"empty spectrum: no eigenvalues along the last axis of shape {p.shape}")
+    if p.size and not p.min() >= -CLIP_TOL:  # a stack of no spectra passes
         raise ValueError(f"eigenvalue {p.min():.3e} is not at least -{CLIP_TOL:.0e}")
-    total = p.sum()
-    if not abs(total - 1.0) <= SUM_TOL:
-        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {SUM_TOL:.0e}")
-    p = np.clip(p, 0.0, 1.0)
-    return p / p.sum()
+    total = p.sum(axis=-1)
+    deviation = abs(total - 1.0)
+    if not (deviation <= SUM_TOL).all():
+        worst = np.ravel(total)[np.argmax(deviation)]  # NaN first: argmax takes it
+        raise ValueError(f"spectrum sums to {worst!r}, expected 1 within {SUM_TOL:.0e}")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def von_neumann_entropy(spectrum) -> float:
-    """Von Neumann entropy, in bits, of a probability spectrum (any order).
+def von_neumann_entropy(spectrum) -> float | np.ndarray:
+    """Von Neumann entropy, in bits, of a probability spectrum (any order),
+    or of each spectrum along the last axis of a stack.
 
     Zero eigenvalues contribute nothing (the ``0·log 0 = 0`` convention);
     eigenvalues are clipped to ``[0, 1]`` and renormalized, and a negative
     value below ``-CLIP_TOL`` or a total deviating from one by more than
-    ``SUM_TOL`` is rejected.
+    ``SUM_TOL`` is rejected. A single spectrum gives a float, a stack an
+    array of the stack's shape.
     """
     p = _as_probabilities(spectrum)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)  # log2(1) = 0 at the zeros
+    return float(h) if h.ndim == 0 else h
 
 
-def renyi_entropy(spectrum, alpha: float) -> float:
-    """Renyi entropy of order ``alpha`` in bits; ``alpha`` must be positive,
-    finite and != 1."""
+def renyi_entropy(spectrum, alpha: float) -> float | np.ndarray:
+    """Renyi entropy of order ``alpha`` in bits, of one spectrum or of each
+    spectrum along the last axis of a stack, as :func:`von_neumann_entropy`;
+    ``alpha`` must be positive, finite and != 1."""
     if not 0 < alpha < np.inf or alpha == 1.0:
         raise ValueError(f"Renyi order must be positive, finite and not 1, got {alpha!r}")
     p = _as_probabilities(spectrum)
-    nz = p[p > 0.0]
-    return float(np.log2((nz**alpha).sum()) / (1.0 - alpha))
+    h = np.log2((p**alpha).sum(axis=-1)) / (1.0 - alpha)
+    return float(h) if h.ndim == 0 else h
 
 
 def matrix_exp(m: np.ndarray, t: float | complex = 1.0) -> np.ndarray:

@@ -310,6 +310,29 @@ def test_osee_series_equals_per_cut_reference_exactly():
     assert [osee(pt, j) for j in (1, 20, 39)] == [series.value_at(j) for j in (1, 20, 39)]
 
 
+def test_series_equal_the_per_step_measures_with_a_different_site_per_step():
+    """Each series takes its spectra in one batched eigensolve; every value is
+    the one the single-step measure gives, to the last bit."""
+    rng = np.random.default_rng(68)
+    sites = tuple(kraus_to_w(random_cptp_channel(2, 2, 3, rng)) for _ in range(9))
+    rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    pt = ProcessTensorMPDO(rho0, sites)
+    assert measure_series(pt, "osee").values == tuple(osee(pt, j) for j in range(1, 9))
+    assert measure_series(pt, "ee").values == tuple(nm_ee(pt, j) for j in range(1, 10))
+    assert measure_series(pt.truncated(1), "osee").values == ()  # a stack of no cuts
+
+
+def test_zero_norm_cut_names_its_step():
+    pt = xx_pt(1.0, 10)
+    sites = list(pt.sites)
+    sites[6] = np.zeros_like(sites[6])  # the step-7 site: every cut has zero norm
+    zeroed = ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
+    with pytest.raises(ValueError, match="zero norm across the cut at step 7$"):
+        osee(zeroed, 7)
+    with pytest.raises(ValueError, match="zero norm across the cut at step 1$"):
+        measure_series(zeroed, "osee")
+
+
 def test_ee_series_raises_on_trace_drift():
     pt = xx_pt(1.0, 10)
     sites = list(pt.sites)

@@ -25,6 +25,7 @@ from ptnm.process_tensor import (
 from ptnm.reconstruct import (
     FTOL,
     GTOL,
+    LM_DAMPING,
     LM_FLOOR,
     LM_WINDOW,
     STALL_WINDOW,
@@ -439,6 +440,45 @@ def test_levenberg_marquardt_hands_a_crawl_back_to_bfgs():
     assert res.lm_steps == LM_WINDOW + 1
     assert res.nit > res.lm_steps
     np.testing.assert_allclose(res.x, solution, rtol=0, atol=1e-9)
+
+
+def test_levenberg_marquardt_assembles_once_per_point():
+    # a Gauss-Newton matrix 50 times too soft makes the first LM steps
+    # overshoot: each rejection raises mu and solves again at the same point
+    # from the matrix assembled there, which must come back undamped
+    rng = np.random.default_rng(126)
+    a = rng.normal(size=(6, 3))
+    b = a @ rng.normal(size=3)
+    soft = 0.04 * a.T @ a
+
+    def fun(x):
+        r = a @ x - b
+        return r @ r, 2 * a.T @ r
+
+    points = []
+
+    def hess(x):
+        points.append(x.copy())
+        h = soft.copy()
+        h.flags.writeable = False  # damping the kept matrix in place raises
+        return h
+
+    res = scipy.optimize.minimize(
+        fun, np.zeros(3), jac=True, hess=hess, method=_stage,
+        options={"maxiter": 200, "gtol": 1e-12, "switch": np.inf, "anchor": lambda x: x},
+    )
+    assert res.reason == "ftol" and res.lm_steps == res.nit
+    assert len({p.tobytes() for p in points}) == len(points) < res.lm_steps
+    # the first accepted step solves with the undamped matrix plus the mu
+    # that the rejections before it raised, as an assembly at every
+    # rejection would
+    f0, g0 = fun(np.zeros(3))
+    rejected = next(i for i, f in enumerate(res.loss_history) if f != f0)
+    assert rejected >= 1
+    mu, nu = LM_DAMPING * np.max(np.diag(soft)), 2.0
+    for _ in range(rejected):
+        mu, nu = mu * nu, nu * 2.0
+    np.testing.assert_allclose(points[1], np.linalg.solve(soft + mu * np.eye(3), -g0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the spectral helpers, the matrix exponential and the validators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,65 @@ def test_renyi_entropy_approaches_von_neumann():
 def test_renyi_entropy_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):
         renyi_entropy([0.5, 0.5], alpha)
+
+
+def random_spectra(rng, shape):
+    """Probability spectra along the last axis, about a third of them zero and
+    some slightly negative, as eigensolvers return them."""
+    p = rng.random(shape) * (rng.random(shape) > 0.3)
+    p[..., -1] += 1e-3  # no row is all zero
+    p = p / p.sum(axis=-1, keepdims=True)
+    return np.where(p == 0.0, -0.5e-12 * rng.random(shape), p)
+
+
+ENTROPIES = [von_neumann_entropy, lambda p: renyi_entropy(p, 2.0), lambda p: renyi_entropy(p, 0.5)]
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=["von-neumann", "renyi-2", "renyi-half"])
+@pytest.mark.parametrize("shape", [(40, 4), (3, 5, 9), (7, 201)])
+def test_entropy_of_a_stack_is_the_scalar_entropy_of_each_row(entropy, shape):
+    spectra = random_spectra(np.random.default_rng(sum(shape)), shape)
+    values = entropy(spectra)
+    assert isinstance(values, np.ndarray) and values.shape == shape[:-1]
+    for index in np.ndindex(*shape[:-1]):
+        row = entropy(spectra[index])
+        assert isinstance(row, float)
+        assert row == values[index]  # one code path, to the last bit
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=["von-neumann", "renyi-2", "renyi-half"])
+@pytest.mark.parametrize(
+    "entry, shift, message",
+    [(0, -2e-12, "is not at least"), (3, 2e-8, "sums to"), (3, np.nan, "eigenvalue nan")],
+    ids=["negative", "sum", "nan"],
+)
+def test_one_bad_spectrum_in_a_stack_fails_the_stack(entropy, entry, shift, message):
+    spectra = np.tile([0.0, 0.25, 0.25, 0.5], (6, 1))
+    entropy(spectra)  # the good stack passes
+    spectra[4, entry] += shift
+    with pytest.raises(ValueError, match=message):
+        entropy(spectra)
+
+
+def test_zero_eigenvalues_raise_no_warning():
+    # 0 log 0 = 0 is taken without evaluating log2(0), even where
+    # RuntimeWarnings are errors
+    spectra = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [-0.0, 0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert von_neumann_entropy(spectra).tolist() == [0.0, 1.0, 0.0]
+        assert renyi_entropy(spectra, 2.0).tolist() == [0.0, 1.0, 0.0]
+        assert von_neumann_entropy([0.0, 1.0]) == 0.0
+
+
+def test_an_empty_stack_gives_no_entropies_and_an_empty_spectrum_fails():
+    assert von_neumann_entropy(np.zeros((0, 4))).shape == (0,)
+    with pytest.raises(ValueError, match="empty spectrum"):
+        von_neumann_entropy([])
+    with pytest.raises(ValueError, match="empty spectrum"):
+        von_neumann_entropy(np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="empty spectrum"):
+        von_neumann_entropy(1.0)
 
 
 # ---------------------------------------------------------------------------
