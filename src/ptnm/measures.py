@@ -73,12 +73,19 @@ def _grams(
     r_k]`` of the process tensor with itself, each stacked into one array of
     ``(D**2, D**2)`` matrices over the bond pair, by one :func:`_sweep` each.
     ``l_j`` contracts the initial tensor and the sites before step ``j``;
-    ``r_j`` the sites from ``j`` on and the final environment trace."""
+    ``r_j`` the sites from ``j`` on and the final environment trace. ``build``
+    repeats one site object k times, so each distinct object is laid out as a
+    core, forward and reversed, once."""
     first = pt.rho0.reshape(pt.d**2, -1)
-    cores = [_tt_core(w) for w in pt.sites]
+    layouts = {}
+    for w in pt.sites:
+        if id(w) not in layouts:
+            core = _tt_core(w)
+            layouts[id(w)] = core, np.ascontiguousarray(core.transpose(2, 1, 0))
+    cores, backs = zip(*(layouts[id(w)] for w in pt.sites))
     lefts = _sweep(first, cores[:stop], first, cores[:stop])
     trace = np.eye(pt.D).reshape(1, -1)
-    back = [c.transpose(2, 1, 0) for c in reversed(cores[start:])]
+    back = backs[start:][::-1]
     return np.stack(lefts), np.stack(_sweep(trace, back, trace, back)[::-1])
 
 

@@ -54,6 +54,14 @@ Gauss-Newton matrix is 520x520 and LM converges only linearly along a
 curved valley; at rank 2 the matrix is 72x72 and LM finishes a stage in a
 few steps.
 
+A rung the target rules out is not run. A model of Kraus rank r, bond D
+and a pure joint state purifies on D*r^k dimensions, so its k-step Choi
+matrix (unprimed slots against primed) has rank at most D*r^k, and by
+Eckart-Young the stage loss at k is at least the sum of the target Choi
+matrix's squared singular values past that rank. Where that tail, at the
+first stage's k, is at or above ``FTOL``, the rung would be abandoned at its
+first stage, so ``fit`` records the bound and moves on.
+
 Gradient conventions: for a real loss L of complex parameters x, the reported
 arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
 2 Im(dL/d conj x).
@@ -72,7 +80,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel, site_tensor
-from .process_tensor import ProcessTensorMPDO, _sweep, _tt_core, norm_sq
+from .process_tensor import ProcessTensorMPDO, _as_matrix, _sweep, _tt_core, norm_sq
 
 PSI_NORM_TOL = 1e-10
 
@@ -93,6 +101,10 @@ LM_DAMPING = 1e-6
 LM_FLOOR = 1e-2 * FTOL
 LM_WINDOW = 10
 LM_GAIN = 1e-2
+# The rank certificate contracts the target densely over the first stage's
+# k steps, a d**(2k+1)-square matrix; a schedule that starts at a larger k
+# runs every rung.
+CERTIFY_K = 3
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,11 @@ class FitStage:
     ``GTOL``), ``stall`` (less than ``STALL_TOL`` gained over
     ``STALL_WINDOW`` iterations), ``line_search`` (no step decreased the
     loss: BFGS's Wolfe search failed, or LM's damping grew until the step
-    no longer moved the point) or ``maxiter``."""
+    no longer moved the point) or ``maxiter``. A stage the target rules out
+    (``rank_bound``) never ran: its iteration, LM-step and evaluation counts
+    are 0, ``final_loss`` is the Eckart-Young lower bound on its loss,
+    ``relative_loss`` that bound over the target's squared norm, and
+    ``max_abs_grad`` is ``None``."""
 
     k: int
     iterations: int
@@ -155,7 +171,7 @@ class FitStage:
     evaluations: int
     final_loss: float
     relative_loss: float
-    max_abs_grad: float
+    max_abs_grad: float | None
     reason: str
 
 
@@ -165,12 +181,14 @@ class FitReport:
     every iteration over them and their totals. The report ``fit`` returns
     is the returned rung's, and ``rungs`` holds the reports of the ranks
     abandoned below it, in ladder order; an abandoned rung's own ``rungs``
-    is empty."""
+    is empty. A rung the target's rank certificate rules out holds one
+    ``rank_bound`` stage, no iterations and no loss history, and, having no
+    fitted point, a ``normalization_residual`` of ``None``."""
 
     final_loss: float
     loss_history: tuple[float, ...]
     k_schedule: tuple[int, ...]
-    normalization_residual: float
+    normalization_residual: float | None
     iterations: int
     converged: bool
     stages: tuple[FitStage, ...]
@@ -763,6 +781,42 @@ def _descend(
     )
 
 
+def _choi_spectrum(target: ProcessTensorMPDO, k: int) -> np.ndarray:
+    """Squared singular values, largest first, of the target's dense k-step
+    Choi matrix, unprimed slots against primed as ``materialize`` groups
+    them. They sum to the target's squared norm at k. Unlike
+    ``materialize`` it checks neither Hermiticity nor positivity: the rank
+    bound needs neither, and a target ``fit`` accepts stays accepted."""
+    t = target.rho0
+    for w in target.sites[:k]:
+        t = np.tensordot(t, w, axes=([-2, -1], [4, 5]))
+    s = np.linalg.svd(_as_matrix(np.trace(t, axis1=-2, axis2=-1)), compute_uv=False)
+    return s * s
+
+
+def _certified(
+    spectrum: np.ndarray, D: int, rank: int, k_schedule: tuple[int, ...]
+) -> FitReport | None:
+    """The report of a rung the target rules out, or ``None`` to run it.
+    ``spectrum`` is ``_choi_spectrum`` at the first stage's k. A rank-``rank``
+    model's k-step Choi matrix has rank at most ``D * rank**k``, so its stage
+    loss at k is at least the target's squared singular values past that
+    rank (Eckart-Young), and a bound at or above ``FTOL`` means the rung
+    would be abandoned at that stage."""
+    k = k_schedule[0]
+    bound = float(np.sum(spectrum[D * rank**k :]))
+    if bound < FTOL:
+        return None
+    stage = FitStage(
+        k=k, iterations=0, lm_steps=0, evaluations=0, final_loss=bound,
+        relative_loss=bound / float(np.sum(spectrum)), max_abs_grad=None, reason="rank_bound",
+    )
+    return FitReport(
+        final_loss=bound, loss_history=(), k_schedule=k_schedule, normalization_residual=None,
+        iterations=0, converged=False, stages=(stage,), rank=rank,
+    )
+
+
 def fit(
     target: ProcessTensorMPDO,
     D: int = 2,
@@ -781,9 +835,13 @@ def fit(
     its stages ends with a loss at or above ``FTOL``; the first rung whose
     stages all end below ``FTOL`` is returned, and when none does, the cap
     rung's fit is, its report carrying the abandoned rungs' reports in
-    ``rungs``. The cap's start is the one a fit at ``R`` alone would
+    ``rungs``. A rung below the cap whose first stage the target's rank
+    certificate (``_certified``, for a first stage at most ``CERTIFY_K``
+    steps long) bounds at or above ``FTOL`` is recorded with that bound and
+    not run. The cap's start is the one a fit at ``R`` alone would
     draw, and a ``Generator`` seed advances by that one draw whichever rung
-    is returned: the rungs below the cap draw from copies of it.
+    is returned: the rungs below the cap draw from copies of it, so a
+    skipped rung moves no other rung's start.
 
     Restarts are the caller's business (the command line runs them in
     ``cli._fit_selected``). Non-convergence is reported through
@@ -802,8 +860,16 @@ def fit(
     # the cap's start, drawn first: it rejects an impossible Kraus rank
     # before any stage
     cap_start = _anchored(*_decoupled_initial_point(rng, d, D, R))
+    # the target's rank certificate over the first stage; an empty spectrum
+    # certifies no rung
+    k = k_schedule[0]
+    spectrum = _choi_spectrum(target, k) if k <= CERTIFY_K else np.zeros(0)
     rungs = []
     for rank in [2**i for i in range(int(R).bit_length()) if 2**i < R] + [R]:
+        skipped = None if rank == R else _certified(spectrum, D, rank, tuple(k_schedule))
+        if skipped is not None:
+            rungs.append(skipped)
+            continue
         start = (
             cap_start if rank == R
             else _anchored(*_decoupled_initial_point(copy.deepcopy(fresh), d, D, rank))

@@ -15,6 +15,7 @@ from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel, site_te
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import (
     ProcessTensorMPDO,
+    _as_matrix,
     _sweep,
     _tt_core,
     build,
@@ -23,6 +24,7 @@ from ptnm.process_tensor import (
     norm_sq,
 )
 from ptnm.reconstruct import (
+    CERTIFY_K,
     FTOL,
     GTOL,
     LM_DAMPING,
@@ -32,6 +34,8 @@ from ptnm.reconstruct import (
     FitReport,
     ReconstructionAnsatz,
     _anchored,
+    _certified,
+    _choi_spectrum,
     _decoupled_initial_point,
     _descend,
     _initial_point,
@@ -552,7 +556,8 @@ def test_fit_report_fields_are_consistent():
     assert sum(stage.iterations for stage in report.stages) == report.iterations
     assert report.stages[-1].final_loss == report.final_loss
     # the stages are the returned rung's; the abandoned rungs sit below
-    # it on the ladder 1, 2, 4, each stopped at a stage with loss >= FTOL
+    # it on the ladder 1, 2, 4, each stopped at a stage with loss >= FTOL,
+    # or ruled out by the rank certificate before its first stage ran
     assert report.rank in (1, 2, 4)
     assert [rung.rank for rung in report.rungs] == [r for r in (1, 2) if r < report.rank]
     assert report.converged or report.rank == 4
@@ -560,8 +565,16 @@ def test_fit_report_fields_are_consistent():
         assert rung.stages[-1].k in (2, 3)
         assert rung.final_loss == rung.stages[-1].final_loss >= FTOL
         assert not rung.converged and rung.rungs == ()
-        assert rung.iterations > 0
-        assert rung.stages[-1].reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
+        assert rung.iterations == sum(stage.iterations for stage in rung.stages)
+        if rung.stages[-1].reason == "rank_bound":
+            assert len(rung.stages) == 1 and rung.stages[0].k == 2
+            assert rung.iterations == rung.stages[0].evaluations == rung.stages[0].lm_steps == 0
+            assert rung.loss_history == () and rung.normalization_residual is None
+            t0 = norm_sq(target.truncated(2))
+            assert rung.stages[0].relative_loss == pytest.approx(rung.final_loss / t0, rel=1e-12)
+        else:
+            assert rung.iterations > 0
+            assert rung.stages[-1].reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
     for stage in report.stages:
         assert stage.reason in ("gtol", "ftol", "stall", "line_search", "maxiter")
         assert 0 <= stage.lm_steps <= stage.iterations
@@ -602,11 +615,73 @@ def test_fit_falls_back_to_the_cap_when_no_rank_converges():
     assert rng.bit_generator.state == replay.bit_generator.state
     _, cap = _descend(target, start, (2, 3), 500, abandon=False)
     assert report == replace(cap, rungs=report.rungs)
-    # a rung below the cap draws from the seed, not after the cap's draw:
-    # its record is that of a fit at its rank alone over the stages it ran
+    # the rank certificate rules the rungs below the cap out, and it is
+    # sound: a fit at rank 1 alone ends its first stage at or above the
+    # bound recorded for that rung
     single = fit(target, D=1, R=1, k_schedule=(2,), seed=0, max_iter=500)[1]
     assert single.rank == 1 and single.rungs == ()
-    assert report.rungs[0].stages == single.stages
+    assert single.stages[0].final_loss >= report.rungs[0].final_loss >= FTOL
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2])
+def test_rank_bound_is_below_the_loss_of_random_rank_r_models(r, k):
+    """Eckart-Young on dense tensors: a rank-r model's k-step Choi matrix has
+    rank at most D r^k, so its squared distance to the target is at least
+    the target's squared singular values past that rank."""
+    rng = np.random.default_rng(130 + 10 * r + k)
+    target = random_target(rng, k)
+    dense = _as_matrix(materialize(target))
+    spectrum = _choi_spectrum(target, k)
+    assert np.allclose(spectrum, np.linalg.svd(dense, compute_uv=False) ** 2, rtol=0, atol=1e-12)
+    bound = float(np.sum(spectrum[2 * r**k :]))
+    assert bound > 1e-4
+    for _ in range(5):
+        model = _as_matrix(materialize(predict(ReconstructionAnsatz(*_initial_point(rng, 2, 2, r)), k)))
+        singular = np.linalg.svd(model, compute_uv=False)
+        assert np.all(singular[2 * r**k :] <= 1e-12 * singular[0])
+        assert np.linalg.norm(model - dense) ** 2 >= bound
+
+
+@pytest.mark.parametrize("kind", ["fig2a", "random"])
+def test_rank_certificate_is_below_the_loss_of_the_rung_it_skips(kind):
+    # each rung the fit skips, run from the start it would have drawn,
+    # ends its first stage at or above the bound recorded for it
+    target = fig2a_target(3) if kind == "fig2a" else random_target(np.random.default_rng(117), 3)
+    _, report = fit(target, D=2, R=4, k_schedule=(2, 3), seed=5, max_iter=500)
+    skipped = [rung for rung in report.rungs if rung.stages[0].reason == "rank_bound"]
+    assert [rung.rank for rung in skipped] == ([1] if kind == "fig2a" else [1, 2])
+    for rung in skipped:
+        start = _anchored(*_decoupled_initial_point(np.random.default_rng(5), 2, 2, rung.rank))
+        _, run = _descend(target, start, (2, 3), 500, abandon=True)
+        assert [stage.k for stage in run.stages] == [2]
+        assert run.stages[0].final_loss >= rung.final_loss >= FTOL
+
+
+def test_rank_certificate_runs_a_rank_that_can_fit():
+    # a rank-2 truth: its Choi matrix has rank D 2^k, so rank 2 is not
+    # ruled out, rank 1 is, and the fit still returns rank 2 or less
+    rng = np.random.default_rng(116)
+    target = predict(ReconstructionAnsatz(*_initial_point(rng, 2, 2, 2)), 3)
+    spectrum = _choi_spectrum(target, 2)
+    assert float(np.sum(spectrum[2 * 2**2 :])) < FTOL
+    assert _certified(spectrum, 2, 2, (2, 3)) is None
+    assert _certified(spectrum, 2, 1, (2, 3)) is not None
+    ansatz, report = fit(target, D=2, R=16, k_schedule=(2, 3), seed=2, max_iter=2000)
+    assert report.converged and report.rank == ansatz.R <= 2
+    assert [rung.stages[0].reason for rung in report.rungs] == ["rank_bound"] * (report.rank - 1)
+
+
+def test_rank_certificate_needs_a_short_first_stage():
+    # past CERTIFY_K steps the target is not contracted densely: every rung
+    # below the cap runs its first stage
+    target = random_target(np.random.default_rng(113), CERTIFY_K + 1)
+    _, report = fit(target, D=1, R=2, k_schedule=(CERTIFY_K + 1,), seed=0, max_iter=200)
+    assert [rung.rank for rung in report.rungs] == [1]
+    assert report.rungs[0].iterations > 0 and report.rungs[0].stages[0].reason != "rank_bound"
+    short = random_target(np.random.default_rng(113), CERTIFY_K)
+    _, report = fit(short, D=1, R=2, k_schedule=(CERTIFY_K,), seed=0, max_iter=200)
+    assert report.rungs[0].stages[0].reason == "rank_bound"
 
 
 @pytest.mark.parametrize("seed", [3, 10, 14])
