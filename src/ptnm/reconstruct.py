@@ -40,12 +40,15 @@ Each stage runs BFGS until the loss falls to ``LM_SWITCH`` times the
 target's squared norm, then Levenberg-Marquardt: the loss is a
 least-squares norm whose residual vanishes on a representable target, and
 there the Gauss-Newton matrix ``2 Re(J^H J)`` of the Jacobian J of
-``Y_fit`` is the Hessian's limit. It is assembled without J, from the
-two-hole environments of ``<Y_fit, Y_fit>`` (``_Objective.gauss_newton``),
-and each LM step is one Cholesky solve of ``(2 Re(J^H J) + mu I) step =
--grad`` from a point re-anchored to its polar factor, where the polar
-factor's tangent map is a projector. The stage ends once the loss is down
-to ``LM_FLOOR``, a hundredth of ``FTOL``, or on BFGS's own rules.
+``Y_fit`` is the Hessian's limit. It is assembled from the two-hole
+environments of ``<Y_fit, Y_fit>`` without J, and without their form over
+the train's entries: the ket's holes are chained onto the Kraus matrix and
+the state as they close, the bra's in one pass at the end
+(``_Objective.gauss_newton``). Each LM step is one Cholesky solve of ``(2
+Re(J^H J) + mu I) step = -grad`` from a point re-anchored to its polar
+factor, where the polar factor's tangent map is a projector. The stage ends
+once the loss is down to ``LM_FLOOR``, a hundredth of ``FTOL``, or on
+BFGS's own rules.
 
 ``fit`` returns the smallest Kraus rank on a ladder 1, 2, 4, ... under the
 cap R whose stages all converge. At the cap most of the Kraus stack is gauge
@@ -180,10 +183,10 @@ class FitReport:
     """A fit at one Kraus rank ``rank``: its stage records, the loss after
     every iteration over them and their totals. The report ``fit`` returns
     is the returned rung's, and ``rungs`` holds the reports of the ranks
-    abandoned below it, in ladder order; an abandoned rung's own ``rungs``
-    is empty. A rung the target's rank certificate rules out holds one
-    ``rank_bound`` stage, no iterations and no loss history, and, having no
-    fitted point, a ``normalization_residual`` of ``None``."""
+    abandoned below it, in ladder order, each with its stages and totals but
+    its own ``rungs`` and ``loss_history`` empty. A rung the target's rank
+    certificate rules out holds one ``rank_bound`` stage and no iterations,
+    and, having no fitted point, a ``normalization_residual`` of ``None``."""
 
     final_loss: float
     loss_history: tuple[float, ...]
@@ -291,13 +294,12 @@ class _Objective:
         self.diff_trace = np.concatenate([np.eye(dd).ravel(), np.eye(target.D).ravel()])
         # masks R out of the packed QR factorization LAPACK returns
         self.upper = np.triu(np.ones((nf + nt, nf + nt)))
-        # the Gauss-Newton matrix's hole coordinates in the Gram factors'
-        # order: F's (o, o', a, a') as rho0's (o, a | o', a'), then the core's
-        # (a, a', i, i', o, o', b, b') as P's (o, b, i, a | o', b', i', a')
-        state = np.arange(d * d * nf).reshape(d, d, dd, dd).transpose(0, 2, 1, 3)
-        site = np.arange(nf * d**4 * nf).reshape((dd, dd) + (d,) * 4 + (dd, dd))
-        site = site.transpose(4, 6, 2, 0, 5, 7, 3, 1)
-        self.gram_order = np.concatenate([state.ravel(), d * d * nf + site.ravel()])
+        # gauss_newton's work arrays, kept across calls (fresh arrays of a few
+        # MB at the cap cost more in page faults than the arithmetic): the
+        # chained core holes in hole order, all holes in P's order, U and V
+        u, n = d * dd * d * dd, self.n_a + d * dd
+        self.gn_work = (np.empty((u * u, n), complex), np.empty(((d * dd) ** 2 + u * u, n), complex),
+                        (np.empty((2, self.n_a, n), complex), np.empty((2, d * dd, n), complex)))
         # an orthonormal basis of the Hermitian (d D) x (d D) matrices
         unit = np.eye(d * dd)
         pairs = [(i, j) for i in range(d * dd) for j in range(i + 1, d * dd)]
@@ -402,65 +404,93 @@ class _Objective:
         state), J the Jacobian of ``Y_fit``; the residual does not enter.
 
         Over the first tensor F and the core C of the fitted train, ``J^H J``
-        is the sum of the two-hole environments of ``<Y_fit, Y_fit>``: for
+        is the two-hole form ``N = X + X^H + D`` of ``<Y_fit, Y_fit>``: D for
         both holes at one site m, ``l_m (x) r_{m+1}`` times the identity on
-        the physical legs; for holes at sites m < m', the bra's hole opens a
-        boundary that runs through the transfer matrix to m', and since every
-        core is C all these boundaries sum in one running boundary. A hole in
-        F is a hole before site 0. The matrix is chained to the Gram factors
-        ``P = M^T conj(M)`` and ``rho0 = psi psi^H`` (``_gram_chain``) and
-        then through the tangent maps of the polar factor and of
-        ``phi/|phi|``, which at an anchored point are orthogonal projectors.
+        the physical legs, X for the bra's hole at an earlier site (F's is
+        before site 0). N is never built. Each ket hole passes at once through
+        ``K1: dM -> dM^T conj(M)`` (``dpsi psi^H`` for F), is closed with the
+        bra's core and ``r_{m+1}`` and carried back through the transfer
+        matrix; one matmul with the bra's open holes gives ``X K1``, and with
+        ``D K1 / 2`` added ``Y = (X + D/2) K1``, rows in the order of the Gram
+        factors ``P = M^T conj(M)`` and ``rho0 = psi psi^H``. P's tangent map
+        is ``K1 + K2 conj``, ``K2 = S conj(K1)`` with S the swap of P's two
+        indices, and ``S N S = conj(N)``, so the row pass ``U, V = 4 (K1 +-
+        K2)^H Y`` (M on either index of P) gives the matrix: its blocks over
+        the real and imaginary parts are ``Re(U + U^T)``, ``Im(V^T - U)``,
+        ``Im(V - U^T)`` and ``Re(V + V^T)``. The tangent maps of the polar
+        factor and of ``phi/|phi|``, orthogonal projectors at an anchored
+        point, follow.
         """
         x_a, psi = self.unpack(x)
-        d, dd, k, nf = self.d, self.dd, self.k, self.dd * self.dd
+        d, dd, k, nf, r = self.d, self.dd, self.k, self.dd * self.dd, self.r
+        u, na, n, nr = d * dd * d * dd, self.n_a, self.n_a + d * dd, (d * dd) ** 2
+        raw, y, products = self.gn_work
         core = _tt_core(site_tensor(x_a))
         first = _rho0_tensor(psi, d, dd).reshape(d * d, nf)
-        lefts = _sweep(first, [core] * k, first, [core] * k)
+        lefts = np.stack(_sweep(first, [core] * k, first, [core] * k))
         back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k
         trace = np.eye(dd).ravel()[None, :]
-        rights = _sweep(trace, back, trace, back)[::-1]
+        rights = np.stack(_sweep(trace, back, trace, back)[::-1])
 
-        # the running boundary: one row per open bra hole (F's then C's), its
-        # columns the (bra, ket) bond pair it has reached
-        nr, nw, eye = first.size, core.size, np.eye(nf)
-        transfer = np.tensordot(core.conj(), core, axes=(1, 1)).transpose(0, 2, 1, 3)
-        transfer = transfer.reshape(nf * nf, nf * nf)
-        opened = np.zeros((k, nr + nw, nf, nf), dtype=complex)
-        opened[0, :nr] = (first[:, None, None, :] * eye[:, :, None]).reshape(nr, nf, nf)
-        for m in range(1, k):
-            hole = (lefts[m - 1] @ core.reshape(nf, -1)).reshape(-1, 1, 1, nf)
-            opened[m] = (opened[m - 1].reshape(-1, nf * nf) @ transfer).reshape(-1, nf, nf)
-            opened[m, nr:] += (hole * eye[:, :, None]).reshape(nw, nf, nf)
-        # the ket's hole at site m' closes the boundary reached there with the
-        # bra's core and r_{m'+1}: one matmul over (m', bra bond), which sums
-        # the holes at m < m' and F's hole
-        closing = np.einsum("gqd,mde->mgqe", core.conj(), np.stack(rights[1:]))
-        cross = opened.transpose(1, 3, 0, 2).reshape((nr + nw) * nf, -1) @ closing.reshape(k * nf, -1)
-        cross = cross.reshape(nr + nw, nw)
-        opened = None
-        n = np.empty((nr + nw, nr + nw), dtype=complex)
-        n[:nr, :nr] = np.kron(np.eye(d * d), rights[0])
-        n[:nr, nr:] = cross[:nr]
-        n[nr:, :nr] = cross[:nr].conj().T
-        # the site block and its Hermitian completion, without a temporary
-        ww = n[nr:, nr:]
-        np.conjugate(cross[nr:].T, out=ww)
-        ww += cross[nr:]
-        # both holes at one site: sum_m l_m (x) r_{m+1}, diagonal in p
-        g = np.einsum("mac,mbd->abcd", np.stack(lefts[:k]), np.stack(rights[1:]))
-        diag = n[nr:, nr:].reshape(nf, -1, nf, nf, nw // (nf * nf), nf)
-        for p in range(diag.shape[1]):
-            diag[:, p, :, :, p, :] += g
-        cross = ww = diag = None  # the views would keep the unpermuted n alive
+        # the ket's hole at site m, closed with the bra's core and r_{m+1},
+        # with conj(M) on its primed legs: over (m, bra bond g, i, o, b, s, a')
+        closing = np.matmul(core.conj().reshape(-1, nf), rights[1:]).reshape(k, nf, d, d, d, d, dd, dd)
+        closing = np.tensordot(closing, x_a.conj(), axes=([3, 5, 7], [3, 1, 2]))
+        # z[m]: the holes closed at sites m' >= m carried back to site m, over
+        # the boundary (ket bond (a, a'), bra bond g) and the parameters, Kraus
+        # entries (s, o, b, i, a) then the state's; K1 keeps the ket's bond a
+        z = np.zeros((k, dd, dd, nf, n), dtype=complex)
+        view = np.einsum("maAgsobia->maAgsobi", z[..., :na].reshape(k, dd, dd, nf, r, d, dd, d, dd))
+        view += closing.transpose(0, 6, 1, 5, 3, 4, 2)[:, None]
+        z = z.reshape(k, nf * nf, n)
+        transfer = np.tensordot(core, core.conj(), axes=(1, 1)).transpose(0, 2, 1, 3).reshape(nf * nf, -1)
+        for m in range(k - 2, -1, -1):
+            z[m] += transfer @ z[m + 1]
+        # a bra hole at site m opens l_m C with its outgoing bond as the
+        # boundary's bra bond, which z[m + 1] closes; F's opens rho0 before
+        # site 0. Y's rows then go to P's order (o, b, i, a | o', b', i', a')
+        # and rho0's (o, a | o', a')
+        holes = np.matmul(lefts[: k - 1], core.reshape(nf, -1)).reshape(k - 1, nf * d**4, nf)
+        np.matmul(holes.transpose(1, 0, 2).reshape(nf * d**4, -1), z[1:].reshape(-1, nf * n),
+                  out=raw.reshape(nf * d**4, -1))
+        np.copyto(y[nr:].reshape((d, dd) * 4 + (n,)),
+                  raw.reshape((dd, dd) + (d,) * 4 + (dd, dd, n)).transpose(4, 6, 2, 0, 5, 7, 3, 1, 8))
+        np.copyto(y[:nr].reshape(d, dd, d, dd, n),
+                  (first @ z[0].reshape(nf, -1)).reshape(d, d, dd, dd, n).transpose(0, 2, 1, 3, 4))
+        # D K1 / 2: g = sum_m l_m (x) r_{m+1} with conj(M) on the ket's
+        # primed bonds, over (b1, a1, b1', a1', b, a | s, o', i'), placed where
+        # the ket's unprimed (o, i) equal the bra's; F's has r_0 and conj(psi)
+        g = (lefts.reshape(k + 1, -1)[:k].T @ rights[1:].reshape(k, -1)).reshape((dd,) * 8)
+        g = g.transpose(4, 0, 5, 1, 6, 2, 7, 3).reshape(-1, nf)
+        same = (g @ x_a.conj().transpose(2, 4, 0, 1, 3).reshape(nf, -1)).reshape((dd,) * 6 + (r, d, d))
+        view = np.einsum("pyqxOYIXspbqa->pyqxOYIXsba", y[nr:, :na].reshape((d, dd) * 4 + (r, d, dd, d, dd)))
+        view += same.transpose(0, 1, 7, 2, 8, 3, 6, 4, 5)[None, :, None] / 2
+        view = np.einsum("pxOXpa->pxOXa", y[:nr, na:].reshape(d, dd, d, dd, d, dd))
+        view += np.einsum("xXaA,OA->xOXa", rights[0].reshape(dd, dd, dd, dd), psi.reshape(d, dd).conj()) / 2
 
-        n = n[np.ix_(self.gram_order, self.gram_order)]
-        m, state, na = x_a.reshape(self.r, -1), psi[None, :], 2 * self.n_a
-        h = np.empty((na + 2 * psi.size,) * 2)
-        _gram_chain(n[nr:, nr:], m, m, h[:na, :na])
-        _gram_chain(n[nr:, :nr], m, state, h[:na, na:])
-        _gram_chain(n[:nr, nr:], state, m, h[na:, :na])
-        _gram_chain(n[:nr, :nr], state, state, h[na:, na:])
+        # the row pass over each factor's rows, (s, w) for the Kraus matrix:
+        # 4 K2^H contracts conj(M) with Y's first index, 4 K1^H contracts M
+        # with its second, one block of Y at a time
+        for (mat, rows), (p, q) in zip(((x_a.reshape(r, u), y[nr:]), (psi[None, :], y[:nr])), products):
+            side, mat = mat.shape[1], 4 * mat
+            rows = rows.reshape(side, side, n)
+            np.matmul(mat.conj(), rows.reshape(side, -1), out=q.reshape(len(mat), -1))
+            for i, block in enumerate(rows):
+                np.matmul(mat, block, out=p.reshape(len(mat), side, n)[:, i])
+            p += q  # U
+            q *= -2
+            q += p  # V
+        # each factor's complex parameters and the rows of h of their real and imaginary parts
+        h = np.empty((2 * n, 2 * n))
+        kinds = [(np.s_[:na], np.s_[:na], np.s_[na : 2 * na]),
+                 (np.s_[na:], np.s_[2 * na : na + n], np.s_[na + n :])]
+        for (ux, vx), (cx, xr, xi) in zip(products, kinds):
+            for (uy, vy), (cy, yr, yi) in zip(products, kinds):
+                a, b, at, bt = ux[:, cy], vx[:, cy], uy[:, cx].T, vy[:, cx].T
+                np.add(a.real, at.real, out=h[xr, yr])
+                np.subtract(bt.imag, a.imag, out=h[xr, yi])
+                np.subtract(b.imag, at.imag, out=h[xi, yr])
+                np.add(b.real, bt.real, out=h[xi, yi])
         self._project(x, h)
         return h
 
@@ -485,38 +515,6 @@ class _Objective:
         # h, which is Fortran-ordered and so updated in place
         dgemm(-1.0, np.concatenate([b, c]), np.concatenate([c, b]), beta=1.0, c=h.T,
               trans_a=1, overwrite_c=1)
-
-
-def _gram_chain(n: np.ndarray, mx: np.ndarray, my: np.ndarray, out: np.ndarray) -> None:
-    """Writes ``2 Re(K_x^H n K_y)`` over the real and imaginary parts of
-    ``M_x`` (rows) and ``M_y`` into ``out``, where ``K: dM -> dM^T conj(M) +
-    M^T conj(dM)`` is the tangent map of the Gram matrix ``P = M^T conj(M)``
-    and ``n`` a form over the entries of ``P_x`` (rows) and ``P_y``.
-
-    Writing ``K = K1 + K2 conj``, ``K2 = S conj(K1)`` with S the swap of P's
-    two indices, and n is a Gram form of a network that conjugation with
-    that swap leaves unchanged: ``S n S = conj(n)``. So ``K2^H n K2`` and
-    ``K2^H n K1`` are the conjugates of ``K1^H n K1`` and ``K1^H n K2``, and
-    ``n K1`` contracted with M two ways gives all four."""
-    (rx, ux), (ry, uy) = mx.shape, my.shape
-    n = n.reshape(ux, ux, uy, uy)
-    a, b = out.shape[0] // 2, out.shape[1] // 2
-    # out's four blocks over (s, u | t, w)
-    rr, ri, ir, ii = (
-        out[rows, cols].reshape(rx, ux, ry, uy)
-        for rows in (slice(a), slice(a, None)) for cols in (slice(b), slice(b, None))
-    )
-    # n K1 over (u, v | w, t), times 4: the 2 of 2 Re(.) and the 2 of each
-    # conjugate pair below
-    right = np.tensordot(n, 4 * my.conj(), axes=(3, 1))
-    # K1^H n K1 and K1^H n K2 = conj(K1^H n K1 with u and v swapped)
-    q11 = np.matmul(mx, right.reshape(ux, ux, -1)).reshape(ux, rx, uy, ry).transpose(1, 0, 3, 2)
-    q12 = (mx.conj() @ right.reshape(ux, -1)).reshape(rx, ux, uy, ry).transpose(0, 1, 3, 2)
-    np.conjugate(q12, out=q12)
-    np.add(q11.real, q12.real, out=rr)
-    np.subtract(q12.imag, q11.imag, out=ri)
-    np.add(q11.imag, q12.imag, out=ir)
-    np.subtract(q11.real, q12.real, out=ii)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +704,10 @@ def _decoupled_initial_point(
     """Start from a memoryless model: a random system-only channel tensored
     with an environment reset, plus a small random perturbation.
 
-    The optimizer then couples the environment only as far as the target
-    demands, which biases converged representations toward carrying as
-    little memory as the data requires.
+    Against the Gaussian start it replaced, fits from it converged at lower
+    Kraus rank and faster. It does not steer a fit to the realization with
+    the least memory: converged fig2a fits at gamma=5 land in either of two
+    classes of band ``ee``, 0.1342 or 0.4798 bits.
     """
     system = random_cptp_channel(d, 1, min(r, d * d), rng)
     a_bar = np.zeros((r, d, dd, d, dd), dtype=complex)
@@ -877,5 +876,5 @@ def fit(
         ansatz, report = _descend(target, start, tuple(k_schedule), max_iter, rank < R)
         if rank == R or report.converged:
             break
-        rungs.append(report)
+        rungs.append(replace(report, loss_history=()))
     return ansatz, replace(report, rungs=tuple(rungs))

@@ -186,7 +186,7 @@ def test_fit_report_file_records_each_abandoned_rank_as_a_report(tmp_path):
     ]
     assert data["rungs"]
     for rung in data["rungs"]:
-        assert rung["converged"] is False and rung["rungs"] == []
+        assert rung["converged"] is False and rung["rungs"] == [] and rung["loss_history"] == []
         assert rung["rank"] < data["rank"]
         assert rung["iterations"] == sum(stage["iterations"] for stage in rung["stages"])
         assert rung["stages"][-1]["final_loss"] >= 1e-8

@@ -292,16 +292,21 @@ def fig2a_target(k):
     return build(channel, rho0, k)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+# Kraus ranks 1, 2, 3 and 4 at k = 1, 2, 3, and the cap 16 at k = 1, 2; the
+# ids name the rank where it is not 3
+GN_CASES = [(r, k) for r in (1, 2, 3, 4) for k in (1, 2, 3)] + [(16, 1), (16, 2)]
+
+
+@pytest.mark.parametrize(("r", "k"), GN_CASES, ids=[f"{k}" if r == 3 else f"{k}-R{r}" for r, k in GN_CASES])
 @pytest.mark.parametrize("kind", ["fig2a", "random"])
-def test_gauss_newton_matrix_matches_a_finite_difference_jacobian(kind, k):
+def test_gauss_newton_matrix_matches_a_finite_difference_jacobian(kind, r, k):
     """``2 Re(J^H J)`` against J from central differences (step 1e-6) of the
     dense predicted tensor over every packed coordinate, at an anchored
-    random point; k=3 has holes two sites apart."""
+    random point of Kraus rank r; k=3 has holes two sites apart."""
     rng = np.random.default_rng(123 + k)
     target = fig2a_target(k) if kind == "fig2a" else random_target(rng, k)
-    obj = _Objective(target, k, 2, 2, 3)
-    x = obj.pack(*_initial_point(rng, 2, 2, 3))
+    obj = _Objective(target, k, 2, 2, r)
+    x = obj.pack(*_initial_point(rng, 2, 2, r))
     h = 1e-6
     columns = []
     for i in range(x.size):
@@ -564,7 +569,7 @@ def test_fit_report_fields_are_consistent():
     for rung in report.rungs:
         assert rung.stages[-1].k in (2, 3)
         assert rung.final_loss == rung.stages[-1].final_loss >= FTOL
-        assert not rung.converged and rung.rungs == ()
+        assert not rung.converged and rung.rungs == () and rung.loss_history == ()
         assert rung.iterations == sum(stage.iterations for stage in rung.stages)
         if rung.stages[-1].reason == "rank_bound":
             assert len(rung.stages) == 1 and rung.stages[0].k == 2
@@ -679,6 +684,8 @@ def test_rank_certificate_needs_a_short_first_stage():
     _, report = fit(target, D=1, R=2, k_schedule=(CERTIFY_K + 1,), seed=0, max_iter=200)
     assert [rung.rank for rung in report.rungs] == [1]
     assert report.rungs[0].iterations > 0 and report.rungs[0].stages[0].reason != "rank_bound"
+    # a rung that ran keeps its stages but not its loss after every iteration
+    assert report.rungs[0].loss_history == () and len(report.loss_history) == report.iterations
     short = random_target(np.random.default_rng(113), CERTIFY_K)
     _, report = fit(short, D=1, R=2, k_schedule=(CERTIFY_K,), seed=0, max_iter=200)
     assert report.rungs[0].stages[0].reason == "rank_bound"
