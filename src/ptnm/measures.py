@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_tensor import ProcessTensorMPDO, _env_states, _sweep, _tt_core
+from .process_tensor import ProcessTensorMPDO, _env_states, _rights, _sweep, _tt_core
 from .tensorops import check_density_matrix, check_unitary, renyi_entropy, von_neumann_entropy
 
 
@@ -71,22 +71,19 @@ def _grams(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left Grams ``[l_0, ..., l_stop]`` and right Grams ``[r_start, ...,
     r_k]`` of the process tensor with itself, each stacked into one array of
-    ``(D**2, D**2)`` matrices over the bond pair, by one :func:`_sweep` each.
-    ``l_j`` contracts the initial tensor and the sites before step ``j``;
-    ``r_j`` the sites from ``j`` on and the final environment trace. ``build``
-    repeats one site object k times, so each distinct object is laid out as a
-    core, forward and reversed, once."""
+    ``(D**2, D**2)`` matrices over the bond pair, by one :func:`_sweep` and
+    one :func:`_rights`. ``l_j`` contracts the initial tensor and the sites
+    before step ``j``; ``r_j`` the sites from ``j`` on and the final
+    environment trace. ``build`` repeats one site object k times, so each
+    distinct object is laid out as a core once."""
     first = pt.rho0.reshape(pt.d**2, -1)
     layouts = {}
     for w in pt.sites:
         if id(w) not in layouts:
-            core = _tt_core(w)
-            layouts[id(w)] = core, np.ascontiguousarray(core.transpose(2, 1, 0))
-    cores, backs = zip(*(layouts[id(w)] for w in pt.sites))
+            layouts[id(w)] = _tt_core(w)
+    cores = [layouts[id(w)] for w in pt.sites]
     lefts = _sweep(first, cores[:stop], first, cores[:stop])
-    trace = np.eye(pt.D).reshape(1, -1)
-    back = backs[start:][::-1]
-    return np.stack(lefts), np.stack(_sweep(trace, back, trace, back)[::-1])
+    return np.stack(lefts), _rights(np.eye(pt.D).reshape(1, -1), cores[start:])
 
 
 def _cut_spectrum(

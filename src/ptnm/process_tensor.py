@@ -112,8 +112,12 @@ def build(w: np.ndarray, rho0_se: np.ndarray, k: int) -> ProcessTensorMPDO:
     rho0_se = np.asarray(rho0_se, dtype=complex)
     if rho0_se.shape != (d * D, d * D):
         raise ValueError(f"rho0 has shape {rho0_se.shape}, expected {(d * D, d * D)}")
-    rho0 = rho0_se.reshape(d, D, d, D).transpose(0, 2, 1, 3)
-    return ProcessTensorMPDO(rho0, (w,) * k)
+    return ProcessTensorMPDO(_joint_state(rho0_se, d, D), (w,) * k)
+
+
+def _joint_state(rho0_se: np.ndarray, d: int, D: int) -> np.ndarray:
+    """A joint density matrix, system index slow, as ``(o0, o0', a0, a0')``."""
+    return rho0_se.reshape(d, D, d, D).transpose(0, 2, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +166,18 @@ def _as_matrix(t: np.ndarray) -> np.ndarray:
     return t.transpose(list(range(0, n, 2)) + list(range(1, n, 2))).reshape(side, side)
 
 
+def _dense(rho0: np.ndarray, sites) -> np.ndarray:
+    """The contraction :func:`materialize` runs, with no size guard or checks."""
+    t = rho0
+    for w in sites:
+        t = np.tensordot(t, w, axes=([-2, -1], [4, 5]))
+    return np.trace(t, axis1=-2, axis2=-1)
+
+
 def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> np.ndarray:
-    """Contract the network into the dense multi-time tensor, with axes in
-    the interleaved slot order ``(o0, o0', i0, i0', o1, o1', ..., i_{k-1},
-    i_{k-1}', o_k, o_k')``.
+    """The dense multi-time tensor by :func:`_dense`, checked Hermitian and
+    positive, with axes in the interleaved slot order ``(o0, o0', i0, i0',
+    o1, o1', ..., i_{k-1}, i_{k-1}', o_k, o_k')``.
 
     The tensor has ``d**(2(2k+1))`` entries, so the contraction refuses to run
     past ``k_max`` steps; raise the limit explicitly if you mean it.
@@ -175,10 +187,7 @@ def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> np.ndarray:
             f"materializing k={pt.k} steps exceeds the limit {k_max}; "
             "pass a larger k_max to override"
         )
-    t = pt.rho0
-    for w in pt.sites:
-        t = np.tensordot(t, w, axes=([-2, -1], [4, 5]))
-    t = np.trace(t, axis1=-2, axis2=-1)
+    t = _dense(pt.rho0, pt.sites)
     mat = _as_matrix(t)
     herm = np.abs(mat - mat.conj().T).max()
     if not herm <= SITE_TOL * max(np.abs(mat).max(), 1.0):
@@ -224,15 +233,27 @@ def _sweep(first_bra, cores_bra, first_ket, cores_ket) -> list[np.ndarray]:
 
     ``l_0 = first_bra^H first_ket`` contracts the two first tensors, shaped
     ``(physical, bond)``, and each step passes one core pair as two matmuls.
-    Left boundaries start from the initial tensors; right boundaries start
-    from the final-trace row vectors and run over the reversed cores with
-    their in and out bonds swapped.
+    Left boundaries start from the initial tensors; right boundaries
+    (:func:`_rights`) start from the final-trace row vectors and run over the
+    reversed cores with their in and out bonds swapped.
     """
     l = [first_bra.conj().T @ first_ket]
     for cb, ck in zip(cores_bra, cores_ket):
         tmp = (l[-1] @ ck.reshape(ck.shape[0], -1)).reshape(-1, ck.shape[2])
         l.append(cb.reshape(-1, cb.shape[2]).conj().T @ tmp)
     return l
+
+
+def _rights(trace: np.ndarray, cores) -> np.ndarray:
+    """Stacked right boundaries ``[r_0, ..., r_n]`` of a tensor train with
+    itself from the final-trace row vector ``trace``, the one place a right
+    sweep is set up: each distinct core is laid out reversed once."""
+    layouts = {}
+    for c in cores:
+        if id(c) not in layouts:
+            layouts[id(c)] = np.ascontiguousarray(c.transpose(2, 1, 0))
+    back = [layouts[id(c)] for c in reversed(cores)]
+    return np.stack(_sweep(trace, back, trace, back)[::-1])
 
 
 def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:

@@ -83,7 +83,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import KrausChannel, _tp_residual, random_cptp_channel, site_tensor
-from .process_tensor import ProcessTensorMPDO, _as_matrix, _sweep, _tt_core, norm_sq
+from .process_tensor import (
+    ProcessTensorMPDO, _as_matrix, _dense, _joint_state, _rights, _sweep, _tt_core, build, norm_sq,
+)
 
 PSI_NORM_TOL = 1e-10
 
@@ -203,18 +205,10 @@ class FitReport:
             raise ValueError("final_loss must be nonnegative")
 
 
-def _rho0_tensor(psi: np.ndarray, d: int, dd: int) -> np.ndarray:
-    return np.outer(psi, psi.conj()).reshape(d, dd, d, dd).transpose(0, 2, 1, 3)
-
-
 def predict(ansatz: ReconstructionAnsatz, k: int) -> ProcessTensorMPDO:
-    """Process tensor of the hidden model; raises ``ValueError`` unless the
-    step is trace preserving within the default site tolerance."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    w = site_tensor(ansatz.a_bar)
-    rho0 = _rho0_tensor(ansatz.psi0, ansatz.d, ansatz.D)
-    return ProcessTensorMPDO(rho0, (w,) * k)
+    """Process tensor of the hidden model by ``build``; raises ``ValueError``
+    unless the step is trace preserving within the default site tolerance."""
+    return build(site_tensor(ansatz.a_bar), np.outer(ansatz.psi0, ansatz.psi0.conj()), k)
 
 
 def ansatz_from_model(channel: KrausChannel, psi0: np.ndarray) -> ReconstructionAnsatz:
@@ -350,29 +344,25 @@ class _Objective:
         if phi_norm == 0:
             raise ValueError("initial-state parameters collapsed to zero")
         psi = phi / phi_norm
-        rho0 = _rho0_tensor(psi, self.d, self.dd)
+        rho0 = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
 
         # the difference train: first tensor [rho0 | -t_rho0], then k copies
         # of the block-diagonal core
         core = self.diff_core
         core[:nf, :, :nf] = _tt_core(site_tensor(q.reshape(x_a.shape)))
-        first = np.concatenate(
-            [rho0.reshape(d * d, nf), -self.t_rho0.reshape(d * d, -1)], axis=1
-        )
+        first = np.concatenate([rho0, -self.t_rho0.reshape(d * d, -1)], axis=1)
         value, factors = self._loss(first)
 
         # its left boundaries before each site, over the fitted bra bonds,
         # from the loss's factors; the right ones start from the final trace
         lefts = factors[:, :, :nf].conj().transpose(0, 2, 1) @ factors
-        back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k
-        trace = self.diff_trace[None, :]
-        rights = _sweep(trace, back, trace, back)[::-1]
+        rights = _rights(self.diff_trace[None, :], [core] * k)
 
         # the environment of conj(W) summed over the k steps: every site is
         # the same core, so only the boundaries vary, and G = sum_m l_m (x)
         # r_{m+1} over the fitted bra bonds is one matmul of the stacks
         b = core.shape[0]
-        g = lefts.reshape(k, -1).T @ np.stack(rights[1:])[:, :nf].reshape(k, -1)
+        g = lefts.reshape(k, -1).T @ rights[1:, :nf].reshape(k, -1)
         env = np.tensordot(g.reshape(nf, b, nf, b), core, axes=([1, 3], [0, 2]))
         # from (a, a', b, b', i, i', o, o') to P's axes (o, b, i, a | o', b', i', a')
         env = env.reshape((dd,) * 4 + (d,) * 4).transpose(6, 2, 4, 0, 7, 3, 5, 1)
@@ -426,11 +416,9 @@ class _Objective:
         u, na, n, nr = d * dd * d * dd, self.n_a, self.n_a + d * dd, (d * dd) ** 2
         raw, y, products = self.gn_work
         core = _tt_core(site_tensor(x_a))
-        first = _rho0_tensor(psi, d, dd).reshape(d * d, nf)
+        first = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
         lefts = np.stack(_sweep(first, [core] * k, first, [core] * k))
-        back = [np.ascontiguousarray(core.transpose(2, 1, 0))] * k
-        trace = np.eye(dd).ravel()[None, :]
-        rights = np.stack(_sweep(trace, back, trace, back)[::-1])
+        rights = _rights(np.eye(dd).ravel()[None, :], [core] * k)
 
         # the ket's hole at site m, closed with the bra's core and r_{m+1},
         # with conj(M) on its primed legs: over (m, bra bond g, i, o, b, s, a')
@@ -783,13 +771,10 @@ def _descend(
 def _choi_spectrum(target: ProcessTensorMPDO, k: int) -> np.ndarray:
     """Squared singular values, largest first, of the target's dense k-step
     Choi matrix, unprimed slots against primed as ``materialize`` groups
-    them. They sum to the target's squared norm at k. Unlike
-    ``materialize`` it checks neither Hermiticity nor positivity: the rank
+    them. They sum to the target's squared norm at k. It calls ``_dense``
+    without ``materialize``'s Hermiticity and positivity checks: the rank
     bound needs neither, and a target ``fit`` accepts stays accepted."""
-    t = target.rho0
-    for w in target.sites[:k]:
-        t = np.tensordot(t, w, axes=([-2, -1], [4, 5]))
-    s = np.linalg.svd(_as_matrix(np.trace(t, axis1=-2, axis2=-1)), compute_uv=False)
+    s = np.linalg.svd(_as_matrix(_dense(target.rho0, target.sites[:k])), compute_uv=False)
     return s * s
 
 

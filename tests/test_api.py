@@ -1,19 +1,12 @@
-"""Guards on the public surface: every exported name resolves, and every
-name the benchmark's tracer hooks still exists as a callable."""
+"""Guard on the surface the benchmark reads: every name its tracer hooks
+in the ``ptnm`` submodules still exists as a callable."""
 
 import importlib
 import importlib.util
 import os
 import sys
 
-import ptnm
-
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in ptnm.__all__ if not hasattr(ptnm, name)]
-    assert missing == []
 
 
 def test_every_traced_hook_resolves_to_a_callable(monkeypatch):

@@ -16,6 +16,7 @@ from ptnm.process_tensor import (
     MaterializationLimitError,
     ProcessTensorMPDO,
     _as_matrix,
+    _rights,
     _sweep,
     _tt_core,
     build,
@@ -248,6 +249,13 @@ def test_inner_product_matches_dense_contraction():
         dense_b = materialize(b)
         expected = np.vdot(dense_a, dense_b)
         np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-11, atol=1e-12)
+    # bond dimensions that differ: the boundaries are rectangular
+    for k in (1, 2, 3):
+        a = build(kraus_to_w(random_cptp_channel(2, 1, 2, rng)), random_density(rng, 2), k)
+        b = build(kraus_to_w(random_cptp_channel(2, 2, 3, rng)), random_density(rng, 4), k)
+        for bra, ket in ((a, b), (b, a)):
+            expected = np.vdot(materialize(bra), materialize(ket))
+            np.testing.assert_allclose(inner_product(bra, ket), expected, rtol=1e-11, atol=1e-12)
     # both sweep directions: with a different site at every step, the left
     # and right boundaries meet at every cut j = 0..k in the same number
     for k in (1, 2, 3):
@@ -264,6 +272,9 @@ def test_inner_product_matches_dense_contraction():
         assert len(lefts) == len(rights) == k + 1
         for l, r in zip(lefts, rights):
             np.testing.assert_allclose(np.sum(l * r), expected, rtol=1e-11, atol=1e-12)
+        # _rights lays the reversed cores out itself
+        by_hand = np.stack(_sweep(trace, back_a, trace, back_a)[::-1])
+        np.testing.assert_allclose(_rights(trace, cores_a), by_hand, rtol=1e-12, atol=0)
 
 
 def test_inner_product_conjugate_symmetry_and_positivity():
