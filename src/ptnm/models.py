@@ -10,7 +10,10 @@ from a binomial mixture of phase-shifted copies of the initial mode state.
 The packet's density is even on the symmetric grid, so the overlaps of those
 copies are real (their imaginary part is rounding error) and each Gram
 matrix is real and centrosymmetric: its spectrum is that of an even and an
-odd block of half the size.
+odd block of half the size. The mixture leaves out its outermost binomial
+components while they weigh less than float64's epsilon together, which
+moves an entropy by at most 1.4e-14 bits at step 200, and a series takes
+the blocks of all its steps in one stacked eigensolve per block size.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+# The dephasing-model mixture drops binomial tails of total weight below
+# float64's machine epsilon, which eigvalsh cannot resolve in a spectrum of
+# unit sum.
+TAIL_MASS = 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -215,67 +223,102 @@ def _binomial_log_weights(j: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log((j - t) / (t + 1))))) - j * math.log(2.0)
 
 
-def _gram_spectrum(overlaps: np.ndarray, j: int) -> np.ndarray:
-    """Eigenvalues, unordered, of the weighted Gram matrix
-    ``G[s, t] = sqrt(w_s w_t) c(2(t - s))``, ``s, t = 0..j``.
+def _kept_log_weights(j: int) -> np.ndarray:
+    """Log weights of the indices ``t = lo..j-lo`` that step ``j``'s mixture
+    keeps: ``lo`` is the most index pairs ``t < lo`` and ``t > j - lo``
+    whose binomial weights together sum to less than ``TAIL_MASS``."""
+    log_w = _binomial_log_weights(j)
+    tails = 2.0 * np.cumsum(np.exp(log_w[: (j + 1) // 2]))
+    lo = int(np.searchsorted(tails, TAIL_MASS))
+    return log_w[lo : j + 1 - lo]
 
-    Real even ``c`` and ``w_t = w_(j-t)`` make ``G`` centrosymmetric, so its
+
+def _gram_spectra(overlaps: np.ndarray, log_weights: list[np.ndarray], width: int) -> np.ndarray:
+    """Eigenvalues, unordered and zero padded to ``width``, of one weighted
+    Gram matrix ``G[s, t] = sqrt(w_s w_t) c(2(t - s))``, ``s, t = 0..n``, per
+    row, for the symmetric weights ``w = exp(log_weights[row])`` of ``n + 1``
+    entries.
+
+    Real even ``c`` and ``w_t = w_(n-t)`` make ``G`` centrosymmetric, so its
     spectrum is that of the even and odd blocks ``(T +- H) * sqrt(w_s w_t)``
     on the first half of the indices, ``T[s, t] = c(2|s - t|)`` and
-    ``H[s, t] = c(2(j - s - t))`` (Cantoni & Butler, Linear Algebra Appl. 13,
-    275 (1976)). For even ``j`` the even block also takes ``G``'s centre row
+    ``H[s, t] = c(2(n - s - t))`` (Cantoni & Butler, Linear Algebra Appl. 13,
+    275 (1976)). For even ``n`` the even block also takes ``G``'s centre row
     and column times ``sqrt(2)``, which ``T + H`` gives once the centre's
-    root weight is divided by ``sqrt(2)``.
+    root weight is divided by ``sqrt(2)``. A row holds its even block's
+    eigenvalues, then its odd block's; the blocks of one size, from any rows,
+    are built and solved as one stack.
     """
-    c2 = overlaps[0 : 2 * j + 1 : 2]  # overlaps at even powers 0, 2, ..., 2j
-    # hankel[s, t] = c(2|j - s - t|); reversing its rows gives the Toeplitz
-    # matrix c(2|s - t|), so both blocks are views of one array
-    hankel = sliding_window_view(np.concatenate((c2[:0:-1], c2)), j + 1)
-    toeplitz = hankel[::-1]
-    even, odd = j // 2 + 1, (j + 1) // 2
-    root_w = np.exp(_binomial_log_weights(j)[:even] / 2.0)
-    if j % 2 == 0:
-        root_w[-1] /= math.sqrt(2.0)
-    scale = np.outer(root_w, root_w)
-    even_block = (toeplitz[:even, :even] + hankel[:even, :even]) * scale
-    odd_block = (toeplitz[:odd, :odd] - hankel[:odd, :odd]) * scale[:odd, :odd]
-    return np.concatenate((np.linalg.eigvalsh(even_block), np.linalg.eigvalsh(odd_block)))
+    spectra = np.zeros((len(log_weights), width))
+    members: dict[int, list[tuple[int, bool]]] = {}
+    for row, log_w in enumerate(log_weights):
+        n = len(log_w) - 1
+        members.setdefault(n // 2 + 1, []).append((row, False))
+        if n:
+            members.setdefault((n + 1) // 2, []).append((row, True))
+    c2 = overlaps[::2]  # overlaps at even powers 0, 2, 4, ...
+    last = len(c2) - 1
+    for size, blocks in members.items():
+        rows = [row for row, _ in blocks]
+        odd = np.array([is_odd for _, is_odd in blocks])
+        n = np.array([len(log_weights[row]) - 1 for row in rows])
+        s = np.arange(size)
+        # windows[last - n + s, t] = c2[n - s - t]: each block's H, copied once
+        windows = sliding_window_view(c2[::-1], size)
+        stack = windows[(last - n)[:, None] + s]
+        stack *= np.where(odd, -1.0, 1.0)[:, None, None]
+        stack += c2[abs(s[:, None] - s)]
+        root_w = np.exp(np.array([log_weights[row][:size] for row in rows]) / 2.0)
+        root_w[~odd & (n % 2 == 0), -1] /= math.sqrt(2.0)
+        stack *= root_w[:, :, None] * root_w[:, None, :]
+        starts = np.where(odd, n + 1 - size, 0)
+        for row, start, values in zip(rows, starts, np.linalg.eigvalsh(stack)):
+            spectra[row, start : start + size] = values
+    return spectra
 
 
-def uqdm_env_entropy(model: UQDMModel, j: int, overlaps: np.ndarray | None = None) -> float:
-    """Environment entropy after ``j`` steps, in bits.
+def uqdm_env_entropy(model: UQDMModel, j) -> float | np.ndarray:
+    """Environment entropy after ``j`` steps, in bits, or after each step of
+    a sequence ``j`` as an array.
 
     Averaged interventions turn the mode state into the binomial mixture of
     ``U^m|psi>`` over net powers ``m = -j, -j+2, ..., j``, so the entropy is
-    that of the ``(j+1) x (j+1)`` weighted Gram matrix, taken on its even and
-    odd blocks; binomial weights are evaluated in log space to survive large
-    ``j``. ``overlaps``, if given, must be real and hold the powers
-    ``0..2j`` (as from ``uqdm_overlaps``).
+    that of the ``(j+1) x (j+1)`` weighted Gram matrix; binomial weights are
+    evaluated in log space to survive large ``j``. The mixture first drops
+    its largest pair of binomial tails of total weight below ``TAIL_MASS``
+    (from ``j = 54`` on; 88 of 201 components at ``j = 200``), leaving a
+    Gram matrix on ``n + 1`` indices. That moves the spectrum by at most
+    ``TAIL_MASS`` in l1 (Lidskii) and the entropy by at most ``TAIL_MASS *
+    log2(j) + h2(TAIL_MASS)``, 1.4e-14 bits at ``j = 200`` (Audenaert-Fannes),
+    below the rounding of ``eigvalsh`` itself. The overlaps are computed
+    once, up to the largest kept span's power ``2n``.
     """
-    if j < 0:
-        raise ValueError(f"j must be nonnegative, got {j}")
-    if j == 0:
-        return 0.0
-    if overlaps is None:
-        overlaps = uqdm_overlaps(model, 2 * j)
-    overlaps = np.asarray(overlaps)
-    if np.iscomplexobj(overlaps):
-        raise ValueError("overlaps must be real, as uqdm_overlaps returns them")
-    if len(overlaps) < 2 * j + 1:
-        raise ValueError(
-            f"j={j} needs the 2j+1 = {2 * j + 1} overlap powers 0..{2 * j}, "
-            f"got {len(overlaps)}"
-        )
-    return von_neumann_entropy(_gram_spectrum(overlaps, j))
+    steps = np.atleast_1d(j)
+    if steps.ndim > 1 or (steps.size and steps.dtype.kind not in "iu"):
+        raise ValueError(f"j must be a step or a sequence of steps, got {j!r}")
+    if (steps < 0).any():
+        raise ValueError(f"j must be nonnegative, got {steps.min()}")
+    log_weights = [_kept_log_weights(int(step)) for step in steps]
+    n = max(map(len, log_weights), default=1) - 1
+    # each spectrum's entropy is summed over the power of two at or above its
+    # size, a length set by its step alone: numpy's pairwise row sums change
+    # with the row length, so a padding shared by the call would make a step's
+    # last bits depend on the other steps in it
+    widths = np.array([1 << (len(log_w) - 1).bit_length() for log_w in log_weights], dtype=int)
+    spectra = _gram_spectra(uqdm_overlaps(model, 2 * n), log_weights, widths.max(initial=1))
+    entropies = np.empty(len(widths))
+    for width in np.unique(widths):
+        rows = widths == width
+        entropies[rows] = von_neumann_entropy(spectra[rows, :width])
+    return float(entropies[0]) if np.ndim(j) == 0 else entropies
 
 
 def uqdm_memory_series(p: UQDMParams, j_max: int) -> MeasureSeries:
-    """Memory complexity ``C_j`` for ``j = 1..j_max``."""
-    model = uqdm_model(p)
-    overlaps = uqdm_overlaps(model, 2 * j_max)
+    """Memory complexity ``C_j`` for ``j = 1..j_max``, from one
+    ``uqdm_env_entropy`` call over all steps."""
     steps = tuple(range(1, j_max + 1))
-    values = tuple(uqdm_env_entropy(model, j, overlaps=overlaps) for j in steps)
-    return MeasureSeries("memory", steps, values)
+    values = uqdm_env_entropy(uqdm_model(p), steps)
+    return MeasureSeries("memory", steps, tuple(values.tolist()))
 
 
 def uqdm_coherence(model: UQDMModel, j: int, flip_at: int | None = None) -> complex:

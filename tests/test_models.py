@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ptnm import models
 from ptnm.models import (
+    TAIL_MASS,
     UQDMParams,
     XXChainParams,
     _binomial_log_weights,
-    _gram_spectrum,
+    _gram_spectra,
+    _kept_log_weights,
     ruqdm_channel,
     uqdm_coherence,
     uqdm_env_entropy,
@@ -235,14 +238,83 @@ def test_uqdm_split_spectrum_matches_the_complex_gram_matrix(gamma):
     model = uqdm_model(UQDMParams(gamma=gamma, grid_points=500))
     full = complex_overlaps(model, 80)
     c = uqdm_overlaps(model, 80)
-    for j in range(1, 41):
+    spectra = _gram_spectra(c, [_binomial_log_weights(j) for j in range(1, 41)], 41)
+    for j, row in zip(range(1, 41), spectra):
         c2 = full[0 : 2 * j + 1 : 2]
         w = np.exp(_binomial_log_weights(j))
         gram = scipy.linalg.toeplitz(c2.conj(), c2) * np.sqrt(np.outer(w, w))
         expected = np.linalg.eigvalsh(gram)
-        split = np.sort(_gram_spectrum(c, j))
-        assert split.shape == (j + 1,)
+        split = np.sort(row[: j + 1])
         np.testing.assert_allclose(split, expected, rtol=0, atol=1e-13 * expected[-1])
+        assert not row[j + 1 :].any()  # zero padded
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_uqdm_truncated_series_matches_the_full_complex_gram_matrix(gamma):
+    """Past the onset of the tail cut, the paper-scale series against the
+    entropy of the full (j+1) x (j+1) Hermitian Gram matrix from the complex
+    overlaps: the cut moves it by at most about 1.4e-14 bits."""
+    p = UQDMParams(gamma=gamma, grid_points=5000)
+    full = complex_overlaps(uqdm_model(p), 400)
+    series = uqdm_memory_series(p, 200)
+    for j in (54, 60, 100, 150, 200):
+        c2 = full[0 : 2 * j + 1 : 2]
+        w = np.exp(_binomial_log_weights(j))
+        gram = scipy.linalg.toeplitz(c2.conj(), c2) * np.sqrt(np.outer(w, w))
+        expected = von_neumann_entropy(np.linalg.eigvalsh(gram))
+        assert abs(series.value_at(j) - expected) < 1e-13
+
+
+def test_tail_cut_drops_the_most_pairs_within_the_tail_mass():
+    """The kept span against exact integer binomials: the dropped pairs of
+    tails weigh less than TAIL_MASS = 2^-52 together, one pair more would
+    not. The cut starts at j = 54 (at j = 53 the outer pair weighs exactly
+    2^-52) and keeps 113 of the 201 indices at j = 200."""
+    assert TAIL_MASS == 2.0**-52
+    for j in range(401):
+        kept = _kept_log_weights(j)
+        lo = (j + 1 - len(kept)) // 2
+        assert len(kept) == j + 1 - 2 * lo
+        np.testing.assert_array_equal(kept, _binomial_log_weights(j)[lo : j + 1 - lo])
+        # 2 * sum_{t < lo} C(j, t) / 2^j < 2^-52, in integers
+        dropped = 2 * sum(math.comb(j, t) for t in range(lo))
+        assert dropped * 2**52 < 2**j
+        assert (dropped + 2 * math.comb(j, lo)) * 2**52 >= 2**j
+        assert (lo > 0) == (j >= 54)
+    assert len(_kept_log_weights(200)) == 113
+
+
+def test_uqdm_env_entropy_of_one_step_is_the_series_value(monkeypatch):
+    """One step and the whole series run the same code: the values are equal
+    to the last bit on both sides of the tail cut's onset, and a sequence of
+    steps gives the series' values. The series computes its overlaps once,
+    up to the largest kept span's power: 2 * 113 at j_max = 200, where
+    j = 199 keeps 114 indices (not 2 * 200)."""
+    p = UQDMParams(gamma=1.5, grid_points=500)
+    model = uqdm_model(p)
+    powers = []
+
+    def recorded(m, max_power):
+        powers.append(max_power)
+        return uqdm_overlaps(m, max_power)
+
+    monkeypatch.setattr(models, "uqdm_overlaps", recorded)
+    series = uqdm_memory_series(p, 200)
+    assert powers == [226]
+    for j in (1, 2, 30, 52, 53, 54, 55, 56, 100, 199, 200):
+        assert uqdm_env_entropy(model, j) == series.value_at(j)
+    steps = [200, 54, 1, 53]
+    values = uqdm_env_entropy(model, steps)
+    assert values.shape == (4,)
+    assert values.tolist() == [series.value_at(j) for j in steps]
+    assert uqdm_env_entropy(model, []).shape == (0,)
+
+
+@pytest.mark.parametrize("j", [-1, [3, -2], 2.5, [[1, 2]]])
+def test_uqdm_entropy_rejects_bad_steps(j):
+    model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
+    with pytest.raises(ValueError, match="j must be"):
+        uqdm_env_entropy(model, j)
 
 
 def test_binomial_weights_match_exact_integer_binomials():
@@ -254,18 +326,6 @@ def test_binomial_weights_match_exact_integer_binomials():
         np.testing.assert_allclose(np.exp(_binomial_log_weights(j)), exact, rtol=1e-12, atol=0)
 
 
-def test_uqdm_entropy_rejects_complex_overlaps():
-    model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
-    with pytest.raises(ValueError, match="real"):
-        uqdm_env_entropy(model, 3, overlaps=complex_overlaps(model, 6))
-
-
-def test_uqdm_entropy_rejects_too_few_overlaps():
-    model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
-    with pytest.raises(ValueError, match=r"j=5 needs the 2j\+1 = 11 overlap powers"):
-        uqdm_env_entropy(model, 5, overlaps=uqdm_overlaps(model, 3))
-
-
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
 def test_uqdm_entropy_matches_the_averaged_mode_state(gamma):
     """Independent of the Gram matrix: averaging over interventions leaves
@@ -275,7 +335,7 @@ def test_uqdm_entropy_matches_the_averaged_mode_state(gamma):
     model = uqdm_model(p)
     outer = np.outer(model.psi, model.psi.conj())
     kernel = np.cos(p.g * p.delta * np.subtract.outer(model.x, model.x) / 2.0)
-    for j in range(31):  # both parities of j + 1
+    for j in [*range(31), 60, 100, 200]:  # both parities of j + 1; cut past 53
         rho = outer * kernel**j
         expected = von_neumann_entropy(np.linalg.eigvalsh(rho))
         assert abs(uqdm_env_entropy(model, j) - expected) < 1e-10
