@@ -141,25 +141,13 @@ def lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
     return sup
 
 
-def choi_matrix(superop: np.ndarray) -> np.ndarray:
-    """Reshuffle a superoperator into its (unnormalized) Choi matrix.
-
-    With row-major vectorization the Choi matrix is
-    ``C[(m,o),(n,o')] = S[(o,o'),(m,n)]``, i.e. ``C = sum_{mn} |m><n| kron
-    E(|m><n|)``.
-    """
-    superop = np.asarray(superop, dtype=complex)
-    mm = superop.shape[0]
-    m = int(round(np.sqrt(mm)))
-    if superop.shape != (mm, mm) or m * m != mm:
-        raise ValueError(f"superoperator shape {superop.shape} is not a square over a square")
-    return superop.reshape(m, m, m, m).transpose(2, 0, 3, 1).reshape(mm, mm)
-
-
 def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> KrausChannel:
     """Extract a Kraus set from a CPTP superoperator via its Choi spectrum.
 
-    Eigenvalues below ``CP_EIG_DROP`` are dropped; a Choi eigenvalue below
+    With row-major vectorization the (unnormalized) Choi matrix is the
+    reshuffle ``C[(m,o),(n,o')] = S[(o,o'),(m,n)]``, i.e. ``C = sum_{mn}
+    |m><n| kron E(|m><n|)``. Eigenvalues below ``CP_EIG_DROP`` are dropped;
+    a Choi matrix not Hermitian within ``TP_TOL``, a Choi eigenvalue below
     ``-TP_TOL`` (complete-positivity violation) or a trace-preservation
     residual beyond ``TP_TOL`` is an error.
     """
@@ -168,10 +156,10 @@ def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> KrausChannel:
         raise ValueError(
             f"superoperator shape {superop.shape} does not match d*D = {m}"
         )
-    c = choi_matrix(superop)
-    herm = np.abs(c - c.conj().T).max()
-    if not herm <= TP_TOL * max(np.abs(c).max(), 1.0):
-        raise ValueError(f"Choi matrix is not Hermitian: residual {herm:.3e}")
+    # complex, as a real array would take a different LAPACK eigensolver
+    c = np.asarray(superop, dtype=complex).reshape(m, m, m, m)
+    c = c.transpose(2, 0, 3, 1).reshape(m * m, m * m)
+    check_hermitian(c, tol=TP_TOL, name="Choi matrix")
     w, v = np.linalg.eigh((c + c.conj().T) / 2.0)
     if not w.min() >= -TP_TOL:
         raise ValueError(f"superoperator is not completely positive: {w.min():.3e}")

@@ -56,8 +56,6 @@ EXIT_CONFIG = 2
 EXIT_FILE = 3
 EXIT_GUARD = 4
 
-MATERIALIZE_GUARD = 4  # build refuses dense contraction past this many steps
-
 EXPERIMENTS = ("fig2a", "fig2b", "fig3", "reconstruct", "measure", "build")
 MODELS = ("xx_chain", "ruqdm", "random")
 
@@ -95,15 +93,9 @@ class ExperimentConfig:
     channel_file: str | None
     paper_scale: bool
 
-    def as_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["gammas"] = list(self.gammas)
-        data["k_schedule"] = list(self.k_schedule)
-        return data
-
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(cfg.as_dict(), sort_keys=True)
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -490,7 +482,7 @@ def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
 
 def run_build(cfg: ExperimentConfig) -> ResultBundle:
     pt = _model_process_tensor(cfg, pure_system=False)
-    dense = materialize(pt, k_max=MATERIALIZE_GUARD)
+    dense = materialize(pt)
     report = {
         "d": pt.d,
         "D": pt.D,
@@ -504,7 +496,7 @@ def run_build(cfg: ExperimentConfig) -> ResultBundle:
 def _metadata(cfg: ExperimentConfig) -> dict:
     return {
         "experiment": cfg.experiment,
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
         "version": __version__,
     }

@@ -54,27 +54,6 @@ def ansatz_to_dict(ansatz: ReconstructionAnsatz) -> dict:
     }
 
 
-def ansatz_from_dict(data: dict) -> ReconstructionAnsatz:
-    for key in ("d", "D", "R", "a_bar", "psi0"):
-        if key not in data:
-            raise ValueError(f"ansatz container is missing field {key!r}")
-    r, d, dd = (_positive_int(data, key) for key in ("R", "d", "D"))
-    a_bar = pairs_to_complex(data["a_bar"], "a_bar")
-    psi0 = pairs_to_complex(data["psi0"], "psi0")
-    expected = (r, d, dd, d, dd)
-    if a_bar.shape != expected:
-        raise ValueError(f"field 'a_bar' has shape {a_bar.shape}, expected {expected}")
-    return ReconstructionAnsatz(a_bar, psi0)
-
-
-def channel_to_dict(channel: KrausChannel) -> dict:
-    return {
-        "d": channel.d,
-        "D": channel.D,
-        "kraus": [complex_to_pairs(op) for op in channel.kraus],
-    }
-
-
 def channel_from_dict(data: dict) -> KrausChannel:
     for key in ("d", "D", "kraus"):
         if key not in data:

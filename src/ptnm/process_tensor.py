@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _tp_residual
-from .tensorops import check_density_matrix
+from .tensorops import check_density_matrix, check_hermitian
 
 SITE_TOL = 1e-9
 
@@ -189,9 +189,7 @@ def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> np.ndarray:
         )
     t = _dense(pt.rho0, pt.sites)
     mat = _as_matrix(t)
-    herm = np.abs(mat - mat.conj().T).max()
-    if not herm <= SITE_TOL * max(np.abs(mat).max(), 1.0):
-        raise ValueError(f"materialized tensor is not Hermitian: residual {herm:.3e}")
+    check_hermitian(mat, tol=SITE_TOL, name="materialized tensor")
     eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     if not eigs.min() >= -SITE_TOL * max(1.0, eigs.max()):
         raise ValueError(f"materialized tensor is not positive: {eigs.min():.3e}")
@@ -204,11 +202,10 @@ class ContainmentReport:
     passed: bool
 
 
-def check_containment(
-    pt: ProcessTensorMPDO, tol: float = SITE_TOL, k_max: int = 4
-) -> ContainmentReport:
-    """Verify that tracing the final output reduces the tensor to the shorter
-    one tensored with an identity pair on the last input slot."""
+def check_containment(pt: ProcessTensorMPDO, k_max: int = 4) -> ContainmentReport:
+    """Verify, within ``SITE_TOL``, that tracing the final output reduces the
+    tensor to the shorter one tensored with an identity pair on the last
+    input slot."""
     if pt.k < 2:
         raise ValueError("containment needs at least two steps")
     full = materialize(pt, k_max=k_max)
@@ -216,7 +213,7 @@ def check_containment(
     lhs = np.trace(full, axis1=-2, axis2=-1)
     rhs = np.multiply.outer(shorter, np.eye(pt.d, dtype=complex))
     residual = float(np.abs(lhs - rhs).max())
-    return ContainmentReport(residual, residual <= tol)
+    return ContainmentReport(residual, residual <= SITE_TOL)
 
 
 def _tt_core(w: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ def von_neumann_entropy(spectrum) -> float | np.ndarray:
     array of the stack's shape.
     """
     p = _as_probabilities(spectrum)
-    h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)  # log2(1) = 0 at the zeros
+    # log2(1) = 0 at the zeros; 0.0 - s, not -s, so a pure spectrum gives +0.0
+    h = 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
     return float(h) if h.ndim == 0 else h
 
 
@@ -56,7 +57,7 @@ def renyi_entropy(spectrum, alpha: float) -> float | np.ndarray:
     if not 0 < alpha < np.inf or alpha == 1.0:
         raise ValueError(f"Renyi order must be positive, finite and not 1, got {alpha!r}")
     p = _as_probabilities(spectrum)
-    h = np.log2((p**alpha).sum(axis=-1)) / (1.0 - alpha)
+    h = 0.0 + np.log2((p**alpha).sum(axis=-1)) / (1.0 - alpha)  # +0.0, not -0.0, at alpha > 1
     return float(h) if h.ndim == 0 else h
 
 
@@ -79,27 +80,26 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "ma
     scale = max(np.abs(m).max(), 1.0)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.abs(m - m.conj().T).max() <= tol * scale:
-        raise ValueError(f"{name} is not Hermitian within {tol:.0e}")
+    residual = np.abs(m - m.conj().T).max()
+    if not residual <= tol * scale:
+        raise ValueError(f"{name} is not Hermitian within {tol:.0e}: residual {residual:.3e}")
 
 
-def check_unitary(u: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix"):
+def check_unitary(u: np.ndarray, name: str = "matrix"):
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} must be square, got shape {u.shape}")
     eye = np.eye(u.shape[0])
-    if not np.abs(u.conj().T @ u - eye).max() <= tol:
-        raise ValueError(f"{name} is not unitary within {tol:.0e}")
+    if not np.abs(u.conj().T @ u - eye).max() <= HERMITICITY_TOL:
+        raise ValueError(f"{name} is not unitary within {HERMITICITY_TOL:.0e}")
 
 
-def check_density_matrix(
-    rho: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "density matrix"
-):
+def check_density_matrix(rho: np.ndarray, name: str = "density matrix"):
     rho = np.asarray(rho)
-    check_hermitian(rho, tol=tol, name=name)
+    check_hermitian(rho, name=name)
     trace = np.trace(rho)
-    if not abs(trace - 1.0) <= tol:
-        raise ValueError(f"{name} has trace {trace!r}, expected 1 within {tol:.0e}")
+    if not abs(trace - 1.0) <= HERMITICITY_TOL:
+        raise ValueError(f"{name} has trace {trace!r}, expected 1 within {HERMITICITY_TOL:.0e}")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if not w.min() >= -tol:
+    if not w.min() >= -HERMITICITY_TOL:
         raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")

@@ -219,12 +219,15 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
         (["fig3", "--gamma", "0.5,2"], None, (), ("scipy",)),
         (["measure", "--gamma", "0", "--k", "8"], None, (), ("scipy",)),
         (["measure", "--gamma", "1.2", "--k", "8"], {"model": "ruqdm"}, (), ("scipy",)),
+        (["measure", "--k", "8"], {"model": "random"}, (), ("scipy",)),
+        (["build", "--k", "3", "--gamma", "0"], None, (), ("scipy",)),
         # the damped chain's step is one scipy.linalg.expm
         (["measure", "--gamma", "1", "--k", "8"], None, ("scipy.linalg",), ("scipy.optimize",)),
         (["fig2a", "--gamma", "1"], {"restarts": 1, "max_iter": 2, "k_schedule": [2]},
          ("scipy.optimize",), ()),
     ],
-    ids=["fig3", "measure-gamma0", "measure-ruqdm", "measure-gamma1", "fig2a-fit"],
+    ids=["fig3", "measure-gamma0", "measure-ruqdm", "measure-random", "build-gamma0",
+         "measure-gamma1", "fig2a-fit"],
 )
 def test_cold_start_loads_scipy_only_where_it_is_used(tmp_path, argv, file_cfg, loaded, absent):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ptnm.cli.__file__)))

@@ -11,10 +11,8 @@ import pytest
 from ptnm.channels import random_cptp_channel
 from ptnm.cli import EXIT_FILE, EXIT_OK, main
 from ptnm.io import (
-    ansatz_from_dict,
     ansatz_to_dict,
     channel_from_dict,
-    channel_to_dict,
     complex_to_pairs,
     format_float,
     load_json,
@@ -45,37 +43,28 @@ def test_pairs_to_complex_names_the_bad_field():
         pairs_to_complex([1.0, 2.0, 3.0], "psi0")
 
 
+def _channel_dict(channel):
+    """A channel file's contents."""
+    return {"d": channel.d, "D": channel.D, "kraus": [complex_to_pairs(op) for op in channel.kraus]}
+
+
 def test_ansatz_dict_round_trip():
+    # the written fit decodes to the ansatz's arrays exactly
     rng = np.random.default_rng(121)
     channel = random_cptp_channel(2, 2, 3, rng)
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0
     ansatz = ansatz_from_model(channel, psi)
-    again = ansatz_from_dict(ansatz_to_dict(ansatz))
-    np.testing.assert_allclose(again.a_bar, ansatz.a_bar, atol=0)
-    np.testing.assert_allclose(again.psi0, ansatz.psi0, atol=0)
-
-
-def test_ansatz_dict_validation():
-    rng = np.random.default_rng(122)
-    channel = random_cptp_channel(2, 2, 2, rng)
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    data = ansatz_to_dict(ansatz_from_model(channel, psi))
-    missing = dict(data)
-    del missing["psi0"]
-    with pytest.raises(ValueError, match="psi0"):
-        ansatz_from_dict(missing)
-    wrong = dict(data)
-    wrong["R"] = 5
-    with pytest.raises(ValueError, match="a_bar"):
-        ansatz_from_dict(wrong)
+    data = json.loads(json.dumps(ansatz_to_dict(ansatz)))
+    assert (data["d"], data["D"], data["R"]) == (ansatz.d, ansatz.D, ansatz.R)
+    np.testing.assert_allclose(pairs_to_complex(data["a_bar"]), ansatz.a_bar, atol=0)
+    np.testing.assert_allclose(pairs_to_complex(data["psi0"]), ansatz.psi0, atol=0)
 
 
 def test_channel_dict_round_trip():
     rng = np.random.default_rng(123)
     channel = random_cptp_channel(2, 2, 4, rng)
-    again = channel_from_dict(channel_to_dict(channel))
+    again = channel_from_dict(_channel_dict(channel))
     assert again.d == 2 and again.D == 2
     for a, b in zip(again.kraus, channel.kraus):
         np.testing.assert_allclose(a, b, atol=0)
@@ -83,7 +72,7 @@ def test_channel_dict_round_trip():
 
 def test_channel_dict_names_bad_operator():
     rng = np.random.default_rng(124)
-    data = channel_to_dict(random_cptp_channel(2, 2, 2, rng))
+    data = _channel_dict(random_cptp_channel(2, 2, 2, rng))
     data["kraus"][1] = complex_to_pairs(np.eye(3))
     with pytest.raises(ValueError, match=r"kraus\[1\]"):
         channel_from_dict(data)
@@ -98,27 +87,15 @@ def test_channel_dict_names_bad_operator():
 def test_channel_dict_rejects_non_integer_dimensions(dims):
     # the first four used to be truncated or cast into a runnable channel
     rng = np.random.default_rng(125)
-    data = {**channel_to_dict(random_cptp_channel(2, 2, 2, rng)), **dims}
+    data = {**_channel_dict(random_cptp_channel(2, 2, 2, rng)), **dims}
     with pytest.raises(ValueError, match="positive integer"):
         channel_from_dict(data)
-
-
-@pytest.mark.parametrize("r", [2.0, True, "2", -2])
-def test_ansatz_dict_rejects_non_integer_rank(r):
-    rng = np.random.default_rng(126)
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    data = ansatz_to_dict(ansatz_from_model(random_cptp_channel(2, 2, 2, rng), psi))
-    data["R"] = r
-    with pytest.raises(ValueError, match="positive integer"):
-        ansatz_from_dict(data)
 
 
 def test_main_rejects_a_channel_file_with_a_fractional_dimension(tmp_path, capsys):
     rng = np.random.default_rng(127)
     channel_file = str(tmp_path / "channel.json")
-    write_json_atomic(channel_file, {**channel_to_dict(random_cptp_channel(2, 2, 2, rng)),
-                                     "d": 2.5})
+    write_json_atomic(channel_file, {**_channel_dict(random_cptp_channel(2, 2, 2, rng)), "d": 2.5})
     cfg = str(tmp_path / "cfg.json")
     write_json_atomic(cfg, {"channel_file": channel_file})
     out = tmp_path / "out"

@@ -343,7 +343,8 @@ def test_uqdm_entropy_matches_the_averaged_mode_state(gamma):
 
 def test_uqdm_entropy_zero_at_step_zero():
     model = uqdm_model(UQDMParams(gamma=1.0, grid_points=500))
-    assert uqdm_env_entropy(model, 0) == 0.0
+    s0 = uqdm_env_entropy(model, 0)
+    assert s0 == 0.0 and math.copysign(1.0, s0) == 1.0  # not -0.0
 
 
 def test_uqdm_entropy_rank_bound_and_monotonicity():

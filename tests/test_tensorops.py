@@ -1,5 +1,6 @@
 """Tests for the spectral helpers, the matrix exponential and the validators."""
 
+import math
 import warnings
 
 import numpy as np
@@ -34,6 +35,16 @@ def test_entropy_of_uniform_spectrum():
 
 def test_entropy_of_pure_spectrum_is_zero():
     assert von_neumann_entropy([1.0, 0.0, 0.0]) == 0.0
+    # and +0.0, not -0.0: only the sign bit tells them apart
+    values = [
+        von_neumann_entropy([1.0]),
+        von_neumann_entropy([1.0, 0.0, 0.0]),
+        *von_neumann_entropy(np.ones((3, 1))),
+        renyi_entropy([1.0], 2.0),
+        renyi_entropy([1.0], 0.5),
+        *renyi_entropy(np.ones((3, 1)), 2.0),
+    ]
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
 
 
 def test_entropy_renormalizes_small_drift():
@@ -167,7 +178,7 @@ def test_matrix_exp_rejects_non_hermitian_input():
 
 def test_check_hermitian_passes_and_fails():
     check_hermitian(np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not Hermitian within 1e-09: residual 1\.000e\+00"):
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
