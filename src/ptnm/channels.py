@@ -9,20 +9,22 @@ Conventions, fixed once here:
 * Vectorization is row-major (C order): ``vec(rho)[i*n + j] = rho[i, j]``,
   hence ``vec(A rho B) = (A kron B^T) vec(rho)`` and a Kraus map has
   superoperator ``sum_s A_s kron conj(A_s)``.
+* A Kraus set is a stack ``K`` of shape ``(R, d, D, d, D)`` with axes
+  ``(s, o, b, i, a)``: Kraus term, system output, environment output, system
+  input, environment input. ``K[s].reshape(d*D, d*D)`` is the joint-space
+  operator ``A_s``.
 * The eight-index site tensor ``W`` of a channel is a bare array in the
   axis order :data:`W_LABELS`, ``(i, i', o, o', a, a', b, b')``: system
   input pair, system output pair, environment input pair, environment
   output pair, with
 
-  ``W[i,i',o,o',a,a',b,b'] = sum_s A_s[(o,b),(i,a)] * conj(A_s[(o',b'),(i',a')])``.
+  ``W[i,i',o,o',a,a',b,b'] = sum_s K[s,o,b,i,a] * conj(K[s,o',b',i',a'])``.
 
   Trace preservation then reads ``sum_{o,b} W[i,i',o,o,a,a',b,b] =
-  delta_{i,i'} delta_{a,a'}``.
+  delta_{i,i'} delta_{a,a'}``; ``ProcessTensorMPDO`` checks it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,69 +32,8 @@ from .tensorops import check_hermitian
 
 W_LABELS = ("i", "i'", "o", "o'", "a", "a'", "b", "b'")
 
-TP_TOL = 1e-9
+CHOI_TOL = 1e-9
 CP_EIG_DROP = 1e-12
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A channel on the joint system-environment space in Kraus form.
-
-    ``kraus`` holds operators of shape ``(d*D, d*D)``; the set must be trace
-    preserving within ``TP_TOL`` and no larger than ``(d*D)**2``.
-    """
-
-    kraus: tuple[np.ndarray, ...]
-    d: int
-    D: int
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
-        object.__setattr__(self, "kraus", ops)
-        m = self.d * self.D
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        if len(ops) > m * m:
-            raise ValueError(f"{len(ops)} Kraus operators exceed the maximum {m * m}")
-        for a in ops:
-            if a.shape != (m, m):
-                raise ValueError(f"Kraus operator has shape {a.shape}, expected {(m, m)}")
-        total = sum(a.conj().T @ a for a in ops)
-        residual = np.abs(total - np.eye(m)).max()
-        if not residual <= TP_TOL:
-            raise ValueError(
-                f"Kraus set is not trace preserving: residual {residual:.3e}"
-            )
-
-
-@dataclass(frozen=True)
-class LindbladSpec:
-    """Generator data: Hamiltonian plus ``(jump operator, rate)`` pairs.
-
-    The generator realized from this is
-    ``-i[H, rho] + sum_l rate_l (2 L_l rho L_l^† - {L_l^† L_l, rho})``
-    (note the factor 2: a single decay jump at rate ``gamma`` damps the
-    addressed population at ``2*gamma``).
-    """
-
-    hamiltonian: np.ndarray
-    jumps: tuple[tuple[np.ndarray, float], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        object.__setattr__(self, "hamiltonian", h)
-        check_hermitian(h, name="Hamiltonian")
-        jumps = tuple(
-            (np.asarray(op, dtype=complex), float(rate)) for op, rate in self.jumps
-        )
-        object.__setattr__(self, "jumps", jumps)
-        for op, rate in jumps:
-            if op.shape != h.shape:
-                raise ValueError(
-                    f"jump operator shape {op.shape} does not match Hamiltonian {h.shape}"
-                )
-            if not rate >= 0:
-                raise ValueError(f"jump rate must be nonnegative, got {rate}")
 
 
 def _tp_residual(w: np.ndarray) -> float:
@@ -116,22 +57,19 @@ def site_tensor(kraus: np.ndarray) -> np.ndarray:
     return p.transpose(2, 6, 0, 4, 3, 7, 1, 5)
 
 
-def kraus_to_w(channel: KrausChannel) -> np.ndarray:
-    """The site tensor of a Kraus set."""
-    d, D = channel.d, channel.D
-    return site_tensor(np.stack(channel.kraus).reshape(-1, d, D, d, D))
+def lindblad_superoperator(h: np.ndarray, jumps) -> np.ndarray:
+    """Vectorized generator of a Hamiltonian ``h`` and ``(jump operator,
+    rate)`` pairs ``jumps``, acting on row-major vectorized density matrices:
 
+    ``-i[H, rho] + sum_l rate_l (2 L_l rho L_l^† - {L_l^† L_l, rho})``
 
-def lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
-    """Vectorized generator for the convention documented on :class:`LindbladSpec`.
-
-    Output acts on row-major vectorized density matrices.
+    (note the factor 2: a single decay jump at rate ``gamma`` damps the
+    addressed population at ``2*gamma``).
     """
-    h = spec.hamiltonian
     m = h.shape[0]
     eye = np.eye(m, dtype=complex)
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op, rate in spec.jumps:
+    for op, rate in jumps:
         anti = op.conj().T @ op
         sup = sup + rate * (
             2.0 * np.kron(op, op.conj())
@@ -141,15 +79,14 @@ def lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
     return sup
 
 
-def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> KrausChannel:
-    """Extract a Kraus set from a CPTP superoperator via its Choi spectrum.
+def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> np.ndarray:
+    """Extract a Kraus stack from a CP superoperator via its Choi spectrum.
 
     With row-major vectorization the (unnormalized) Choi matrix is the
     reshuffle ``C[(m,o),(n,o')] = S[(o,o'),(m,n)]``, i.e. ``C = sum_{mn}
     |m><n| kron E(|m><n|)``. Eigenvalues below ``CP_EIG_DROP`` are dropped;
-    a Choi matrix not Hermitian within ``TP_TOL``, a Choi eigenvalue below
-    ``-TP_TOL`` (complete-positivity violation) or a trace-preservation
-    residual beyond ``TP_TOL`` is an error.
+    a Choi matrix not Hermitian within ``CHOI_TOL`` or a Choi eigenvalue
+    below ``-CHOI_TOL`` (complete-positivity violation) is an error.
     """
     m = d * D
     if superop.shape != (m * m, m * m):
@@ -159,22 +96,21 @@ def superop_to_kraus(superop: np.ndarray, d: int, D: int) -> KrausChannel:
     # complex, as a real array would take a different LAPACK eigensolver
     c = np.asarray(superop, dtype=complex).reshape(m, m, m, m)
     c = c.transpose(2, 0, 3, 1).reshape(m * m, m * m)
-    check_hermitian(c, tol=TP_TOL, name="Choi matrix")
+    check_hermitian(c, tol=CHOI_TOL, name="Choi matrix")
     w, v = np.linalg.eigh((c + c.conj().T) / 2.0)
-    if not w.min() >= -TP_TOL:
+    if not w.min() >= -CHOI_TOL:
         raise ValueError(f"superoperator is not completely positive: {w.min():.3e}")
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > CP_EIG_DROP:
-            ops.append(np.sqrt(lam) * vec.reshape(m, m).T)
-    return KrausChannel(tuple(ops), d, D)
+    keep = w > CP_EIG_DROP
+    ops = np.sqrt(w[keep])[:, None, None] * v[:, keep].T.reshape(-1, m, m).transpose(0, 2, 1)
+    return ops.reshape(-1, d, D, d, D)
 
 
 def random_cptp_channel(
     d: int, D: int, kraus_rank: int, rng: np.random.Generator
-) -> KrausChannel:
-    """Draw a Haar-flavored CPTP channel by QR-orthonormalizing a Gaussian
-    Stinespring isometry with the requested number of Kraus operators."""
+) -> np.ndarray:
+    """Draw a Haar-flavored CPTP channel, as a Kraus stack, by
+    QR-orthonormalizing a Gaussian Stinespring isometry with the requested
+    number of Kraus operators."""
     m = d * D
     if not 1 <= kraus_rank <= m * m:
         raise ValueError(f"kraus_rank must lie in [1, {m * m}], got {kraus_rank}")
@@ -184,5 +120,4 @@ def random_cptp_channel(
     diag = np.diag(r)
     phase = np.where(np.abs(diag) > 0, diag / np.abs(np.where(diag == 0, 1, diag)), 1.0)
     q = q * phase.conj()
-    ops = tuple(q[s * m : (s + 1) * m, :] for s in range(kraus_rank))
-    return KrausChannel(ops, d, D)
+    return q.reshape(kraus_rank, d, D, d, D)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import kraus_to_w, random_cptp_channel
+from .channels import random_cptp_channel, site_tensor
 from .io import (
     ansatz_to_dict,
     channel_from_dict,
@@ -56,7 +56,6 @@ EXIT_CONFIG = 2
 EXIT_FILE = 3
 EXIT_GUARD = 4
 
-EXPERIMENTS = ("fig2a", "fig2b", "fig3", "reconstruct", "measure", "build")
 MODELS = ("xx_chain", "ruqdm", "random")
 
 # |0><0| on the system: reconstruction targets need a pure initial state to
@@ -221,8 +220,11 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
     cfg = ExperimentConfig(**{f.name: _COERCE[f.type](f.name, values[f.name]) for f in _FIELDS})
 
     for key in _POSITIVE_INTS:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"config key {key!r} must be positive, got {getattr(cfg, key)}")
+        value = getattr(cfg, key)
+        if value < 1:
+            raise ConfigError(f"config key {key!r} must be positive, got {value}")
+        if value > sys.maxsize:  # past the index range, build's (w,) * k overflows
+            raise ConfigError(f"config key {key!r} must be at most {sys.maxsize}, got {value}")
     if min(cfg.k_schedule) < 1:
         raise ConfigError(f"k_schedule entries must be positive, got {list(cfg.k_schedule)}")
     if cfg.seed < 0:
@@ -334,21 +336,21 @@ def _model_process_tensor(cfg: ExperimentConfig, pure_system: bool) -> ProcessTe
         w = ruqdm_channel(cfg.gammas[0], cfg.delta)
         return build(w, np.eye(2, dtype=complex) / 2.0, cfg.k)
     rng = np.random.default_rng(_seed_seq(cfg.seed, 71))
-    channel = random_cptp_channel(2, cfg.env_dim, cfg.kraus_rank, rng)
-    return build(kraus_to_w(channel), _pure0_joint(2 * cfg.env_dim), cfg.k)
+    kraus = random_cptp_channel(2, cfg.env_dim, cfg.kraus_rank, rng)
+    return build(site_tensor(kraus), _pure0_joint(2 * cfg.env_dim), cfg.k)
 
 
 def _target_from_file(cfg: ExperimentConfig) -> ProcessTensorMPDO:
     data = load_json(cfg.channel_file)
-    channel = channel_from_dict(data)
-    dim = channel.d * channel.D
+    kraus = channel_from_dict(data)
+    dim = kraus.shape[1] * kraus.shape[2]
     if "rho0" in data:
         rho0 = pairs_to_complex(data["rho0"], "rho0")
         if rho0.shape != (dim, dim):
             raise ValueError(f"field 'rho0' has shape {rho0.shape}, expected {(dim, dim)}")
     else:
         rho0 = _pure0_joint(dim)
-    return build(kraus_to_w(channel), rho0, cfg.k)
+    return build(site_tensor(kraus), rho0, cfg.k)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Process-tensor non-Markovianity experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory (default: results)")

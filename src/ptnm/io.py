@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel
 from .reconstruct import ReconstructionAnsatz
 
 
@@ -54,22 +53,27 @@ def ansatz_to_dict(ansatz: ReconstructionAnsatz) -> dict:
     }
 
 
-def channel_from_dict(data: dict) -> KrausChannel:
+def channel_from_dict(data: dict) -> np.ndarray:
+    """The Kraus stack ``(R, d, D, d, D)`` of a channel container: at least
+    one and at most ``(d*D)**2`` operators, each ``(d*D, d*D)``. Trace
+    preservation is left to ``ProcessTensorMPDO``, which every target built
+    from the stack passes through."""
     for key in ("d", "D", "kraus"):
         if key not in data:
             raise ValueError(f"channel container is missing field {key!r}")
     d, dd = _positive_int(data, "d"), _positive_int(data, "D")
     if not isinstance(data["kraus"], list):
         raise ValueError(f"field 'kraus' must be a list of operators, got {data['kraus']!r}")
-    ops = tuple(
-        pairs_to_complex(op, f"kraus[{t}]") for t, op in enumerate(data["kraus"])
-    )
+    ops = [pairs_to_complex(op, f"kraus[{t}]") for t, op in enumerate(data["kraus"])]
+    m = d * dd
     for t, op in enumerate(ops):
-        if op.shape != (d * dd, d * dd):
-            raise ValueError(
-                f"field 'kraus[{t}]' has shape {op.shape}, expected {(d * dd, d * dd)}"
-            )
-    return KrausChannel(ops, d, dd)
+        if op.shape != (m, m):
+            raise ValueError(f"field 'kraus[{t}]' has shape {op.shape}, expected {(m, m)}")
+    if not ops:
+        raise ValueError("a channel needs at least one Kraus operator")
+    if len(ops) > m * m:
+        raise ValueError(f"{len(ops)} Kraus operators exceed the maximum {m * m}")
+    return np.stack(ops).reshape(-1, d, dd, d, dd)
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_tensor import ProcessTensorMPDO, _env_states, _rights, _sweep, _tt_core
+from .process_tensor import ProcessTensorMPDO, _cores, _env_states, _rights, _sweep
 from .tensorops import check_density_matrix, check_unitary, renyi_entropy, von_neumann_entropy
 
 
@@ -74,14 +74,9 @@ def _grams(
     ``(D**2, D**2)`` matrices over the bond pair, by one :func:`_sweep` and
     one :func:`_rights`. ``l_j`` contracts the initial tensor and the sites
     before step ``j``; ``r_j`` the sites from ``j`` on and the final
-    environment trace. ``build`` repeats one site object k times, so each
-    distinct object is laid out as a core once."""
+    environment trace."""
     first = pt.rho0.reshape(pt.d**2, -1)
-    layouts = {}
-    for w in pt.sites:
-        if id(w) not in layouts:
-            layouts[id(w)] = _tt_core(w)
-    cores = [layouts[id(w)] for w in pt.sites]
+    cores = _cores(pt)
     lefts = _sweep(first, cores[:stop], first, cores[:stop])
     return np.stack(lefts), _rights(np.eye(pt.D).reshape(1, -1), cores[start:])
 

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import (
-    KrausChannel,
-    LindbladSpec,
-    kraus_to_w,
-    lindblad_superoperator,
-    superop_to_kraus,
-)
+from .channels import lindblad_superoperator, site_tensor, superop_to_kraus
 from .measures import MeasureSeries
 from .tensorops import check_density_matrix, matrix_exp, von_neumann_entropy
 
@@ -104,8 +98,7 @@ def xx_chain_liouvillian(p: XXChainParams) -> np.ndarray:
     if p.gamma > 0:
         jumps.append((np.kron(eye, SIGMA_MINUS), p.gamma * (1.0 - p.n)))
         jumps.append((np.kron(eye, SIGMA_PLUS), p.gamma * p.n))
-    spec = LindbladSpec(xx_chain_hamiltonian(p), tuple(jumps))
-    return lindblad_superoperator(spec)
+    return lindblad_superoperator(xx_chain_hamiltonian(p), jumps)
 
 
 def xx_chain_unitary(p: XXChainParams) -> np.ndarray:
@@ -121,14 +114,14 @@ def xx_chain_model(p: XXChainParams) -> tuple[np.ndarray, np.ndarray]:
     stationary environment state.
     """
     if p.gamma == 0:
-        channel = KrausChannel((xx_chain_unitary(p),), 2, 2)
+        kraus = xx_chain_unitary(p).reshape(1, 2, 2, 2, 2)
     else:
         import scipy.linalg  # only here: the other models run on numpy alone
 
         superop = scipy.linalg.expm(xx_chain_liouvillian(p) * p.delta)
-        channel = superop_to_kraus(superop, 2, 2)
+        kraus = superop_to_kraus(superop, 2, 2)
     rho0 = np.kron(p.system_state(), p.environment_state())
-    return kraus_to_w(channel), rho0
+    return site_tensor(kraus), rho0
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +140,8 @@ def ruqdm_channel(gamma: float, delta: float) -> np.ndarray:
     if not (gamma >= 0 and delta > 0):
         raise ValueError("gamma must be nonnegative and delta positive")
     p = (1.0 - math.exp(-2.0 * gamma * delta)) / 2.0
-    ops = (math.sqrt(1.0 - p) * np.eye(2, dtype=complex), math.sqrt(p) * SIGMA_Z)
-    return kraus_to_w(KrausChannel(ops, 2, 1))
+    ops = np.stack([math.sqrt(1.0 - p) * np.eye(2, dtype=complex), math.sqrt(p) * SIGMA_Z])
+    return site_tensor(ops.reshape(2, 2, 1, 2, 1))
 
 
 @dataclass(frozen=True)

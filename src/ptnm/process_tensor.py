@@ -224,6 +224,17 @@ def _tt_core(w: np.ndarray) -> np.ndarray:
     return w.transpose(4, 5, 0, 1, 2, 3, 6, 7).reshape(dd * dd, -1, dd * dd)
 
 
+def _cores(pt: ProcessTensorMPDO) -> list[np.ndarray]:
+    """The sites of ``pt`` as tensor-train cores for a sweep over the
+    process tensor: ``build`` repeats one site object k times, so each
+    distinct object is laid out once."""
+    layouts = {}
+    for w in pt.sites:
+        if id(w) not in layouts:
+            layouts[id(w)] = _tt_core(w)
+    return [layouts[id(w)] for w in pt.sites]
+
+
 def _sweep(first_bra, cores_bra, first_ket, cores_ket) -> list[np.ndarray]:
     """Two-layer boundaries ``[l_0, ..., l_n]`` of two tensor trains, each a
     ``(bra_bond, ket_bond)`` matrix; the bra layer is conjugated.
@@ -258,10 +269,7 @@ def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
     bond pairs, never materializing either tensor."""
     if a.k != b.k or a.d != b.d:
         raise ValueError("process tensors must share step count and system dimension")
-    l = _sweep(
-        a.rho0.reshape(a.d**2, -1), [_tt_core(w) for w in a.sites],
-        b.rho0.reshape(b.d**2, -1), [_tt_core(w) for w in b.sites],
-    )[-1]
+    l = _sweep(a.rho0.reshape(a.d**2, -1), _cores(a), b.rho0.reshape(b.d**2, -1), _cores(b))[-1]
     return complex(np.eye(a.D).ravel() @ l @ np.eye(b.D).ravel())
 
 

@@ -82,7 +82,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import KrausChannel, _tp_residual, random_cptp_channel, site_tensor
+from .channels import _tp_residual, random_cptp_channel, site_tensor
 from .process_tensor import (
     ProcessTensorMPDO, _as_matrix, _dense, _joint_state, _rights, _sweep, _tt_core, build, norm_sq,
 )
@@ -211,11 +211,9 @@ def predict(ansatz: ReconstructionAnsatz, k: int) -> ProcessTensorMPDO:
     return build(site_tensor(ansatz.a_bar), np.outer(ansatz.psi0, ansatz.psi0.conj()), k)
 
 
-def ansatz_from_model(channel: KrausChannel, psi0: np.ndarray) -> ReconstructionAnsatz:
-    """Embed a known model: Kraus operators become the slices of ``a_bar``."""
-    d, dd = channel.d, channel.D
-    a_bar = np.stack([op.reshape(d, dd, d, dd) for op in channel.kraus])
-    return ReconstructionAnsatz(a_bar, np.asarray(psi0, dtype=complex))
+def ansatz_from_model(kraus: np.ndarray, psi0: np.ndarray) -> ReconstructionAnsatz:
+    """Embed a known model: its Kraus stack becomes ``a_bar``."""
+    return ReconstructionAnsatz(kraus, psi0)
 
 
 def normalization_residual(ansatz: ReconstructionAnsatz) -> float:
@@ -697,12 +695,12 @@ def _decoupled_initial_point(
     the least memory: converged fig2a fits at gamma=5 land in either of two
     classes of band ``ee``, 0.1342 or 0.4798 bits.
     """
-    system = random_cptp_channel(d, 1, min(r, d * d), rng)
+    system = random_cptp_channel(d, 1, min(r, d * d), rng)[:, :, 0, :, 0]
     a_bar = np.zeros((r, d, dd, d, dd), dtype=complex)
     reset = np.zeros(dd)
     reset[0] = 1.0
     t = 0
-    for op in system.kraus:
+    for op in system:
         for e_in in range(dd):
             if t >= r:
                 break

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ptnm import cli
-from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel
+from ptnm.channels import random_cptp_channel, site_tensor
 from ptnm.measures import env_state, measure_series, memory_complexity, nm_ee, osee
 from ptnm.models import (
     UQDMParams,
@@ -52,7 +52,7 @@ def _random_density(rng, n):
 
 
 def _random_pt(rng, k, kraus_rank=3):
-    channel = kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng))
+    channel = site_tensor(random_cptp_channel(2, 2, kraus_rank, rng))
     return build(channel, _random_density(rng, 4), k)
 
 
@@ -213,11 +213,11 @@ def test_streaming_oracles_agree_with_dense_references():
     for _ in range(3):
         channel = random_cptp_channel(2, 2, 4, rng)
         rho0 = _random_density(rng, 4)
-        pt = build(kraus_to_w(channel), rho0, 4)
+        pt = build(site_tensor(channel), rho0, 4)
         env = np.einsum("sesE->eE", rho0.reshape(2, 2, 2, 2))
         for j in range(1, 5):
             joint = np.kron(np.eye(2) / 2.0, env)
-            out = sum(a @ joint @ a.conj().T for a in channel.kraus)
+            out = sum(a @ joint @ a.conj().T for a in channel.reshape(-1, 4, 4))
             env = np.einsum("sesE->eE", out.reshape(2, 2, 2, 2))
             env = (env + env.conj().T) / (2.0 * np.trace(env).real)
             worst = max(worst, float(np.abs(env_state(pt, j) - env).max()))
@@ -261,7 +261,7 @@ def test_streaming_oracles_agree_with_dense_references():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q = np.linalg.qr(g)[0]
     cases.append(
-        (q, kraus_to_w(KrausChannel((q,), 2, 2)), np.kron(PLUS, np.diag([0.7, 0.3])))
+        (q, site_tensor(q.reshape(1, 2, 2, 2, 2)), np.kron(PLUS, np.diag([0.7, 0.3])))
     )
     for u, chan, rho in cases:
         pt = build(chan, rho, 4)
@@ -279,7 +279,7 @@ def test_streaming_oracles_agree_with_dense_references():
         chan = random_cptp_channel(2, 2, 3, rng_fd)
         psi = rng_fd.normal(size=4) + 1j * rng_fd.normal(size=4)
         psi /= np.linalg.norm(psi)
-        target = build(kraus_to_w(chan), np.outer(psi, psi.conj()), 2)
+        target = build(site_tensor(chan), np.outer(psi, psi.conj()), 2)
         obj = _Objective(target, 2, 2, 2, 3)
         a_bar = rng_fd.normal(size=(3, 2, 2, 2, 2)) + 1j * rng_fd.normal(
             size=(3, 2, 2, 2, 2)

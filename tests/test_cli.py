@@ -27,7 +27,8 @@ from ptnm.cli import (
     main,
     resolve_config,
 )
-from ptnm.io import load_json
+from ptnm.channels import random_cptp_channel
+from ptnm.io import complex_to_pairs, load_json
 from ptnm.measures import measure_series, nm_ee
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import ProcessTensorMPDO, build
@@ -122,6 +123,8 @@ def test_ruqdm_model_gets_short_step_default():
         {"k_schedule": [0]},
         {"k_schedule": [2, -1]},
         {"seed": -1},
+        # a count past sys.maxsize used to overflow in build's (w,) * k
+        {"k": 1e23},
     ],
 )
 def test_config_validation_errors(file_cfg):
@@ -164,6 +167,11 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     code = main(["measure", "--n", "2.0", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    # used to exit 1 with an OverflowError traceback
+    code = main(["measure", "--k", "100000000000000000000000", "--gamma", "0", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error: config key 'k' must be at most" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("flag", ["--gamma", "--n", "--delta"])
@@ -220,19 +228,25 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
         (["measure", "--gamma", "0", "--k", "8"], None, (), ("scipy",)),
         (["measure", "--gamma", "1.2", "--k", "8"], {"model": "ruqdm"}, (), ("scipy",)),
         (["measure", "--k", "8"], {"model": "random"}, (), ("scipy",)),
+        (["measure", "--k", "8"], {"channel_file": "channel.json"}, (), ("scipy",)),
         (["build", "--k", "3", "--gamma", "0"], None, (), ("scipy",)),
         # the damped chain's step is one scipy.linalg.expm
         (["measure", "--gamma", "1", "--k", "8"], None, ("scipy.linalg",), ("scipy.optimize",)),
         (["fig2a", "--gamma", "1"], {"restarts": 1, "max_iter": 2, "k_schedule": [2]},
          ("scipy.optimize",), ()),
     ],
-    ids=["fig3", "measure-gamma0", "measure-ruqdm", "measure-random", "build-gamma0",
-         "measure-gamma1", "fig2a-fit"],
+    ids=["fig3", "measure-gamma0", "measure-ruqdm", "measure-random", "measure-channel-file",
+         "build-gamma0", "measure-gamma1", "fig2a-fit"],
 )
 def test_cold_start_loads_scipy_only_where_it_is_used(tmp_path, argv, file_cfg, loaded, absent):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ptnm.cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     if file_cfg is not None:
+        if "channel_file" in file_cfg:  # a file name; the channel is written here
+            channel_file = tmp_path / file_cfg["channel_file"]
+            kraus = random_cptp_channel(2, 2, 3, np.random.default_rng(0)).reshape(3, 4, 4)
+            channel_file.write_text(json.dumps({"d": 2, "D": 2, "kraus": complex_to_pairs(kraus)}))
+            file_cfg = {**file_cfg, "channel_file": str(channel_file)}
         argv = argv + ["--config", _cfg(tmp_path, file_cfg)]
     run = subprocess.run(
         [sys.executable, "-c", _COLD_START, *argv, "--out", str(tmp_path / "out")],

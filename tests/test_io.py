@@ -43,9 +43,10 @@ def test_pairs_to_complex_names_the_bad_field():
         pairs_to_complex([1.0, 2.0, 3.0], "psi0")
 
 
-def _channel_dict(channel):
-    """A channel file's contents."""
-    return {"d": channel.d, "D": channel.D, "kraus": [complex_to_pairs(op) for op in channel.kraus]}
+def _channel_dict(kraus):
+    """A channel file's contents, from a Kraus stack."""
+    d, dd = kraus.shape[1], kraus.shape[2]
+    return {"d": d, "D": dd, "kraus": [complex_to_pairs(op) for op in kraus.reshape(-1, d * dd, d * dd)]}
 
 
 def test_ansatz_dict_round_trip():
@@ -63,11 +64,10 @@ def test_ansatz_dict_round_trip():
 
 def test_channel_dict_round_trip():
     rng = np.random.default_rng(123)
-    channel = random_cptp_channel(2, 2, 4, rng)
-    again = channel_from_dict(_channel_dict(channel))
-    assert again.d == 2 and again.D == 2
-    for a, b in zip(again.kraus, channel.kraus):
-        np.testing.assert_allclose(a, b, atol=0)
+    kraus = random_cptp_channel(2, 2, 4, rng)
+    again = channel_from_dict(_channel_dict(kraus))
+    assert again.shape == (4, 2, 2, 2, 2)
+    np.testing.assert_allclose(again, kraus, atol=0)
 
 
 def test_channel_dict_names_bad_operator():
@@ -115,7 +115,7 @@ def test_main_rejects_a_channel_file_with_a_nan_entry(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["measure", "--config", str(cfg), "--k", "6", "--out", str(out)])
     assert code == EXIT_FILE
-    assert "not trace preserving: residual nan" in capsys.readouterr().err
+    assert "site 0 breaks prime-swap Hermiticity: nan" in capsys.readouterr().err
     assert not out.exists()
 
 

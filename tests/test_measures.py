@@ -9,7 +9,7 @@ the vectorized process tensor.
 import numpy as np
 import pytest
 
-from ptnm.channels import KrausChannel, _tp_residual, kraus_to_w, random_cptp_channel
+from ptnm.channels import _tp_residual, random_cptp_channel, site_tensor
 from ptnm.measures import (
     _cut_spectrum,
     env_state,
@@ -39,7 +39,7 @@ def random_density(rng, n):
 
 
 def random_pt(rng, k, kraus_rank=3):
-    channel = kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng))
+    channel = site_tensor(random_cptp_channel(2, 2, kraus_rank, rng))
     return build(channel, random_density(rng, 4), k)
 
 
@@ -62,7 +62,7 @@ def entropy_bits(rho):
 def test_env_state_step_zero_is_initial_marginal():
     rng = np.random.default_rng(61)
     rho0 = random_density(rng, 4)
-    pt = build(kraus_to_w(random_cptp_channel(2, 2, 3, rng)), rho0, 2)
+    pt = build(site_tensor(random_cptp_channel(2, 2, 3, rng)), rho0, 2)
     expected = np.einsum("sesE->eE", rho0.reshape(2, 2, 2, 2))
     np.testing.assert_allclose(env_state(pt, 0), expected, atol=1e-12)
 
@@ -74,11 +74,11 @@ def test_env_state_matches_raw_matrix_recursion():
     for _ in range(4):
         channel = random_cptp_channel(2, 2, 4, rng)
         rho0 = random_density(rng, 4)
-        pt = build(kraus_to_w(channel), rho0, 4)
+        pt = build(site_tensor(channel), rho0, 4)
         env = np.einsum("sesE->eE", rho0.reshape(2, 2, 2, 2))
         for j in range(1, 5):
             joint = np.kron(np.eye(2) / 2.0, env)
-            out = sum(a @ joint @ a.conj().T for a in channel.kraus)
+            out = sum(a @ joint @ a.conj().T for a in channel.reshape(-1, 4, 4))
             env = np.einsum("sesE->eE", out.reshape(2, 2, 2, 2))
             env = (env + env.conj().T) / (2.0 * np.trace(env).real)
             np.testing.assert_allclose(env_state(pt, j), env, atol=1e-10)
@@ -144,7 +144,7 @@ def test_nm_ee_matches_unitary_memory_complexity():
     q, _ = np.linalg.qr(g)
     for u in (u_xx, q):
         rho0 = np.kron(random_density(rng, 2), random_density(rng, 2))
-        pt = build(kraus_to_w(KrausChannel((u,), 2, 2)), rho0, 4)
+        pt = build(site_tensor(u.reshape(1, 2, 2, 2, 2)), rho0, 4)
         for j in range(1, 5):
             a = nm_ee(pt, j)
             b = memory_complexity(u, rho0, 2, 2, j)
@@ -197,7 +197,7 @@ def test_osee_with_a_different_site_per_step_matches_dense_schmidt_spectrum():
     """The right sweep runs over the sites in reverse; with a different site
     at every step, an order error shows against the dense split."""
     rng = np.random.default_rng(67)
-    sites = tuple(kraus_to_w(random_cptp_channel(2, 2, 3, rng)) for _ in range(3))
+    sites = tuple(site_tensor(random_cptp_channel(2, 2, 3, rng)) for _ in range(3))
     rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     pt = ProcessTensorMPDO(rho0, sites)
     vec = materialize(pt).reshape(-1)
@@ -314,7 +314,7 @@ def test_series_equal_the_per_step_measures_with_a_different_site_per_step():
     """Each series takes its spectra in one batched eigensolve; every value is
     the one the single-step measure gives, to the last bit."""
     rng = np.random.default_rng(68)
-    sites = tuple(kraus_to_w(random_cptp_channel(2, 2, 3, rng)) for _ in range(9))
+    sites = tuple(site_tensor(random_cptp_channel(2, 2, 3, rng)) for _ in range(9))
     rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     pt = ProcessTensorMPDO(rho0, sites)
     assert measure_series(pt, "osee").values == tuple(osee(pt, j) for j in range(1, 9))
@@ -349,7 +349,7 @@ def test_ee_series_accepts_a_drift_the_site_check_allows():
     environment's trace by up to D * SITE_TOL: here by 1.8e-9 per step, on an
     environment held at |+><+|. The recursion's bound is derived from the
     checks the tensor passed, so it does not reject what they accepted."""
-    w = kraus_to_w(KrausChannel((np.eye(4),), 2, 2)).copy()
+    w = site_tensor(np.eye(4).reshape(1, 2, 2, 2, 2)).copy()
     eps = 0.9 * SITE_TOL
     for i in range(2):  # residual eps on every (i, i, a, a') entry
         w[i, i, 0, 0, :, :, 0, 0] += eps

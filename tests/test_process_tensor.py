@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptnm.channels import KrausChannel, _tp_residual, kraus_to_w, random_cptp_channel
+from ptnm.channels import _tp_residual, random_cptp_channel, site_tensor
 from ptnm.models import (
     XXChainParams,
     ruqdm_channel,
@@ -44,14 +44,14 @@ def random_density(rng, n):
 
 
 def random_pt(rng, k, kraus_rank=3):
-    channel = kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng))
+    channel = site_tensor(random_cptp_channel(2, 2, kraus_rank, rng))
     return build(channel, random_density(rng, 4), k)
 
 
 def random_steps_pt(rng, k, kraus_rank=3):
     """A process tensor with a different random channel at every step."""
     sites = tuple(
-        kraus_to_w(random_cptp_channel(2, 2, kraus_rank, rng)) for _ in range(k)
+        site_tensor(random_cptp_channel(2, 2, kraus_rank, rng)) for _ in range(k)
     )
     rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     return ProcessTensorMPDO(rho0, sites)
@@ -176,7 +176,7 @@ def test_materialize_single_step_identity_channel():
     """For one identity step on a trivial environment the dense tensor is the
     initial state tensored with a perfect input-output correlator."""
     rho0 = PLUS
-    pt = build(kraus_to_w(KrausChannel((np.eye(2),), 2, 1)), rho0, 1)
+    pt = build(site_tensor(np.eye(2).reshape(1, 2, 1, 2, 1)), rho0, 1)
     t = materialize(pt)  # (o0, o0', i0, i0', o1, o1')
     assert t.shape == (2, 2, 2, 2, 2, 2)
     # the step copies its input: T[o0,o0',i0,i0',o1,o1'] =
@@ -251,8 +251,8 @@ def test_inner_product_matches_dense_contraction():
         np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-11, atol=1e-12)
     # bond dimensions that differ: the boundaries are rectangular
     for k in (1, 2, 3):
-        a = build(kraus_to_w(random_cptp_channel(2, 1, 2, rng)), random_density(rng, 2), k)
-        b = build(kraus_to_w(random_cptp_channel(2, 2, 3, rng)), random_density(rng, 4), k)
+        a = build(site_tensor(random_cptp_channel(2, 1, 2, rng)), random_density(rng, 2), k)
+        b = build(site_tensor(random_cptp_channel(2, 2, 3, rng)), random_density(rng, 4), k)
         for bra, ket in ((a, b), (b, a)):
             expected = np.vdot(materialize(bra), materialize(ket))
             np.testing.assert_allclose(inner_product(bra, ket), expected, rtol=1e-11, atol=1e-12)

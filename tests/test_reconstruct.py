@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ptnm.channels import KrausChannel, kraus_to_w, random_cptp_channel, site_tensor
+from ptnm.channels import random_cptp_channel, site_tensor
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import (
     ProcessTensorMPDO,
@@ -57,7 +57,7 @@ def random_state(rng, n):
 def random_target(rng, k, kraus_rank=3):
     channel = random_cptp_channel(2, 2, kraus_rank, rng)
     psi = random_state(rng, 4)
-    return build(kraus_to_w(channel), np.outer(psi, psi.conj()), k)
+    return build(site_tensor(channel), np.outer(psi, psi.conj()), k)
 
 
 def model_pair(rng, kraus_rank=2):
@@ -116,7 +116,7 @@ def test_predicted_tensor_matches_direct_build():
     for _ in range(3):
         channel, psi = model_pair(rng, kraus_rank=3)
         ansatz = ansatz_from_model(channel, psi)
-        direct = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 3)
+        direct = build(site_tensor(channel), np.outer(psi, psi.conj()), 3)
         predicted = predict(ansatz, 3)
         dist_sq = np.linalg.norm(materialize(direct) - materialize(predicted)) ** 2
         assert dist_sq < 1e-18 * norm_sq(direct)
@@ -146,7 +146,7 @@ def test_normalization_residual_detects_scaling():
     rng = np.random.default_rng(104)
     channel, psi = model_pair(rng)
     scaled = ReconstructionAnsatz(
-        np.stack([op.reshape(2, 2, 2, 2) for op in channel.kraus]) * 1.05, psi
+        channel * 1.05, psi
     )
     assert normalization_residual(scaled) > 0.05
     with pytest.raises(ValueError, match="trace preservation"):
@@ -167,7 +167,7 @@ def value_and_grad_at(ansatz, target, k):
 def test_loss_vanishes_at_the_generating_model():
     rng = np.random.default_rng(105)
     channel, psi = model_pair(rng, kraus_rank=3)
-    target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 4)
+    target = build(site_tensor(channel), np.outer(psi, psi.conj()), 4)
     ansatz = ansatz_from_model(channel, psi)
     value, _ = value_and_grad_at(ansatz, target, 4)
     assert value < 1e-16 * norm_sq(target)
@@ -193,7 +193,7 @@ def test_loss_resolves_a_fit_far_below_the_rounding_of_its_terms():
     # rounding of order 1e-16 |Y|^2
     rng = np.random.default_rng(119)
     channel, psi = model_pair(rng, kraus_rank=3)
-    target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 4)
+    target = build(site_tensor(channel), np.outer(psi, psi.conj()), 4)
     truth = ansatz_from_model(channel, psi)
     noise = rng.normal(size=truth.a_bar.shape) + 1j * rng.normal(size=truth.a_bar.shape)
     ratios = []
@@ -206,7 +206,7 @@ def test_loss_resolves_a_fit_far_below_the_rounding_of_its_terms():
 def test_gradient_vanishes_at_the_generating_model():
     rng = np.random.default_rng(106)
     channel, psi = model_pair(rng, kraus_rank=3)
-    target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 3)
+    target = build(site_tensor(channel), np.outer(psi, psi.conj()), 3)
     _, grad = value_and_grad_at(ansatz_from_model(channel, psi), target, 3)
     assert np.max(np.abs(grad)) < 1e-10 * norm_sq(target)
 
@@ -215,8 +215,8 @@ def test_loss_decreases_toward_the_truth():
     # walking from a perturbed model toward the truth must lower the loss
     rng = np.random.default_rng(107)
     channel, psi = model_pair(rng, kraus_rank=2)
-    target = build(kraus_to_w(channel), np.outer(psi, psi.conj()), 3)
-    a_true = np.stack([op.reshape(2, 2, 2, 2) for op in channel.kraus])
+    target = build(site_tensor(channel), np.outer(psi, psi.conj()), 3)
+    a_true = channel
     noise = rng.normal(size=a_true.shape) + 1j * rng.normal(size=a_true.shape)
     losses = []
     for t in (1.0, 0.5, 0.1, 0.0):
@@ -362,7 +362,7 @@ def test_levenberg_marquardt_reaches_ftol_from_a_perturbed_truth():
 
 def test_objective_rejects_a_target_with_distinct_sites():
     rng = np.random.default_rng(115)
-    w1, w2 = (kraus_to_w(random_cptp_channel(2, 2, 2, rng)) for _ in range(2))
+    w1, w2 = (site_tensor(random_cptp_channel(2, 2, 2, rng)) for _ in range(2))
     psi = random_state(rng, 4)
     rho0 = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     target = ProcessTensorMPDO(rho0, (w1, w2))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ptnm.channels import KrausChannel, kraus_to_w, superop_to_kraus
+from ptnm.channels import site_tensor, superop_to_kraus
 from ptnm.process_tensor import ProcessTensorMPDO
 from ptnm.reconstruct import ReconstructionAnsatz
 from ptnm.tensorops import (
@@ -197,7 +197,7 @@ def test_check_density_matrix_rejects_negative_and_untraced():
 
 
 def _nan_site():
-    w = kraus_to_w(KrausChannel((np.eye(2),), 2, 1)).copy()
+    w = site_tensor(np.eye(2).reshape(1, 2, 1, 2, 1)).copy()
     w[0, 0, 0, 0, 0, 0, 0, 0] = np.nan
     return w
 
@@ -213,7 +213,8 @@ NAN_2 = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
         lambda: check_density_matrix(NAN_2 / 2.0),
         lambda: von_neumann_entropy([0.5, 0.5, np.nan]),
         lambda: renyi_entropy([0.5, 0.5, np.nan], 2.0),
-        lambda: KrausChannel((NAN_2,), 2, 1),
+        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0,
+                                  (site_tensor(NAN_2.reshape(1, 2, 1, 2, 1)),)),
         lambda: superop_to_kraus(np.kron(NAN_2, NAN_2.conj()), 2, 1),
         lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (_nan_site(),)),
         lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (_nan_site(),),
