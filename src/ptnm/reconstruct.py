@@ -84,7 +84,7 @@ import numpy as np
 
 from .channels import _tp_residual, random_cptp_channel, site_tensor
 from .process_tensor import (
-    ProcessTensorMPDO, _as_matrix, _dense, _joint_state, _rights, _sweep, _tt_core, build, norm_sq,
+    ProcessTensorMPDO, _as_matrix, _dense, _joint_state, _rights, _sweep, _transfer, _tt_core, build, norm_sq,
 )
 
 PSI_NORM_TOL = 1e-10
@@ -346,21 +346,21 @@ class _Objective:
 
         # the difference train: first tensor [rho0 | -t_rho0], then k copies
         # of the block-diagonal core
-        core = self.diff_core
-        core[:nf, :, :nf] = _tt_core(site_tensor(q.reshape(x_a.shape)))
+        core, fitted = self.diff_core, _tt_core(site_tensor(q.reshape(x_a.shape)))
+        core[:nf, :, :nf] = fitted
         first = np.concatenate([rho0, -self.t_rho0.reshape(d * d, -1)], axis=1)
         value, factors = self._loss(first)
 
-        # its left boundaries before each site, over the fitted bra bonds,
-        # from the loss's factors; the right ones start from the final trace
+        # its left boundaries before each site, from the loss's factors, and
+        # its right ones from the final trace, both over the fitted bra bonds
         lefts = factors[:, :, :nf].conj().transpose(0, 2, 1) @ factors
-        rights = _rights(self.diff_trace[None, :], [core] * k)
+        rights = _rights(self.diff_trace[None, :nf], [fitted] * k, self.diff_trace[None, :], [core] * k)
 
         # the environment of conj(W) summed over the k steps: every site is
         # the same core, so only the boundaries vary, and G = sum_m l_m (x)
         # r_{m+1} over the fitted bra bonds is one matmul of the stacks
         b = core.shape[0]
-        g = lefts.reshape(k, -1).T @ rights[1:, :nf].reshape(k, -1)
+        g = lefts.reshape(k, -1).T @ rights[1:].reshape(k, -1)
         env = np.tensordot(g.reshape(nf, b, nf, b), core, axes=([1, 3], [0, 2]))
         # from (a, a', b, b', i, i', o, o') to P's axes (o, b, i, a | o', b', i', a')
         env = env.reshape((dd,) * 4 + (d,) * 4).transpose(6, 2, 4, 0, 7, 3, 5, 1)
@@ -369,7 +369,7 @@ class _Objective:
         # appearances of conj(A) contribute equally; likewise for conj(psi)
         m = q.reshape(self.r, -1)
         g_a = pullback(2 * (m @ env.reshape(m.shape[1], -1).T).reshape(q.shape))
-        env_rho = (first @ rights[0].T)[:, :nf].reshape(d, d, dd, dd)
+        env_rho = (first @ rights[0].T).reshape(d, d, dd, dd)
         g_psi = 2 * np.einsum("OX,oOxX->ox", psi.reshape(d, dd), env_rho).ravel()
 
         # normalization chain rule: psi = phi/|phi| keeps only the tangential
@@ -416,7 +416,7 @@ class _Objective:
         core = _tt_core(site_tensor(x_a))
         first = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
         lefts = np.stack(_sweep(first, [core] * k, first, [core] * k))
-        rights = _rights(np.eye(dd).ravel()[None, :], [core] * k)
+        rights = _rights(self.diff_trace[None, :nf], [core] * k, self.diff_trace[None, :nf], [core] * k)
 
         # the ket's hole at site m, closed with the bra's core and r_{m+1},
         # with conj(M) on its primed legs: over (m, bra bond g, i, o, b, s, a')
@@ -429,7 +429,7 @@ class _Objective:
         view = np.einsum("maAgsobia->maAgsobi", z[..., :na].reshape(k, dd, dd, nf, r, d, dd, d, dd))
         view += closing.transpose(0, 6, 1, 5, 3, 4, 2)[:, None]
         z = z.reshape(k, nf * nf, n)
-        transfer = np.tensordot(core, core.conj(), axes=(1, 1)).transpose(0, 2, 1, 3).reshape(nf * nf, -1)
+        transfer = _transfer(core, core).conj()  # z's boundary is laid out ket first
         for m in range(k - 2, -1, -1):
             z[m] += transfer @ z[m + 1]
         # a bra hole at site m opens l_m C with its outgoing bond as the

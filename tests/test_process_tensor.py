@@ -274,7 +274,7 @@ def test_inner_product_matches_dense_contraction():
             np.testing.assert_allclose(np.sum(l * r), expected, rtol=1e-11, atol=1e-12)
         # _rights lays the reversed cores out itself
         by_hand = np.stack(_sweep(trace, back_a, trace, back_a)[::-1])
-        np.testing.assert_allclose(_rights(trace, cores_a), by_hand, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_rights(trace, cores_a, trace, cores_a), by_hand, rtol=1e-12, atol=0)
 
 
 def test_inner_product_conjugate_symmetry_and_positivity():

@@ -16,6 +16,7 @@ from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import (
     ProcessTensorMPDO,
     _as_matrix,
+    _rights,
     _sweep,
     _tt_core,
     build,
@@ -283,6 +284,37 @@ def test_loss_factors_give_the_left_boundaries_of_the_train():
         assert np.linalg.norm(gram - lefts[m]) <= 1e-12 * np.linalg.norm(lefts[m])
     trace = obj.diff_trace
     assert value == pytest.approx((trace @ lefts[k] @ trace).real, rel=1e-12)
+
+
+def test_sweeps_build_one_transfer_per_core_pair_and_the_objective_reads_its_fitted_bonds():
+    rng = np.random.default_rng(122)
+    k, nf = 6, 4
+    obj = _Objective(random_target(rng, k), k, 2, 2, 3)
+    core = obj.diff_core
+    fitted = rng.normal(size=(nf, 16, nf)) + 1j * rng.normal(size=(nf, 16, nf))
+    core[:nf, :, :nf] = fitted
+    # a difference train whose target block alternates between two objects,
+    # so the ket cores pair with the one bra core in two ways
+    other = core.copy()
+    other[nf:, :, nf:] *= 0.5
+    bra, ket = [fitted] * k, [core, other] * (k // 2)
+    first = rng.normal(size=(4, nf)) + 1j * rng.normal(size=(4, nf))
+    first_diff = rng.normal(size=(4, core.shape[0])) + 1j * rng.normal(size=(4, core.shape[0]))
+    bra_trace, trace = np.eye(2).reshape(1, -1), obj.diff_trace[None, :]
+    # each core pair's transfer matrix is built once per call, keyed by
+    # object id: the cache changes nothing but the work, to the last bit
+    copies = [c.copy() for c in bra], [c.copy() for c in ket]
+    shared = _sweep(first, bra, first_diff, ket)
+    copied = _sweep(first, copies[0], first_diff, copies[1])
+    assert all(np.array_equal(a, b) for a, b in zip(shared, copied, strict=True))
+    rights = _rights(bra_trace, bra, trace, ket)
+    assert np.array_equal(rights, _rights(bra_trace, copies[0], trace, copies[1]))
+    # value_and_grad's right sweep, with the fitted train as bra, gives the
+    # fitted bra rows of the whole difference train's right boundaries
+    full = _rights(trace, ket, trace, ket)[:, :nf]
+    assert rights.shape == full.shape
+    for r, expected in zip(rights, full):
+        assert np.linalg.norm(r - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def fig2a_target(k):
