@@ -93,8 +93,8 @@ class ExperimentConfig:
     paper_scale: bool
 
 
-def config_hash(cfg: ExperimentConfig | dict) -> str:
-    canonical = json.dumps(cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg), sort_keys=True)
+def config_hash(cfg: ExperimentConfig) -> str:
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -496,11 +496,10 @@ def run_build(cfg: ExperimentConfig) -> ResultBundle:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    config = dataclasses.asdict(cfg)
     return {
         "experiment": cfg.experiment,
-        "config": config,
-        "config_hash": config_hash(config),
+        "config": dataclasses.asdict(cfg),
+        "config_hash": config_hash(cfg),
         "version": __version__,
     }
 

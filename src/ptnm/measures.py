@@ -75,7 +75,9 @@ def _grams(
     one :func:`_rights`. ``l_j`` contracts the initial tensor and the sites
     before step ``j``; ``r_j`` the sites from ``j`` on and the final
     environment trace."""
-    first, trace, cores = pt.rho0.reshape(pt.d**2, -1), np.eye(pt.D).reshape(1, -1), _cores(pt)
+    first = pt.rho0.reshape(pt.d**2, -1)
+    trace = np.eye(pt.D).reshape(1, -1)
+    cores = _cores(pt)
     lefts = _sweep(first, cores[:stop], first, cores[:stop])
     return np.stack(lefts), _rights(trace, cores[start:], trace, cores[start:])
 

@@ -69,9 +69,12 @@ class ProcessTensorMPDO:
         )
         if not sites:
             raise ValueError("a process tensor needs at least one step")
+        checked = set()
         for m, w in enumerate(sites):
-            if m == 0 or w is not sites[m - 1]:  # build and predict repeat one object k times
-                _check_site(w, d, D, self.site_tol, name=f"site {m}")
+            if id(w) in checked:  # build and predict repeat one object k times
+                continue
+            checked.add(id(w))
+            _check_site(w, d, D, self.site_tol, name=f"site {m}")
 
     @property
     def d(self) -> int:
@@ -225,8 +228,10 @@ def _cores(pt: ProcessTensorMPDO) -> list[np.ndarray]:
     """The sites of ``pt`` as tensor-train cores for a sweep over the
     process tensor: ``build`` repeats one site object k times, so each
     distinct object is laid out once."""
-    layouts = {id(w): w for w in pt.sites}
-    layouts = {i: _tt_core(w) for i, w in layouts.items()}
+    layouts = {}
+    for w in pt.sites:
+        if id(w) not in layouts:
+            layouts[id(w)] = _tt_core(w)
     return [layouts[id(w)] for w in pt.sites]
 
 
@@ -243,24 +248,41 @@ def _sweep(first_bra, cores_bra, first_ket, cores_ket) -> list[np.ndarray]:
     ``(bra_bond, ket_bond)`` matrix; the bra layer is conjugated.
 
     ``l_0 = first_bra^H first_ket`` contracts the two first tensors, shaped
-    ``(physical, bond)``; each step multiplies the flattened boundary by the
+    ``(physical, bond)``. A step multiplies the flattened boundary by the
     :func:`_transfer` matrix of its core pair, built once per call for each
-    distinct pair of core objects (``build`` repeats one site k times)."""
+    distinct pair of core objects (``build`` repeats one site k times), if
+    that matrix holds no more entries than the two cores. Such a product costs
+    less than the two matmuls that every other step takes, and a wide bond,
+    whose matrix would outgrow its cores, takes those. The choice reads the
+    shapes only, so equal-valued copies of a core give the same bits.
+    Left boundaries start from the initial tensors; right boundaries
+    (:func:`_rights`) start from the final-trace row vectors and run over the
+    reversed cores with their in and out bonds swapped.
+    """
     transfers, l = {}, [first_bra.conj().T @ first_ket]
     for cb, ck in zip(cores_bra, cores_ket):
         if (id(cb), id(ck)) not in transfers:
-            transfers[id(cb), id(ck)] = _transfer(cb, ck)
-        l.append((l[-1].reshape(-1) @ transfers[id(cb), id(ck)]).reshape(cb.shape[2], ck.shape[2]))
+            small = cb.shape[0] * ck.shape[0] * cb.shape[2] * ck.shape[2] <= cb.size + ck.size
+            transfers[id(cb), id(ck)] = _transfer(cb, ck) if small else None
+        t = transfers[id(cb), id(ck)]
+        if t is None:
+            tmp = (l[-1] @ ck.reshape(ck.shape[0], -1)).reshape(-1, ck.shape[2])
+            l.append(cb.reshape(-1, cb.shape[2]).conj().T @ tmp)
+        else:
+            l.append((l[-1].reshape(-1) @ t).reshape(cb.shape[2], ck.shape[2]))
     return l
 
 
 def _rights(trace_bra, cores_bra, trace_ket, cores_ket) -> np.ndarray:
     """Stacked right boundaries ``[r_0, ..., r_n]`` of two tensor trains from
-    their final-trace row vectors, the one place a right sweep is set up: one
-    :func:`_sweep` over the reversed cores, each viewed once, bonds swapped."""
-    views = {id(c): c for c in (*cores_bra, *cores_ket)}
-    views = {i: c.transpose(2, 1, 0) for i, c in views.items()}
-    back_bra, back_ket = ([views[id(c)] for c in reversed(cores)] for cores in (cores_bra, cores_ket))
+    their final-trace row vectors, the one place a right sweep is set up: each
+    distinct core is laid out reversed once, for one :func:`_sweep`."""
+    layouts = {}
+    for c in (*cores_bra, *cores_ket):
+        if id(c) not in layouts:
+            layouts[id(c)] = np.ascontiguousarray(c.transpose(2, 1, 0))
+    back_bra = [layouts[id(c)] for c in reversed(cores_bra)]
+    back_ket = [layouts[id(c)] for c in reversed(cores_ket)]
     return np.stack(_sweep(trace_bra, back_bra, trace_ket, back_ket)[::-1])
 
 

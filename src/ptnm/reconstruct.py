@@ -346,7 +346,8 @@ class _Objective:
 
         # the difference train: first tensor [rho0 | -t_rho0], then k copies
         # of the block-diagonal core
-        core, fitted = self.diff_core, _tt_core(site_tensor(q.reshape(x_a.shape)))
+        core = self.diff_core
+        fitted = _tt_core(site_tensor(q.reshape(x_a.shape)))
         core[:nf, :, :nf] = fitted
         first = np.concatenate([rho0, -self.t_rho0.reshape(d * d, -1)], axis=1)
         value, factors = self._loss(first)
@@ -416,7 +417,8 @@ class _Objective:
         core = _tt_core(site_tensor(x_a))
         first = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
         lefts = np.stack(_sweep(first, [core] * k, first, [core] * k))
-        rights = _rights(self.diff_trace[None, :nf], [core] * k, self.diff_trace[None, :nf], [core] * k)
+        trace = np.eye(dd).ravel()[None, :]
+        rights = _rights(trace, [core] * k, trace, [core] * k)
 
         # the ket's hole at site m, closed with the bra's core and r_{m+1},
         # with conj(M) on its primed legs: over (m, bra bond g, i, o, b, s, a')

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ptnm.process_tensor
 from ptnm.channels import _tp_residual, random_cptp_channel, site_tensor
 from ptnm.models import (
     XXChainParams,
@@ -275,6 +276,23 @@ def test_inner_product_matches_dense_contraction():
         # _rights lays the reversed cores out itself
         by_hand = np.stack(_sweep(trace, back_a, trace, back_a)[::-1])
         np.testing.assert_allclose(_rights(trace, cores_a, trace, cores_a), by_hand, rtol=1e-12, atol=0)
+
+
+def test_sweep_builds_a_transfer_matrix_only_where_it_fits_in_its_cores(monkeypatch):
+    # a step's transfer matrix has (bond_bra * bond_ket)**2 entries: at D=8
+    # that is 64**4, 256 MiB, against 2 MiB for the two cores it contracts
+    rng = np.random.default_rng(58)
+    built = []
+    transfer = ptnm.process_tensor._transfer
+    monkeypatch.setattr(ptnm.process_tensor, "_transfer", lambda cb, ck: built.append(1) or transfer(cb, ck))
+    for env_a, env_b, expected_built in ((2, 2, 1), (1, 3, 1), (3, 3, 0), (8, 8, 0)):
+        a = build(site_tensor(random_cptp_channel(2, env_a, 2, rng)), random_density(rng, 2 * env_a), 2)
+        b = build(site_tensor(random_cptp_channel(2, env_b, 2, rng)), random_density(rng, 2 * env_b), 2)
+        built.clear()
+        expected = np.vdot(materialize(a), materialize(b))
+        np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-11, atol=1e-12)
+        # build repeats one site object, so a fitting pair is built once
+        assert len(built) == expected_built, (env_a, env_b)
 
 
 def test_inner_product_conjugate_symmetry_and_positivity():
