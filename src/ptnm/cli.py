@@ -179,6 +179,8 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
     unknown = set(file_cfg) - _FILE_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    if {"gamma", "gammas"} <= file_cfg.keys():
+        raise ConfigError("config keys 'gamma' and 'gammas' name the same setting; give one")
 
     paper = _to_bool("paper_scale", file_cfg.get("paper_scale", False))
     paper = paper or getattr(args, "paper_scale", False)
@@ -223,7 +225,7 @@ def resolve_config(experiment: str, file_cfg: dict, args: argparse.Namespace) ->
         value = getattr(cfg, key)
         if value < 1:
             raise ConfigError(f"config key {key!r} must be positive, got {value}")
-        if value > sys.maxsize:  # past the index range, build's (w,) * k overflows
+        if value > sys.maxsize:  # past the index range, counts overflow as sequence lengths
             raise ConfigError(f"config key {key!r} must be at most {sys.maxsize}, got {value}")
     if min(cfg.k_schedule) < 1:
         raise ConfigError(f"k_schedule entries must be positive, got {list(cfg.k_schedule)}")

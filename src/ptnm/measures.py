@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_tensor import ProcessTensorMPDO, _cores, _env_states, _rights, _sweep
+from .process_tensor import ProcessTensorMPDO, _env_states, _rights, _sweep, _tt_core
 from .tensorops import check_density_matrix, check_unitary, renyi_entropy, von_neumann_entropy
 
 
@@ -77,9 +77,9 @@ def _grams(
     environment trace."""
     first = pt.rho0.reshape(pt.d**2, -1)
     trace = np.eye(pt.D).reshape(1, -1)
-    cores = _cores(pt)
-    lefts = _sweep(first, cores[:stop], first, cores[:stop])
-    return np.stack(lefts), _rights(trace, cores[start:], trace, cores[start:])
+    core = _tt_core(pt.site)
+    lefts = _sweep(first, core, first, core, stop)
+    return np.stack(lefts), _rights(trace, core, trace, core, pt.k - start)
 
 
 def _cut_spectrum(

@@ -1,17 +1,18 @@
 """Multi-time process tensors in matrix-product density-operator form.
 
 A process tensor over ``k`` steps is stored as the initial joint state
-``rho0[o0, o0', a0, a0']`` followed by ``k`` copies of (or ``k`` distinct)
-eight-index site tensors in the axis order of :data:`ptnm.channels.W_LABELS`;
-the environment pair of the final site is traced only when a quantity is
+``rho0[o0, o0', a0, a0']``, one eight-index site tensor in the axis order of
+:data:`ptnm.channels.W_LABELS` applied at every step, and ``k``; the
+environment pair of the final step is traced only when a quantity is
 actually evaluated, so the object itself stays a network, never a dense
 ``(2k+1)``-slot tensor, unless :func:`materialize` is explicitly asked for.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,60 +22,55 @@ from .tensorops import check_density_matrix, check_hermitian
 SITE_TOL = 1e-9
 
 
-def _check_site(w: np.ndarray, d: int, D: int, tp_tol: float | None, name: str) -> None:
-    """Raise unless ``w`` has the site shape for ``(d, D)``, is prime-swap
-    Hermitian within ``SITE_TOL`` and trace preserving within ``tp_tol``
-    (``None`` skips the trace-preservation check)."""
-    if w.shape != (d, d, d, d, D, D, D, D):
-        raise ValueError(f"{name} has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}")
-    # swapping every unprimed index with its primed partner must conjugate W
-    herm = np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max()
-    if not herm <= SITE_TOL:
-        raise ValueError(f"{name} breaks prime-swap Hermiticity: {herm:.3e}")
-    if tp_tol is not None:
-        residual = _tp_residual(w)
-        if not residual <= tp_tol:
-            raise ValueError(f"{name} breaks trace preservation: residual {residual:.3e}")
-
-
 class MaterializationLimitError(RuntimeError):
     """Raised when a dense contraction would exceed the configured step limit."""
 
 
 @dataclass(frozen=True)
 class ProcessTensorMPDO:
-    """Process tensor as an MPDO: initial tensor plus one site tensor per step.
+    """Process tensor as an MPDO: initial tensor plus one site tensor applied
+    at each of ``k`` steps.
 
     ``rho0`` has axes ``(o0, o0', a0, a0')`` and must be a valid joint density
-    matrix; each site follows the :data:`~ptnm.channels.W_LABELS` axis order.
-    This is the one place a site is checked (``_check_site``).
-    ``site_tol=None`` skips the trace-preservation check, which is how tests
-    carry deliberately broken sites.
+    matrix; ``site`` follows the :data:`~ptnm.channels.W_LABELS` axis order.
+    This is the one place a site is checked. ``site_tol=None`` skips its
+    trace-preservation check, which is how tests carry deliberately broken
+    sites.
     """
 
     rho0: np.ndarray
-    sites: tuple[np.ndarray, ...]
+    site: np.ndarray
+    k: int
     site_tol: float | None = SITE_TOL
 
     def __post_init__(self):
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {self.k!r}") from None
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         rho0 = np.asarray(self.rho0, dtype=complex)
-        sites = tuple(np.asarray(s, dtype=complex) for s in self.sites)
+        w = np.asarray(self.site, dtype=complex)
         object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "site", w)
+        object.__setattr__(self, "k", k)
         if rho0.ndim != 4 or rho0.shape[0] != rho0.shape[1] or rho0.shape[2] != rho0.shape[3]:
             raise ValueError(f"rho0 has shape {rho0.shape}, expected (d, d, D, D)")
         d, D = rho0.shape[0], rho0.shape[2]
         check_density_matrix(
             rho0.transpose(0, 2, 1, 3).reshape(d * D, d * D), name="initial joint state"
         )
-        if not sites:
-            raise ValueError("a process tensor needs at least one step")
-        checked = set()
-        for m, w in enumerate(sites):
-            if id(w) in checked:  # build and predict repeat one object k times
-                continue
-            checked.add(id(w))
-            _check_site(w, d, D, self.site_tol, name=f"site {m}")
+        if w.shape != (d, d, d, d, D, D, D, D):
+            raise ValueError(f"site has shape {w.shape}, expected {(d, d, d, d, D, D, D, D)}")
+        # swapping every unprimed index with its primed partner must conjugate W
+        herm = np.abs(w.conj() - w.transpose(1, 0, 3, 2, 5, 4, 7, 6)).max()
+        if not herm <= SITE_TOL:
+            raise ValueError(f"site breaks prime-swap Hermiticity: {herm:.3e}")
+        if self.site_tol is not None:
+            residual = _tp_residual(w)
+            if not residual <= self.site_tol:
+                raise ValueError(f"site breaks trace preservation: residual {residual:.3e}")
 
     @property
     def d(self) -> int:
@@ -84,15 +80,11 @@ class ProcessTensorMPDO:
     def D(self) -> int:
         return self.rho0.shape[2]
 
-    @property
-    def k(self) -> int:
-        return len(self.sites)
-
     def truncated(self, k: int) -> "ProcessTensorMPDO":
         """The process tensor over the first ``k`` steps (containment)."""
         if not 1 <= k <= self.k:
             raise ValueError(f"k must lie in [1, {self.k}], got {k}")
-        return ProcessTensorMPDO(self.rho0, self.sites[:k], site_tol=self.site_tol)
+        return replace(self, k=k)
 
 
 def build(w: np.ndarray, rho0_se: np.ndarray, k: int) -> ProcessTensorMPDO:
@@ -101,10 +93,8 @@ def build(w: np.ndarray, rho0_se: np.ndarray, k: int) -> ProcessTensorMPDO:
 
     ``rho0_se`` is a density matrix on the composite space, system index
     slow; d and D are read from ``w``, and :class:`ProcessTensorMPDO` checks
-    both.
+    both and ``k``.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     w = np.asarray(w, dtype=complex)
     if w.ndim != 8:
         raise ValueError(f"site tensor has shape {w.shape}, expected eight indices")
@@ -112,7 +102,7 @@ def build(w: np.ndarray, rho0_se: np.ndarray, k: int) -> ProcessTensorMPDO:
     rho0_se = np.asarray(rho0_se, dtype=complex)
     if rho0_se.shape != (d * D, d * D):
         raise ValueError(f"rho0 has shape {rho0_se.shape}, expected {(d * D, d * D)}")
-    return ProcessTensorMPDO(_joint_state(rho0_se, d, D), (w,) * k)
+    return ProcessTensorMPDO(_joint_state(rho0_se, d, D), w, k)
 
 
 def _joint_state(rho0_se: np.ndarray, d: int, D: int) -> np.ndarray:
@@ -141,8 +131,8 @@ def _env_states(pt: ProcessTensorMPDO) -> Iterator[np.ndarray]:
     env = np.einsum("ooaA->aA", pt.rho0)
     env = (env + env.conj().T) / 2.0
     yield env
-    for m, w in enumerate(pt.sites):
-        env = np.einsum("iiooaAbB,aA->bB", w, env) / pt.d
+    for m in range(pt.k):
+        env = np.einsum("iiooaAbB,aA->bB", pt.site, env) / pt.d
         trace = float(np.trace(env).real)
         if not abs(trace - 1.0) <= drift_tol:
             raise ValueError(
@@ -166,11 +156,11 @@ def _as_matrix(t: np.ndarray) -> np.ndarray:
     return t.transpose(list(range(0, n, 2)) + list(range(1, n, 2))).reshape(side, side)
 
 
-def _dense(rho0: np.ndarray, sites) -> np.ndarray:
+def _dense(rho0: np.ndarray, site: np.ndarray, k: int) -> np.ndarray:
     """The contraction :func:`materialize` runs, with no size guard or checks."""
     t = rho0
-    for w in sites:
-        t = np.tensordot(t, w, axes=([-2, -1], [4, 5]))
+    for _ in range(k):
+        t = np.tensordot(t, site, axes=([-2, -1], [4, 5]))
     return np.trace(t, axis1=-2, axis2=-1)
 
 
@@ -187,7 +177,7 @@ def materialize(pt: ProcessTensorMPDO, k_max: int = 4) -> np.ndarray:
             f"materializing k={pt.k} steps exceeds the limit {k_max}; "
             "pass a larger k_max to override"
         )
-    t = _dense(pt.rho0, pt.sites)
+    t = _dense(pt.rho0, pt.site, pt.k)
     mat = _as_matrix(t)
     check_hermitian(mat, tol=SITE_TOL, name="materialized tensor")
     eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
@@ -224,17 +214,6 @@ def _tt_core(w: np.ndarray) -> np.ndarray:
     return w.transpose(4, 5, 0, 1, 2, 3, 6, 7).reshape(dd * dd, -1, dd * dd)
 
 
-def _cores(pt: ProcessTensorMPDO) -> list[np.ndarray]:
-    """The sites of ``pt`` as tensor-train cores for a sweep over the
-    process tensor: ``build`` repeats one site object k times, so each
-    distinct object is laid out once."""
-    layouts = {}
-    for w in pt.sites:
-        if id(w) not in layouts:
-            layouts[id(w)] = _tt_core(w)
-    return [layouts[id(w)] for w in pt.sites]
-
-
 def _transfer(cb: np.ndarray, ck: np.ndarray) -> np.ndarray:
     """``T[(ib, ik), (ob, ok)] = sum_p conj(cb[ib, p, ob]) ck[ik, p, ok]``, the
     transfer matrix of a bra and a ket core, by one matmul."""
@@ -243,47 +222,41 @@ def _transfer(cb: np.ndarray, ck: np.ndarray) -> np.ndarray:
     return t.reshape(ib, ob, ik, ok).transpose(0, 2, 1, 3).reshape(ib * ik, ob * ok)
 
 
-def _sweep(first_bra, cores_bra, first_ket, cores_ket) -> list[np.ndarray]:
-    """Two-layer boundaries ``[l_0, ..., l_n]`` of two tensor trains, each a
-    ``(bra_bond, ket_bond)`` matrix; the bra layer is conjugated.
+def _sweep(first_bra, core_bra, first_ket, core_ket, k: int) -> list[np.ndarray]:
+    """Two-layer boundaries ``[l_0, ..., l_k]`` of two tensor trains, each
+    ``k`` copies of one core, each boundary a ``(bra_bond, ket_bond)``
+    matrix; the bra layer is conjugated.
 
     ``l_0 = first_bra^H first_ket`` contracts the two first tensors, shaped
     ``(physical, bond)``. A step multiplies the flattened boundary by the
-    :func:`_transfer` matrix of its core pair, built once per call for each
-    distinct pair of core objects (``build`` repeats one site k times), if
-    that matrix holds no more entries than the two cores. Such a product costs
-    less than the two matmuls that every other step takes, and a wide bond,
-    whose matrix would outgrow its cores, takes those. The choice reads the
-    shapes only, so equal-valued copies of a core give the same bits.
-    Left boundaries start from the initial tensors; right boundaries
+    :func:`_transfer` matrix of the core pair, built once, if that matrix
+    holds no more entries than the two cores, which makes it cheaper than
+    the two matmuls a wider bond takes per step. The choice reads shapes
+    only. Left boundaries start from the initial tensors; right boundaries
     (:func:`_rights`) start from the final-trace row vectors and run over the
     reversed cores with their in and out bonds swapped.
     """
-    transfers, l = {}, [first_bra.conj().T @ first_ket]
-    for cb, ck in zip(cores_bra, cores_ket):
-        if (id(cb), id(ck)) not in transfers:
-            small = cb.shape[0] * ck.shape[0] * cb.shape[2] * ck.shape[2] <= cb.size + ck.size
-            transfers[id(cb), id(ck)] = _transfer(cb, ck) if small else None
-        t = transfers[id(cb), id(ck)]
-        if t is None:
+    cb, ck = core_bra, core_ket
+    l = [first_bra.conj().T @ first_ket]
+    if cb.shape[0] * ck.shape[0] * cb.shape[2] * ck.shape[2] <= cb.size + ck.size:
+        t = _transfer(cb, ck)
+        for _ in range(k):
+            l.append((l[-1].reshape(-1) @ t).reshape(cb.shape[2], ck.shape[2]))
+    else:
+        for _ in range(k):
             tmp = (l[-1] @ ck.reshape(ck.shape[0], -1)).reshape(-1, ck.shape[2])
             l.append(cb.reshape(-1, cb.shape[2]).conj().T @ tmp)
-        else:
-            l.append((l[-1].reshape(-1) @ t).reshape(cb.shape[2], ck.shape[2]))
     return l
 
 
-def _rights(trace_bra, cores_bra, trace_ket, cores_ket) -> np.ndarray:
-    """Stacked right boundaries ``[r_0, ..., r_n]`` of two tensor trains from
-    their final-trace row vectors, the one place a right sweep is set up: each
-    distinct core is laid out reversed once, for one :func:`_sweep`."""
-    layouts = {}
-    for c in (*cores_bra, *cores_ket):
-        if id(c) not in layouts:
-            layouts[id(c)] = np.ascontiguousarray(c.transpose(2, 1, 0))
-    back_bra = [layouts[id(c)] for c in reversed(cores_bra)]
-    back_ket = [layouts[id(c)] for c in reversed(cores_ket)]
-    return np.stack(_sweep(trace_bra, back_bra, trace_ket, back_ket)[::-1])
+def _rights(trace_bra, core_bra, trace_ket, core_ket, k: int) -> np.ndarray:
+    """Stacked right boundaries ``[r_0, ..., r_k]`` of two tensor trains,
+    each ``k`` copies of one core, from their final-trace row vectors: the
+    one place a right sweep is set up. Each core is laid out reversed once,
+    for one :func:`_sweep`."""
+    back_bra = np.ascontiguousarray(core_bra.transpose(2, 1, 0))
+    back_ket = np.ascontiguousarray(core_ket.transpose(2, 1, 0))
+    return np.stack(_sweep(trace_bra, back_bra, trace_ket, back_ket, k)[::-1])
 
 
 def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
@@ -291,7 +264,8 @@ def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:
     bond pairs, never materializing either tensor."""
     if a.k != b.k or a.d != b.d:
         raise ValueError("process tensors must share step count and system dimension")
-    l = _sweep(a.rho0.reshape(a.d**2, -1), _cores(a), b.rho0.reshape(b.d**2, -1), _cores(b))[-1]
+    first_a, first_b = a.rho0.reshape(a.d**2, -1), b.rho0.reshape(b.d**2, -1)
+    l = _sweep(first_a, _tt_core(a.site), first_b, _tt_core(b.site), a.k)[-1]
     return complex(np.eye(a.D).ravel() @ l @ np.eye(b.D).ravel())
 
 

@@ -262,10 +262,6 @@ class _Objective:
     """
 
     def __init__(self, target: ProcessTensorMPDO, k: int, d: int, dd: int, r: int):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if target.k < k:
-            raise ValueError(f"target has {target.k} steps, loss needs {k}")
         if target.d != d:
             raise ValueError(f"target system dimension {target.d} != ansatz {d}")
         self.k = k
@@ -273,16 +269,13 @@ class _Objective:
         self.dd = dd
         self.r = r
         self.t_rho0 = target.rho0
-        self.t_sites = target.sites[:k]
-        if any(not np.array_equal(t, self.t_sites[0]) for t in self.t_sites[1:]):
-            raise ValueError("the target's sites must be one repeated tensor")
-        self.t0 = norm_sq(target.truncated(k))
+        self.t0 = norm_sq(target.truncated(k))  # truncated checks 1 <= k <= target.k
         self.n_a = r * d * dd * d * dd
         # the difference tensor train: its target block and final trace are
         # fixed, value_and_grad writes the fitted block
         nf, nt = dd * dd, target.D ** 2
         self.diff_core = np.zeros((nf + nt, d**4, nf + nt), dtype=complex)
-        self.diff_core[nf:, :, nf:] = _tt_core(self.t_sites[0])
+        self.diff_core[nf:, :, nf:] = _tt_core(target.site)
         self.diff_trace = np.concatenate([np.eye(dd).ravel(), np.eye(target.D).ravel()])
         # masks R out of the packed QR factorization LAPACK returns
         self.upper = np.triu(np.ones((nf + nt, nf + nt)))
@@ -355,7 +348,7 @@ class _Objective:
         # its left boundaries before each site, from the loss's factors, and
         # its right ones from the final trace, both over the fitted bra bonds
         lefts = factors[:, :, :nf].conj().transpose(0, 2, 1) @ factors
-        rights = _rights(self.diff_trace[None, :nf], [fitted] * k, self.diff_trace[None, :], [core] * k)
+        rights = _rights(self.diff_trace[None, :nf], fitted, self.diff_trace[None, :], core, k)
 
         # the environment of conj(W) summed over the k steps: every site is
         # the same core, so only the boundaries vary, and G = sum_m l_m (x)
@@ -416,9 +409,9 @@ class _Objective:
         raw, y, products = self.gn_work
         core = _tt_core(site_tensor(x_a))
         first = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
-        lefts = np.stack(_sweep(first, [core] * k, first, [core] * k))
+        lefts = np.stack(_sweep(first, core, first, core, k))
         trace = np.eye(dd).ravel()[None, :]
-        rights = _rights(trace, [core] * k, trace, [core] * k)
+        rights = _rights(trace, core, trace, core, k)
 
         # the ket's hole at site m, closed with the bra's core and r_{m+1},
         # with conj(M) on its primed legs: over (m, bra bond g, i, o, b, s, a')
@@ -774,7 +767,7 @@ def _choi_spectrum(target: ProcessTensorMPDO, k: int) -> np.ndarray:
     them. They sum to the target's squared norm at k. It calls ``_dense``
     without ``materialize``'s Hermiticity and positivity checks: the rank
     bound needs neither, and a target ``fit`` accepts stays accepted."""
-    s = np.linalg.svd(_as_matrix(_dense(target.rho0, target.sites[:k])), compute_uv=False)
+    s = np.linalg.svd(_as_matrix(_dense(target.rho0, target.site, k)), compute_uv=False)
     return s * s
 
 

@@ -42,7 +42,7 @@ def superop_of(kraus: np.ndarray) -> np.ndarray:
 def test_kraus_channel_rejects_non_trace_preserving_set():
     # trace preservation is checked where every site enters a process tensor
     w = site_tensor((np.eye(2) * 0.9).reshape(1, 2, 1, 2, 1))
-    with pytest.raises(ValueError, match="site 0 breaks trace preservation"):
+    with pytest.raises(ValueError, match="site breaks trace preservation"):
         build(w, np.eye(2) / 2.0, 1)
 
 
@@ -88,7 +88,7 @@ def test_channel_tensor_rejects_broken_hermiticity():
     w = site_tensor(np.eye(2, dtype=complex).reshape(1, 2, 1, 2, 1)).copy()
     w[0, 0, 0, 1] += 0.01
     with pytest.raises(ValueError, match="Hermiticity"):
-        ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (w,))
+        ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, w, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_main_rejects_a_negative_seed_flag(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_main_rejects_a_config_naming_both_gamma_and_gammas(tmp_path, capsys):
+    # the later key used to win: this ran at gamma=2
+    out = tmp_path / "out"
+    argv = ["measure", "--k", "6", "--config", _cfg(tmp_path, {"gamma": 1.0, "gammas": [2.0]})]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert "'gamma' and 'gammas'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parser_is_built_once():
     assert ptnm.cli._build_parser() is ptnm.cli._build_parser()
 
@@ -437,12 +446,10 @@ def _chain_pt(k: int) -> ProcessTensorMPDO:
 
 
 def _drifting_pt(k: int) -> ProcessTensorMPDO:
-    """A chain tensor whose step-7 site is scaled by 1.5: the environment
-    trace jumps to 1.5 at step 7."""
+    """A chain tensor whose site is scaled by 1.5: the environment trace
+    jumps to 1.5 at step 1."""
     pt = _chain_pt(k)
-    sites = list(pt.sites)
-    sites[6] = sites[6] * 1.5
-    return ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
+    return ProcessTensorMPDO(pt.rho0, pt.site * 1.5, k, site_tol=None)
 
 
 def test_measure_rows_ee_column_equals_per_step_nm_ee():
@@ -467,13 +474,12 @@ def test_measure_run_takes_both_columns_from_measure_series(tmp_path, monkeypatc
 
 def test_measure_rows_report_a_trace_drift():
     pt = _drifting_pt(40)
-    with pytest.raises(ValueError, match="at step 7") as excinfo:
+    with pytest.raises(ValueError, match="at step 1;") as excinfo:
         _measure_rows(pt)
-    drift = re.search(r"drifted to (\S+) at step 7;", str(excinfo.value))
+    drift = re.search(r"drifted to (\S+) at step 1;", str(excinfo.value))
     assert float(drift.group(1)) == pytest.approx(1.5)
-    nm_ee(pt, 6)
-    for j in range(7, 40):
-        with pytest.raises(ValueError, match="at step 7"):
+    for j in range(1, 40):
+        with pytest.raises(ValueError, match="at step 1;"):
             nm_ee(pt, j)
 
 
@@ -488,6 +494,6 @@ def test_measure_run_exits_with_a_config_error_on_a_trace_drift(tmp_path, monkey
     assert main(argv + ["--out", str(drift)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: environment-state trace drifted to ")
-    drift_trace = re.search(r"drifted to (\S+) at step 7;", err)
+    drift_trace = re.search(r"drifted to (\S+) at step 1;", err)
     assert float(drift_trace.group(1)) == pytest.approx(1.5)
     assert not drift.exists()

@@ -115,7 +115,7 @@ def test_main_rejects_a_channel_file_with_a_nan_entry(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["measure", "--config", str(cfg), "--k", "6", "--out", str(out)])
     assert code == EXIT_FILE
-    assert "site 0 breaks prime-swap Hermiticity: nan" in capsys.readouterr().err
+    assert "site breaks prime-swap Hermiticity: nan" in capsys.readouterr().err
     assert not out.exists()
 
 

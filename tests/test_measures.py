@@ -96,7 +96,7 @@ def test_env_state_flags_drifting_traces():
     from ptnm.process_tensor import ProcessTensorMPDO
 
     pt = xx_pt(1.0, 3)
-    scaled = ProcessTensorMPDO(pt.rho0, tuple(w * 1.2 for w in pt.sites), site_tol=None)
+    scaled = ProcessTensorMPDO(pt.rho0, pt.site * 1.2, pt.k, site_tol=None)
     with pytest.raises(ValueError):
         env_state(scaled, 2)
 
@@ -193,24 +193,6 @@ def test_osee_matches_dense_schmidt_spectrum():
             np.testing.assert_allclose(osee(pt, j), dense_half, atol=1e-8)
 
 
-def test_osee_with_a_different_site_per_step_matches_dense_schmidt_spectrum():
-    """The right sweep runs over the sites in reverse; with a different site
-    at every step, an order error shows against the dense split."""
-    rng = np.random.default_rng(67)
-    sites = tuple(site_tensor(random_cptp_channel(2, 2, 3, rng)) for _ in range(3))
-    rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    pt = ProcessTensorMPDO(rho0, sites)
-    vec = materialize(pt).reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    series = measure_series(pt, "osee")
-    for j in (1, 2):
-        p = np.linalg.svd(vec.reshape(2 ** (2 + 4 * j), -1), compute_uv=False) ** 2
-        p = p[p > 1e-16]
-        dense_half = float(-(p * np.log2(p)).sum()) / 2.0
-        np.testing.assert_allclose(osee(pt, j), dense_half, atol=1e-8)
-        np.testing.assert_allclose(series.value_at(j), dense_half, atol=1e-8)
-
-
 def test_osee_bounded_by_bond_capacity():
     rng = np.random.default_rng(66)
     pt = random_pt(rng, 4)
@@ -256,8 +238,8 @@ def test_measures_are_gauge_invariant():
     u, _ = np.linalg.qr(g)
     # conjugate every environment bond by u; nothing observable may change
     rho0 = np.einsum("xa,yb,oOab->oOxy", u, u.conj(), pt.rho0)
-    w = np.einsum("xa,yA,zb,wB,iIoOaAbB->iIoOxyzw", u.conj(), u, u, u.conj(), pt.sites[0])
-    moved = ProcessTensorMPDO(rho0, (w,) * pt.k)
+    w = np.einsum("xa,yA,zb,wB,iIoOaAbB->iIoOxyzw", u.conj(), u, u, u.conj(), pt.site)
+    moved = ProcessTensorMPDO(rho0, w, pt.k)
     for j in range(1, 4):
         assert abs(osee(pt, j) - osee(moved, j)) < 1e-10
         assert abs(nm_ee(pt, j) - nm_ee(moved, j)) < 1e-10
@@ -288,15 +270,15 @@ def test_measure_series_ee_covers_all_steps():
 
 def _per_cut_osee_reference(pt):
     """The osee series as an O(k^2) loop: for every cut, a left sweep over
-    the sites before it and a right sweep rebuilt from the final trace."""
+    the steps before it and a right sweep rebuilt from the final trace."""
     first = pt.rho0.reshape(pt.d**2, -1)
     trace = np.eye(pt.D).reshape(1, -1)
+    core = _tt_core(pt.site)
+    back = core.transpose(2, 1, 0)
     values = []
     for j in range(1, pt.k):
-        before = [_tt_core(w) for w in pt.sites[:j]]
-        l = _sweep(first, before, first, before)[-1]
-        after = [_tt_core(w).transpose(2, 1, 0) for w in reversed(pt.sites[j:])]
-        r = _sweep(trace, after, trace, after)[-1]
+        l = _sweep(first, core, first, core, j)[-1]
+        r = _sweep(trace, back, trace, back, pt.k - j)[-1]
         values.append(von_neumann_entropy(_cut_spectrum(l, r)) / 2.0)
     return tuple(values)
 
@@ -310,13 +292,10 @@ def test_osee_series_equals_per_cut_reference_exactly():
     assert [osee(pt, j) for j in (1, 20, 39)] == [series.value_at(j) for j in (1, 20, 39)]
 
 
-def test_series_equal_the_per_step_measures_with_a_different_site_per_step():
+def test_series_equal_the_per_step_measures_on_a_random_site():
     """Each series takes its spectra in one batched eigensolve; every value is
     the one the single-step measure gives, to the last bit."""
-    rng = np.random.default_rng(68)
-    sites = tuple(site_tensor(random_cptp_channel(2, 2, 3, rng)) for _ in range(9))
-    rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    pt = ProcessTensorMPDO(rho0, sites)
+    pt = random_pt(np.random.default_rng(68), 9)
     assert measure_series(pt, "osee").values == tuple(osee(pt, j) for j in range(1, 9))
     assert measure_series(pt, "ee").values == tuple(nm_ee(pt, j) for j in range(1, 10))
     assert measure_series(pt.truncated(1), "osee").values == ()  # a stack of no cuts
@@ -324,9 +303,8 @@ def test_series_equal_the_per_step_measures_with_a_different_site_per_step():
 
 def test_zero_norm_cut_names_its_step():
     pt = xx_pt(1.0, 10)
-    sites = list(pt.sites)
-    sites[6] = np.zeros_like(sites[6])  # the step-7 site: every cut has zero norm
-    zeroed = ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
+    # a zero site: every cut has zero norm
+    zeroed = ProcessTensorMPDO(pt.rho0, np.zeros_like(pt.site), pt.k, site_tol=None)
     with pytest.raises(ValueError, match="zero norm across the cut at step 7$"):
         osee(zeroed, 7)
     with pytest.raises(ValueError, match="zero norm across the cut at step 1$"):
@@ -335,10 +313,8 @@ def test_zero_norm_cut_names_its_step():
 
 def test_ee_series_raises_on_trace_drift():
     pt = xx_pt(1.0, 10)
-    sites = list(pt.sites)
-    sites[6] = sites[6] * 1.5  # the step-7 site
-    drifting = ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
-    with pytest.raises(ValueError, match="at step 7") as excinfo:
+    drifting = ProcessTensorMPDO(pt.rho0, pt.site * 1.5, pt.k, site_tol=None)
+    with pytest.raises(ValueError, match="at step 1;") as excinfo:
         measure_series(drifting, "ee")
     trace = float(str(excinfo.value).split("drifted to ")[1].split(" ")[0])
     assert trace == pytest.approx(1.5)
@@ -355,7 +331,7 @@ def test_ee_series_accepts_a_drift_the_site_check_allows():
         w[i, i, 0, 0, :, :, 0, 0] += eps
     assert SITE_TOL / 2 < _tp_residual(w) < SITE_TOL
     rho0 = np.kron(np.diag([1.0, 0.0]), PLUS).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    pt = ProcessTensorMPDO(rho0, (w,) * 6)  # passes the default site check
+    pt = ProcessTensorMPDO(rho0, w, 6)  # passes the default site check
     env = np.einsum("ooaA->aA", pt.rho0)
     drift = abs(np.einsum("iiooaAbb,aA->", w, env) / 2 - 1.0)
     assert 1e-9 < drift < pt.D * SITE_TOL

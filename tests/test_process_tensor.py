@@ -49,15 +49,6 @@ def random_pt(rng, k, kraus_rank=3):
     return build(channel, random_density(rng, 4), k)
 
 
-def random_steps_pt(rng, k, kraus_rank=3):
-    """A process tensor with a different random channel at every step."""
-    sites = tuple(
-        site_tensor(random_cptp_channel(2, 2, kraus_rank, rng)) for _ in range(k)
-    )
-    rho0 = random_density(rng, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    return ProcessTensorMPDO(rho0, sites)
-
-
 def xx_pt(gamma, k, n=0.0, rho0_system=None):
     params = XXChainParams(gamma=gamma, n=n, rho0_system=rho0_system)
     channel, rho0 = xx_chain_model(params)
@@ -73,9 +64,8 @@ def test_build_shapes_and_step_count():
     pt = xx_pt(1.0, 3)
     assert pt.d == 2 and pt.D == 2 and pt.k == 3
     assert pt.rho0.shape == (2, 2, 2, 2)
-    for w in pt.sites:
-        assert w.shape == (2, 2, 2, 2, 2, 2, 2, 2)
-        assert _tp_residual(w) < 1e-10
+    assert pt.site.shape == (2, 2, 2, 2, 2, 2, 2, 2)
+    assert _tp_residual(pt.site) < 1e-10
 
 
 def test_build_rejects_bad_inputs():
@@ -92,25 +82,28 @@ def test_build_rejects_bad_inputs():
 
 def test_process_tensor_rejects_non_trace_preserving_site():
     pt = xx_pt(1.0, 2)
-    bad = pt.sites[0] * 1.01
-    with pytest.raises(ValueError):
-        ProcessTensorMPDO(pt.rho0, (bad,))
+    bad = pt.site * 1.01
+    with pytest.raises(ValueError, match="site breaks trace preservation"):
+        ProcessTensorMPDO(pt.rho0, bad, 1)
     # the variational carrier skips that check on request
-    ProcessTensorMPDO(pt.rho0, (bad,), site_tol=None)
+    ProcessTensorMPDO(pt.rho0, bad, 1, site_tol=None)
 
 
-def test_site_checks_name_the_first_step_of_a_bad_object():
+def test_site_check_rejects_a_site_that_breaks_prime_swap_hermiticity():
     pt = xx_pt(1.0, 2)
-    good = pt.sites[0]
-    bad = good * 1.01
-    # each distinct object is checked once, but the error still names the
-    # first step it appears at
-    with pytest.raises(ValueError, match="site 3 breaks trace preservation"):
-        ProcessTensorMPDO(pt.rho0, (good,) * 3 + (bad,) * 4 + (good,))
-    skewed = good.copy()
+    skewed = pt.site.copy()
     skewed[0, 1, 0, 0, 0, 0, 0, 0] += 1e-3
-    with pytest.raises(ValueError, match="site 1 breaks prime-swap Hermiticity"):
-        ProcessTensorMPDO(pt.rho0, (good, skewed, skewed), site_tol=None)
+    with pytest.raises(ValueError, match="site breaks prime-swap Hermiticity"):
+        ProcessTensorMPDO(pt.rho0, skewed, 3, site_tol=None)
+
+
+@pytest.mark.parametrize("k", [0, 2.5])
+def test_process_tensor_rejects_a_step_count_that_is_not_a_positive_integer(k):
+    pt = xx_pt(1.0, 2)
+    with pytest.raises(ValueError, match="^k must be"):
+        ProcessTensorMPDO(pt.rho0, pt.site, k)
+    # any integer type is stored as an int, so range(pt.k) always runs
+    assert type(ProcessTensorMPDO(pt.rho0, pt.site, np.int64(3)).k) is int
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +152,10 @@ def test_apply_threads_a_preparation_through():
 def test_ruqdm_chain_composes_exactly():
     gamma, delta, k = 0.7, 0.25, 6
     pt = build(ruqdm_channel(gamma, delta), PLUS, k)
-    # k is past the dense guard, so thread the identity maps through the sites
+    # k is past the dense guard, so thread the identity maps through the steps
     state = pt.rho0
-    for w in pt.sites:
-        state = np.einsum("iIoOaAbB,iIaA->oObB", w, state)
+    for _ in range(pt.k):
+        state = np.einsum("iIoOaAbB,iIaA->oObB", pt.site, state)
     out = np.einsum("oOaa->oO", state)
     np.testing.assert_allclose(out[0, 1], 0.5 * np.exp(-2.0 * gamma * delta * k), atol=1e-13)
     np.testing.assert_allclose(out[0, 0], 0.5, atol=1e-13)
@@ -223,9 +216,8 @@ def test_containment_holds_for_built_models():
 
 def test_containment_fails_for_non_trace_preserving_final_site():
     pt = xx_pt(1.0, 3)
-    sites = list(pt.sites)
-    sites[-1] = sites[-1] * 1.001  # stays positive, loses trace preservation
-    tampered = ProcessTensorMPDO(pt.rho0, tuple(sites), site_tol=None)
+    # stays positive, loses trace preservation
+    tampered = ProcessTensorMPDO(pt.rho0, pt.site * 1.001, pt.k, site_tol=None)
     report = check_containment(tampered)
     assert not report.passed
     assert report.residual > 1e-4
@@ -257,25 +249,23 @@ def test_inner_product_matches_dense_contraction():
         for bra, ket in ((a, b), (b, a)):
             expected = np.vdot(materialize(bra), materialize(ket))
             np.testing.assert_allclose(inner_product(bra, ket), expected, rtol=1e-11, atol=1e-12)
-    # both sweep directions: with a different site at every step, the left
-    # and right boundaries meet at every cut j = 0..k in the same number
+    # both sweep directions: the left and right boundaries meet at every cut
+    # j = 0..k in the same number
     for k in (1, 2, 3):
-        a = random_steps_pt(rng, k)
-        b = random_steps_pt(rng, k)
+        a = random_pt(rng, k)
+        b = random_pt(rng, k)
         expected = np.vdot(materialize(a), materialize(b))
-        cores_a = [_tt_core(w) for w in a.sites]
-        cores_b = [_tt_core(w) for w in b.sites]
-        lefts = _sweep(a.rho0.reshape(4, -1), cores_a, b.rho0.reshape(4, -1), cores_b)
+        core_a, core_b = _tt_core(a.site), _tt_core(b.site)
+        lefts = _sweep(a.rho0.reshape(4, -1), core_a, b.rho0.reshape(4, -1), core_b, k)
         trace = np.eye(2).reshape(1, -1)
-        back_a = [c.transpose(2, 1, 0) for c in reversed(cores_a)]
-        back_b = [c.transpose(2, 1, 0) for c in reversed(cores_b)]
-        rights = _sweep(trace, back_a, trace, back_b)[::-1]
+        back_a, back_b = core_a.transpose(2, 1, 0), core_b.transpose(2, 1, 0)
+        rights = _sweep(trace, back_a, trace, back_b, k)[::-1]
         assert len(lefts) == len(rights) == k + 1
         for l, r in zip(lefts, rights):
             np.testing.assert_allclose(np.sum(l * r), expected, rtol=1e-11, atol=1e-12)
-        # _rights lays the reversed cores out itself
-        by_hand = np.stack(_sweep(trace, back_a, trace, back_a)[::-1])
-        np.testing.assert_allclose(_rights(trace, cores_a, trace, cores_a), by_hand, rtol=1e-12, atol=0)
+        # _rights lays the reversed core out itself
+        by_hand = np.stack(_sweep(trace, back_a, trace, back_a, k)[::-1])
+        np.testing.assert_allclose(_rights(trace, core_a, trace, core_a, k), by_hand, rtol=1e-12, atol=0)
 
 
 def test_sweep_builds_a_transfer_matrix_only_where_it_fits_in_its_cores(monkeypatch):
@@ -291,7 +281,7 @@ def test_sweep_builds_a_transfer_matrix_only_where_it_fits_in_its_cores(monkeypa
         built.clear()
         expected = np.vdot(materialize(a), materialize(b))
         np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-11, atol=1e-12)
-        # build repeats one site object, so a fitting pair is built once
+        # a sweep builds its core pair's transfer matrix once, where it fits
         assert len(built) == expected_built, (env_a, env_b)
 
 

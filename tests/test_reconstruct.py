@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import ptnm.process_tensor
 from ptnm.channels import random_cptp_channel, site_tensor
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import (
@@ -277,7 +278,7 @@ def test_loss_factors_give_the_left_boundaries_of_the_train():
     core[...] = rng.normal(size=core.shape) + 1j * rng.normal(size=core.shape)
     first = rng.normal(size=(4, core.shape[0])) + 1j * rng.normal(size=(4, core.shape[0]))
     value, factors = obj._loss(first)
-    lefts = _sweep(first, [core] * k, first, [core] * k)
+    lefts = _sweep(first, core, first, core, k)
     assert len(factors) == k
     for m in range(k):
         gram = factors[m].conj().T @ factors[m]
@@ -286,32 +287,24 @@ def test_loss_factors_give_the_left_boundaries_of_the_train():
     assert value == pytest.approx((trace @ lefts[k] @ trace).real, rel=1e-12)
 
 
-def test_sweeps_build_one_transfer_per_core_pair_and_the_objective_reads_its_fitted_bonds():
+def test_sweeps_build_one_transfer_per_core_pair_and_the_objective_reads_its_fitted_bonds(monkeypatch):
     rng = np.random.default_rng(122)
     k, nf = 6, 4
     obj = _Objective(random_target(rng, k), k, 2, 2, 3)
     core = obj.diff_core
     fitted = rng.normal(size=(nf, 16, nf)) + 1j * rng.normal(size=(nf, 16, nf))
     core[:nf, :, :nf] = fitted
-    # a difference train whose target block alternates between two objects,
-    # so the ket cores pair with the one bra core in two ways
-    other = core.copy()
-    other[nf:, :, nf:] *= 0.5
-    bra, ket = [fitted] * k, [core, other] * (k // 2)
-    first = rng.normal(size=(4, nf)) + 1j * rng.normal(size=(4, nf))
-    first_diff = rng.normal(size=(4, core.shape[0])) + 1j * rng.normal(size=(4, core.shape[0]))
     bra_trace, trace = np.eye(2).reshape(1, -1), obj.diff_trace[None, :]
-    # each core pair's transfer matrix is built once per call, keyed by
-    # object id: the cache changes nothing but the work, to the last bit
-    copies = [c.copy() for c in bra], [c.copy() for c in ket]
-    shared = _sweep(first, bra, first_diff, ket)
-    copied = _sweep(first, copies[0], first_diff, copies[1])
-    assert all(np.array_equal(a, b) for a, b in zip(shared, copied, strict=True))
-    rights = _rights(bra_trace, bra, trace, ket)
-    assert np.array_equal(rights, _rights(bra_trace, copies[0], trace, copies[1]))
+    # the fitted bra against the difference ket: a 32 x 32 transfer matrix,
+    # built once for all k steps
+    built = []
+    transfer = ptnm.process_tensor._transfer
+    monkeypatch.setattr(ptnm.process_tensor, "_transfer", lambda cb, ck: built.append(1) or transfer(cb, ck))
+    rights = _rights(bra_trace, fitted, trace, core, k)
+    assert len(built) == 1
     # value_and_grad's right sweep, with the fitted train as bra, gives the
     # fitted bra rows of the whole difference train's right boundaries
-    full = _rights(trace, ket, trace, ket)[:, :nf]
+    full = _rights(trace, core, trace, core, k)[:, :nf]
     assert rights.shape == full.shape
     for r, expected in zip(rights, full):
         assert np.linalg.norm(r - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -390,17 +383,6 @@ def test_levenberg_marquardt_reaches_ftol_from_a_perturbed_truth():
     assert res.reason in ("ftol", "gtol")
     assert res.lm_steps == res.nit == len(res.loss_history) <= 5
     assert res.fun <= LM_FLOOR < FTOL
-
-
-def test_objective_rejects_a_target_with_distinct_sites():
-    rng = np.random.default_rng(115)
-    w1, w2 = (site_tensor(random_cptp_channel(2, 2, 2, rng)) for _ in range(2))
-    psi = random_state(rng, 4)
-    rho0 = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    target = ProcessTensorMPDO(rho0, (w1, w2))
-    with pytest.raises(ValueError, match="one repeated tensor"):
-        _Objective(target, 2, 2, 2, 3)
-    _Objective(target, 1, 2, 2, 3)  # a single step is one tensor
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +732,7 @@ def test_fitted_nm_ee_is_reproducible_under_a_one_ulp_target_change(seed):
 
     cfg = cli.resolve_config("fig2a", {"gammas": [1.0], "restarts": 1, "seed": seed}, None)
     target = cli._xx_target(cfg, 1.0, cfg.k, pure_system=True)
-    nudged = ProcessTensorMPDO(target.rho0, tuple(site * (1 + 2**-52) for site in target.sites))
+    nudged = ProcessTensorMPDO(target.rho0, target.site * (1 + 2**-52), target.k)
     series = []
     for t in (target, nudged):
         ansatz, report, _ = cli._fit_selected(t, cfg, 0)

@@ -214,10 +214,10 @@ NAN_2 = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
         lambda: von_neumann_entropy([0.5, 0.5, np.nan]),
         lambda: renyi_entropy([0.5, 0.5, np.nan], 2.0),
         lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0,
-                                  (site_tensor(NAN_2.reshape(1, 2, 1, 2, 1)),)),
+                                  site_tensor(NAN_2.reshape(1, 2, 1, 2, 1)), 1),
         lambda: superop_to_kraus(np.kron(NAN_2, NAN_2.conj()), 2, 1),
-        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (_nan_site(),)),
-        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, (_nan_site(),),
+        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, _nan_site(), 1),
+        lambda: ProcessTensorMPDO(np.eye(2).reshape(2, 2, 1, 1) / 2.0, _nan_site(), 1,
                                   site_tol=None),
         lambda: ReconstructionAnsatz(np.eye(2).reshape(1, 2, 1, 2, 1), [np.nan, 0.0]),
     ],
