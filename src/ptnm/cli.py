@@ -39,7 +39,7 @@ from .io import (
     write_csv_atomic,
     write_json_atomic,
 )
-from .measures import measure_series, nm_ee
+from .measures import measure_series, nm_ee  # noqa: F401 -- nm_ee: a name bench/tracing.py hooks
 from .models import UQDMParams, XXChainParams, ruqdm_channel, uqdm_memory_series, xx_chain_model
 from .process_tensor import (
     MaterializationLimitError,
@@ -363,8 +363,8 @@ def _target_from_file(cfg: ExperimentConfig) -> ProcessTensorMPDO:
 def _measure_rows(pt: ProcessTensorMPDO) -> list[tuple]:
     """Rows (j, N^osee_j, N^ee_j, boundary_flag) for j = 1..k-1.
 
-    A drifting environment trace raises ``ValueError`` with the step and
-    the trace it reached (see ``ptnm.process_tensor._env_states``).
+    A drifting environment trace raises ``ValueError`` at its first bad step
+    (see ``ptnm.process_tensor._env_states``).
     """
     osee = measure_series(pt, "osee")
     ee = measure_series(pt, "ee")  # steps 1..k; zip drops step k
@@ -376,10 +376,10 @@ def _measure_rows(pt: ProcessTensorMPDO) -> list[tuple]:
 
 def _mid_entropy(ansatz: ReconstructionAnsatz, k: int) -> float:
     """Largest fitted environment entropy over the mid-range band of steps
-    (clear of the initial transient and the right boundary)."""
-    fitted = predict(ansatz, k)
+    (clear of the initial transient and the right boundary), from one series."""
     band = sorted({max(1, round(f * k)) for f in (0.4, 0.55, 0.7)})
-    return max(nm_ee(fitted, j) for j in band)
+    series = measure_series(predict(ansatz, band[-1]), "ee")
+    return max(series.value_at(j) for j in band)
 
 
 def _fit_selected(

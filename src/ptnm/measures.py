@@ -10,7 +10,6 @@ through left/right Gram matrices, the second through a ``D x D`` recursion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,13 @@ def env_state(pt: ProcessTensorMPDO, j: int) -> np.ndarray:
 
     Step zero is the environment marginal of the initial joint state; each
     later step feeds the maximally mixed system through the site tensor and
-    keeps the environment, renormalized per step (see
-    ``ptnm.process_tensor._env_states`` for the trace bookkeeping).
+    keeps the environment, each state taken over its trace (see
+    ``ptnm.process_tensor._env_states`` for the trace bookkeeping). Only the
+    steps up to ``j`` are run, and only their traces are checked.
     """
     if not 0 <= j <= pt.k:
         raise ValueError(f"j must lie in [0, {pt.k}], got {j}")
-    return next(itertools.islice(_env_states(pt), j, None))
+    return _env_states(pt.rho0, pt.site, j)[j]
 
 
 def _entropy(eigenvalues: np.ndarray, alpha: float | None) -> float | np.ndarray:
@@ -66,20 +66,17 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _grams(
-    pt: ProcessTensorMPDO, stop: int, start: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _grams(pt: ProcessTensorMPDO, stop: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     """Left Grams ``[l_0, ..., l_stop]`` and right Grams ``[r_start, ...,
-    r_k]`` of the process tensor with itself, each stacked into one array of
-    ``(D**2, D**2)`` matrices over the bond pair, by one :func:`_sweep` and
-    one :func:`_rights`. ``l_j`` contracts the initial tensor and the sites
+    r_k]`` of the process tensor with itself, the stacks of ``(D**2, D**2)``
+    matrices over the bond pair that one :func:`_sweep` and one
+    :func:`_rights` write. ``l_j`` contracts the initial tensor and the sites
     before step ``j``; ``r_j`` the sites from ``j`` on and the final
     environment trace."""
     first = pt.rho0.reshape(pt.d**2, -1)
     trace = np.eye(pt.D).reshape(1, -1)
     core = _tt_core(pt.site)
-    lefts = _sweep(first, core, first, core, stop)
-    return np.stack(lefts), _rights(trace, core, trace, core, pt.k - start)
+    return _sweep(first, core, first, core, stop), _rights(trace, core, trace, core, pt.k - start)
 
 
 def _cut_spectrum(
@@ -199,7 +196,6 @@ def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values.tolist()), flagged)
     if kind == "ee":
-        states = np.stack(list(itertools.islice(_env_states(pt), 1, None)))
-        values = _entropy_of_state(states)
+        values = _entropy_of_state(_env_states(pt.rho0, pt.site, pt.k)[1:])
         return MeasureSeries(kind, tuple(range(1, pt.k + 1)), tuple(values.tolist()))
     raise ValueError(f"unknown measure kind {kind!r}; expected 'osee' or 'ee'")

@@ -11,7 +11,6 @@ actually evaluated, so the object itself stays a network, never a dense
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,32 +114,35 @@ def _joint_state(rho0_se: np.ndarray, d: int, D: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _env_states(pt: ProcessTensorMPDO) -> Iterator[np.ndarray]:
-    """Effective environment states ``rho_E_0, rho_E_1, ..., rho_E_k`` under
-    trace-averaged interventions, yielded one step at a time.
-
-    Each step contracts the site with the identity on the system input pair,
-    divides by ``d``, and renormalizes. A site that passed the construction
-    check moves the trace of a unit-trace state by at most ``D * SITE_TOL``
-    (its trace-preservation residual is entrywise, and ``sum |rho_aa'| <= D``),
-    and step 0 is not renormalized, so it adds the initial state's own trace
-    tolerance. A larger drift needs a tensor built with a looser ``site_tol``
-    or none; it raises ``ValueError`` in place of the step's state.
+def _env_states(rho0: np.ndarray, site: np.ndarray, k: int) -> np.ndarray:
+    """Effective environment states ``rho_E_0, ..., rho_E_k`` over ``k``
+    steps of ``site`` from ``rho0``, under trace-averaged interventions, as
+    one ``(k + 1, D, D)`` stack. The site traced over the system input pair
+    and divided by ``d`` is one ``D**2 x D**2`` map; each step is one matmul
+    of the unnormalized state, and each state after step 0 is then taken
+    over its trace. A checked site moves a unit trace by at most ``D *
+    SITE_TOL`` (its residual is entrywise, and ``sum |rho_aa'| <= D``) and
+    step 0 adds the initial state's tolerance, so each ratio of consecutive
+    traces may drift by ``(D + 1) * SITE_TOL``; a larger one (a looser
+    ``site_tol`` or none) raises ``ValueError`` at its first step.
     """
-    drift_tol = (pt.D + 1) * SITE_TOL
-    env = np.einsum("ooaA->aA", pt.rho0)
-    env = (env + env.conj().T) / 2.0
-    yield env
-    for m in range(pt.k):
-        env = np.einsum("iiooaAbB,aA->bB", pt.site, env) / pt.d
-        trace = float(np.trace(env).real)
-        if not abs(trace - 1.0) <= drift_tol:
-            raise ValueError(
-                f"environment-state trace drifted to {trace!r} at step {m + 1}; "
-                "site tensors are too far from trace preserving"
-            )
-        env = (env + env.conj().T) / (2.0 * trace)
-        yield env
+    D = rho0.shape[2]
+    env = np.einsum("ooaA->aA", rho0)
+    u = np.empty((k + 1, D * D), dtype=complex)
+    u[0] = ((env + env.conj().T) / 2.0).ravel()
+    step = np.einsum("iiooaAbB->aAbB", site).reshape(D * D, D * D) / rho0.shape[0]
+    with np.errstate(all="ignore"):  # a drifting trace runs to inf, 0 or 0/0
+        for m in range(k):
+            np.matmul(u[m], step, out=u[m + 1])
+        traces = u[:, :: D + 1].sum(axis=1).real
+        ratios = traces[1:] / traces[:-1]
+    bad = np.flatnonzero(~(np.abs(ratios - 1.0) <= (D + 1) * SITE_TOL))
+    if bad.size:
+        raise ValueError(f"environment-state trace drifted to {float(ratios[bad[0]])!r} at step "
+                         f"{bad[0] + 1}; site tensors are too far from trace preserving")
+    traces[0] = 1.0  # step 0, the initial marginal, keeps its own trace
+    states = u.reshape(-1, D, D)
+    return (states + states.conj().swapaxes(-1, -2)) / (2.0 * traces[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +224,10 @@ def _transfer(cb: np.ndarray, ck: np.ndarray) -> np.ndarray:
     return t.reshape(ib, ob, ik, ok).transpose(0, 2, 1, 3).reshape(ib * ik, ob * ok)
 
 
-def _sweep(first_bra, core_bra, first_ket, core_ket, k: int) -> list[np.ndarray]:
-    """Two-layer boundaries ``[l_0, ..., l_k]`` of two tensor trains, each
-    ``k`` copies of one core, each boundary a ``(bra_bond, ket_bond)``
-    matrix; the bra layer is conjugated.
+def _sweep(first_bra, core_bra, first_ket, core_ket, k: int) -> np.ndarray:
+    """Two-layer boundaries ``l_0, ..., l_k`` of two tensor trains, each
+    ``k`` copies of one core, stacked into one ``(k + 1, bra_bond,
+    ket_bond)`` array; the bra layer is conjugated.
 
     ``l_0 = first_bra^H first_ket`` contracts the two first tensors, shaped
     ``(physical, bond)``. A step multiplies the flattened boundary by the
@@ -237,15 +239,17 @@ def _sweep(first_bra, core_bra, first_ket, core_ket, k: int) -> list[np.ndarray]
     reversed cores with their in and out bonds swapped.
     """
     cb, ck = core_bra, core_ket
-    l = [first_bra.conj().T @ first_ket]
+    l = np.empty((k + 1, cb.shape[0], ck.shape[0]), dtype=complex)
+    np.matmul(first_bra.conj().T, first_ket, out=l[0])
     if cb.shape[0] * ck.shape[0] * cb.shape[2] * ck.shape[2] <= cb.size + ck.size:
         t = _transfer(cb, ck)
-        for _ in range(k):
-            l.append((l[-1].reshape(-1) @ t).reshape(cb.shape[2], ck.shape[2]))
+        flat = l.reshape(k + 1, -1)
+        for m in range(k):
+            np.matmul(flat[m], t, out=flat[m + 1])
     else:
-        for _ in range(k):
-            tmp = (l[-1] @ ck.reshape(ck.shape[0], -1)).reshape(-1, ck.shape[2])
-            l.append(cb.reshape(-1, cb.shape[2]).conj().T @ tmp)
+        bra, ket = cb.reshape(-1, cb.shape[2]).conj().T, ck.reshape(ck.shape[0], -1)
+        for m in range(k):
+            np.matmul(bra, (l[m] @ ket).reshape(-1, ck.shape[2]), out=l[m + 1])
     return l
 
 
@@ -253,10 +257,10 @@ def _rights(trace_bra, core_bra, trace_ket, core_ket, k: int) -> np.ndarray:
     """Stacked right boundaries ``[r_0, ..., r_k]`` of two tensor trains,
     each ``k`` copies of one core, from their final-trace row vectors: the
     one place a right sweep is set up. Each core is laid out reversed once,
-    for one :func:`_sweep`."""
+    for one :func:`_sweep`, whose stack is returned as a reversed view."""
     back_bra = np.ascontiguousarray(core_bra.transpose(2, 1, 0))
     back_ket = np.ascontiguousarray(core_ket.transpose(2, 1, 0))
-    return np.stack(_sweep(trace_bra, back_bra, trace_ket, back_ket, k)[::-1])
+    return _sweep(trace_bra, back_bra, trace_ket, back_ket, k)[::-1]
 
 
 def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:

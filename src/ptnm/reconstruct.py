@@ -409,7 +409,7 @@ class _Objective:
         raw, y, products = self.gn_work
         core = _tt_core(site_tensor(x_a))
         first = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
-        lefts = np.stack(_sweep(first, core, first, core, k))
+        lefts = _sweep(first, core, first, core, k)
         trace = np.eye(dd).ravel()[None, :]
         rights = _rights(trace, core, trace, core, k)
 

@@ -138,6 +138,39 @@ def test_dissipative_chain_ordering_at_half_filling():
     )
 
 
+@pytest.mark.slow
+def test_fit_seed_table_converges_at_every_seed():
+    """One restart of each fig2a config seed 0-19, fitting the gamma=1 and
+    gamma=5 curves as the default run does: all 20 fits must converge at
+    each gamma. The table (converged, Kraus rank and band ee per seed) is
+    printed; a fit change is judged by it, not by byte identity."""
+    t0 = time.perf_counter()
+    table = {1.0: [], 5.0: []}
+    for seed in range(20):
+        cfg = cli.resolve_config("fig2a", {"restarts": 1}, _flags(seed=seed))
+        for idx, gamma in enumerate(cfg.gammas):
+            if gamma in table:
+                target = cli._xx_target(cfg, gamma, cfg.k, pure_system=True)
+                ansatz, report, _ = cli._fit_selected(target, cfg, idx)
+                table[gamma].append((seed, report.converged, report.rank, cli._mid_entropy(ansatz, cfg.k)))
+    wall = time.perf_counter() - t0
+    for gamma, rows in table.items():
+        for seed, converged, rank, ee in rows:
+            print(f"gamma={gamma:g} seed={seed:2d} converged={converged} rank={rank} band_ee={ee:.6f}")
+    counts = {gamma: sum(converged for _, converged, _, _ in rows) for gamma, rows in table.items()}
+    ranks = {gamma: sorted(rank for _, _, rank, _ in rows) for gamma, rows in table.items()}
+    _verdict(
+        "fit-seed-table",
+        all(n == 20 for n in counts.values()),
+        "; ".join(
+            f"gamma={g:g} {counts[g]}/20 converged (need 20/20), ranks "
+            + ", ".join(f"{ranks[g].count(r)}x{r}" for r in sorted(set(ranks[g])))
+            for g in table
+        )
+        + f"; wall {wall:.1f}s",
+    )
+
+
 def test_memory_complexity_grows_logarithmically():
     """Dephasing-model memory complexity: nondecreasing, bounded by the
     environment rank, close to log j over two decades, and monotone in the

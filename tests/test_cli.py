@@ -23,6 +23,7 @@ from ptnm.cli import (
     EXIT_OK,
     ConfigError,
     _measure_rows,
+    _mid_entropy,
     config_hash,
     main,
     resolve_config,
@@ -32,6 +33,7 @@ from ptnm.io import complex_to_pairs, load_json
 from ptnm.measures import measure_series, nm_ee
 from ptnm.models import XXChainParams, xx_chain_model
 from ptnm.process_tensor import ProcessTensorMPDO, build
+from ptnm.reconstruct import ansatz_from_model, predict
 
 
 def ns(**kwargs) -> argparse.Namespace:
@@ -433,6 +435,14 @@ def test_restart_selection_prefers_converged_fits(monkeypatch, losses, chosen):
     # the restarts differ only in their seed
     assert [entropy for entropy, _ in calls] == [[3, 1, 0], [3, 1, 1]]
     assert calls[0][1] == calls[1][1]
+
+
+def test_mid_entropy_is_the_largest_nm_ee_of_its_band_to_the_last_bit():
+    rng = np.random.default_rng(23)
+    psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    ansatz = ansatz_from_model(random_cptp_channel(2, 2, 3, rng), psi0 / np.linalg.norm(psi0))
+    fitted = predict(ansatz, 20)
+    assert _mid_entropy(ansatz, 20) == max(nm_ee(fitted, j) for j in (8, 11, 14))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ operational measure is cross-checked against a dense Schmidt decomposition of
 the vectorized process tensor.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ptnm.models import XXChainParams, ruqdm_channel, xx_chain_model, xx_chain_u
 from ptnm.process_tensor import (
     SITE_TOL,
     ProcessTensorMPDO,
+    _env_states,
     _sweep,
     _tt_core,
     build,
@@ -99,6 +102,68 @@ def test_env_state_flags_drifting_traces():
     scaled = ProcessTensorMPDO(pt.rho0, pt.site * 1.2, pt.k, site_tol=None)
     with pytest.raises(ValueError):
         env_state(scaled, 2)
+
+
+def _env_states_reference(pt):
+    """The recursion step by step: one einsum of the site with the last
+    state, divided by d, then its Hermitian part over its trace."""
+    env = np.einsum("ooaA->aA", pt.rho0)
+    states = [(env + env.conj().T) / 2.0]
+    for _ in range(pt.k):
+        env = np.einsum("iiooaAbB,aA->bB", pt.site, states[-1]) / pt.d
+        states.append((env + env.conj().T) / (2.0 * np.trace(env).real))
+    return np.stack(states)
+
+
+def _recursion_cases():
+    rng = np.random.default_rng(64)
+    for D in (1, 2, 3):
+        yield build(site_tensor(random_cptp_channel(2, D, 3, rng)), random_density(rng, 2 * D), 40)
+    yield xx_pt(5.0, 40, n=0.5)
+
+
+def test_env_states_match_the_per_step_renormalized_recursion():
+    for pt in _recursion_cases():
+        states = _env_states(pt.rho0, pt.site, pt.k)
+        assert states.shape == (pt.k + 1, pt.D, pt.D)
+        np.testing.assert_allclose(states, _env_states_reference(pt), rtol=0, atol=1e-13)
+
+
+def test_env_states_of_fewer_steps_are_a_prefix_to_the_last_bit():
+    """So env_state, which runs only the steps up to its own, is the series'
+    state at its step; step 0 runs none."""
+    for pt in _recursion_cases():
+        states = _env_states(pt.rho0, pt.site, pt.k)
+        for j in range(pt.k + 1):
+            assert np.array_equal(_env_states(pt.rho0, pt.site, j), states[: j + 1])
+            assert np.array_equal(env_state(pt, j), states[j])
+
+
+def test_env_state_checks_the_steps_up_to_its_own():
+    """Identity on the system; the environment goes |0><0| -> |1><1| ->
+    1.5 |1><1|: only the second step moves the trace."""
+    env = np.zeros((2, 2, 2, 2))
+    env[0, 0, 1, 1], env[1, 1, 1, 1] = 1.0, 1.5
+    w = np.einsum("io,IO,aAbB->iIoOaAbB", np.eye(2), np.eye(2), env)
+    rho0 = np.einsum("oO,aA->oOaA", np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    pt = ProcessTensorMPDO(rho0, w, 3, site_tol=None)
+    np.testing.assert_array_equal(env_state(pt, 1), np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="drifted to 1.5 at step 2;"):
+        env_state(pt, 2)
+
+
+@pytest.mark.parametrize("scale, trace", [(1.5, 1.5), (0.0, 0.0)])
+def test_ee_series_rejects_a_scaled_site_at_step_one_without_a_warning(scale, trace):
+    """Unnormalized, the trace of a site scaled by 1.5 reaches 1.5**2000,
+    past float64's range, and a zeroed site's ratios after step 1 are 0/0;
+    neither may warn, and both name step 1."""
+    pt = xx_pt(5.0, 2000, n=0.5)
+    scaled = ProcessTensorMPDO(pt.rho0, pt.site * scale, pt.k, site_tol=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at step 1;") as excinfo:
+            measure_series(scaled, "ee")
+    assert float(str(excinfo.value).split("drifted to ")[1].split(" ")[0]) == pytest.approx(trace)
 
 
 # ---------------------------------------------------------------------------
