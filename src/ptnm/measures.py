@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_tensor import ProcessTensorMPDO, _env_states, _rights, _sweep, _tt_core
+from .process_tensor import ProcessTensorMPDO, _env_states, _grams
 from .tensorops import check_density_matrix, check_unitary, renyi_entropy, von_neumann_entropy
 
 
@@ -66,19 +66,6 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _grams(pt: ProcessTensorMPDO, stop: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left Grams ``[l_0, ..., l_stop]`` and right Grams ``[r_start, ...,
-    r_k]`` of the process tensor with itself, the stacks of ``(D**2, D**2)``
-    matrices over the bond pair that one :func:`_sweep` and one
-    :func:`_rights` write. ``l_j`` contracts the initial tensor and the sites
-    before step ``j``; ``r_j`` the sites from ``j`` on and the final
-    environment trace."""
-    first = pt.rho0.reshape(pt.d**2, -1)
-    trace = np.eye(pt.D).reshape(1, -1)
-    core = _tt_core(pt.site)
-    return _sweep(first, core, first, core, stop), _rights(trace, core, trace, core, pt.k - start)
-
-
 def _cut_spectrum(
     gram_left: np.ndarray, gram_right: np.ndarray, steps: int | tuple[int, ...] | None = None
 ) -> np.ndarray:
@@ -90,15 +77,21 @@ def _cut_spectrum(
     vectors ``L``, so its nonzero spectrum is that of ``G_R^T G_L``, evaluated
     here in the manifestly Hermitian form ``sqrt(G_L) G_R^T sqrt(G_L)``.
     ``steps``, the step of the cut or of each stacked cut, names the first
-    cut of zero norm in the error that it raises.
+    cut of zero norm, or whose Grams or product leave the float64 range, in
+    the error that it raises; the latter before the product's eigensolve.
     """
-    s = _sqrt_psd(gram_left)
-    eigs = np.linalg.eigvalsh(s @ gram_right.swapaxes(-1, -2) @ s)
+    def check(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            at = "" if steps is None else f" at step {np.broadcast_to(steps, bad.shape)[bad][0]}"
+            raise ValueError(f"process tensor has {what} across the cut{at}")
+    finite = np.isfinite(gram_left).all(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _sqrt_psd(np.where(finite[..., None, None], gram_left, 0.0))
+        product = s @ gram_right.swapaxes(-1, -2) @ s
+    check(~(finite & np.isfinite(product).all(axis=(-2, -1))), "a norm past the float64 range")
+    eigs = np.linalg.eigvalsh(product)
     total = eigs.sum(axis=-1, keepdims=True)
-    zero = ~(total[..., 0] > 0)
-    if zero.any():
-        at = "" if steps is None else f" at step {np.broadcast_to(steps, zero.shape)[zero][0]}"
-        raise ValueError(f"process tensor has zero norm across the cut{at}")
+    check(~(total[..., 0] > 0), "zero norm")
     return eigs / total
 
 
@@ -112,7 +105,8 @@ def osee(pt: ProcessTensorMPDO, j: int, alpha: float | None = None) -> float:
     """
     if not 1 <= j <= pt.k - 1:
         raise ValueError(f"bond cut needs 1 <= j <= {pt.k - 1}, got {j}")
-    lefts, rights = _grams(pt, j, j)
+    with np.errstate(over="ignore", invalid="ignore"):  # _cut_spectrum names an overflow
+        lefts, rights = _grams(pt.rho0, pt.site, pt.k, j, j)
     return _entropy(_cut_spectrum(lefts[-1], rights[0], j), alpha) / 2.0
 
 
@@ -191,7 +185,8 @@ def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
     """
     if kind == "osee":
         steps = tuple(range(1, pt.k))
-        lefts, rights = _grams(pt, pt.k, 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # _cut_spectrum names an overflow
+            lefts, rights = _grams(pt.rho0, pt.site, pt.k, pt.k, 0)
         values = _entropy(_cut_spectrum(lefts[1:-1], rights[1:-1], steps), None) / 2.0
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values.tolist()), flagged)

@@ -117,23 +117,20 @@ def _joint_state(rho0_se: np.ndarray, d: int, D: int) -> np.ndarray:
 def _env_states(rho0: np.ndarray, site: np.ndarray, k: int) -> np.ndarray:
     """Effective environment states ``rho_E_0, ..., rho_E_k`` over ``k``
     steps of ``site`` from ``rho0``, under trace-averaged interventions, as
-    one ``(k + 1, D, D)`` stack. The site traced over the system input pair
-    and divided by ``d`` is one ``D**2 x D**2`` map; each step is one matmul
-    of the unnormalized state, and each state after step 0 is then taken
-    over its trace. A checked site moves a unit trace by at most ``D *
-    SITE_TOL`` (its residual is entrywise, and ``sum |rho_aa'| <= D``) and
-    step 0 adds the initial state's tolerance, so each ratio of consecutive
-    traces may drift by ``(D + 1) * SITE_TOL``; a larger one (a looser
-    ``site_tol`` or none) raises ``ValueError`` at its first step.
+    one ``(k + 1, D, D)`` stack: the boundaries of one :func:`_sweep` whose
+    bra, ``vec(I_d)`` then ``(I_d (x) I_d) / d`` on a one-dimensional bond,
+    feeds in the maximally mixed system and traces it out, each state after
+    step 0 then taken over its trace. A checked site moves a unit trace by
+    at most ``D * SITE_TOL`` (its residual is entrywise, ``sum |rho_aa'| <=
+    D``), step 0 adds the initial state's tolerance, and so each ratio of
+    consecutive traces may drift by ``(D + 1) * SITE_TOL``; a larger one (a
+    looser ``site_tol`` or none) raises ``ValueError`` at its first step.
     """
-    D = rho0.shape[2]
-    env = np.einsum("ooaA->aA", rho0)
-    u = np.empty((k + 1, D * D), dtype=complex)
-    u[0] = ((env + env.conj().T) / 2.0).ravel()
-    step = np.einsum("iiooaAbB->aAbB", site).reshape(D * D, D * D) / rho0.shape[0]
+    d, D = rho0.shape[0], rho0.shape[2]
+    trace = np.eye(d).reshape(-1, 1)
+    average = np.outer(trace, trace).reshape(1, -1, 1) / d
     with np.errstate(all="ignore"):  # a drifting trace runs to inf, 0 or 0/0
-        for m in range(k):
-            np.matmul(u[m], step, out=u[m + 1])
+        u = _sweep(trace, average, rho0.reshape(d * d, -1), _tt_core(site), k).reshape(k + 1, D * D)
         traces = u[:, :: D + 1].sum(axis=1).real
         ratios = traces[1:] / traces[:-1]
     bad = np.flatnonzero(~(np.abs(ratios - 1.0) <= (D + 1) * SITE_TOL))
@@ -261,6 +258,19 @@ def _rights(trace_bra, core_bra, trace_ket, core_ket, k: int) -> np.ndarray:
     back_bra = np.ascontiguousarray(core_bra.transpose(2, 1, 0))
     back_ket = np.ascontiguousarray(core_ket.transpose(2, 1, 0))
     return _sweep(trace_bra, back_bra, trace_ket, back_ket, k)[::-1]
+
+
+def _grams(rho0: np.ndarray, site: np.ndarray, k: int, stop: int, start: int) -> tuple[np.ndarray, ...]:
+    """Left Grams ``[l_0, ..., l_stop]`` and right Grams ``[r_start, ...,
+    r_k]`` of the ``k``-step process tensor of ``site`` from ``rho0`` with
+    itself, the stacks of ``(D**2, D**2)`` matrices over the bond pair that
+    one :func:`_sweep` and one :func:`_rights` write. ``l_j`` contracts the
+    initial tensor and the sites before step ``j``; ``r_j`` the sites from
+    ``j`` on and the final environment trace."""
+    first = rho0.reshape(rho0.shape[0] ** 2, -1)
+    trace = np.eye(rho0.shape[2]).reshape(1, -1)
+    core = _tt_core(site)
+    return _sweep(first, core, first, core, stop), _rights(trace, core, trace, core, k - start)
 
 
 def inner_product(a: ProcessTensorMPDO, b: ProcessTensorMPDO) -> complex:

@@ -65,9 +65,9 @@ matrix's squared singular values past that rank. Where that tail, at the
 first stage's k, is at or above ``FTOL``, the rung would be abandoned at its
 first stage, so ``fit`` records the bound and moves on.
 
-Gradient conventions: for a real loss L of complex parameters x, the reported
-arrays are d L / d re(x) = 2 Re(dL/d conj x) and d L / d im(x) =
-2 Im(dL/d conj x).
+Parameter layout: the optimizer's point is ``z = [vec(A_bar), phi]``, the
+raw parameters, packed as ``[Re z, Im z]``; the gradient of the real loss L
+is ``[2 Re(dL/d conj z), 2 Im(dL/d conj z)]``, one complex gradient's halves.
 
 scipy is imported only inside the functions that fit, so importing this
 module loads numpy alone, and a scipy that moves the private line search of
@@ -84,7 +84,7 @@ import numpy as np
 
 from .channels import _tp_residual, random_cptp_channel, site_tensor
 from .process_tensor import (
-    ProcessTensorMPDO, _as_matrix, _dense, _joint_state, _rights, _sweep, _transfer, _tt_core, build, norm_sq,
+    ProcessTensorMPDO, _as_matrix, _dense, _grams, _joint_state, _rights, _transfer, _tt_core, build, norm_sq,
 )
 
 PSI_NORM_TOL = 1e-10
@@ -254,18 +254,16 @@ def _anchored(a_bar: np.ndarray, phi: np.ndarray) -> ReconstructionAnsatz:
 
 
 class _Objective:
-    """Loss and analytic gradient over real-split raw parameters.
+    """Loss and analytic gradient over the packed raw parameters.
 
     The raw Kraus stack and state are unconstrained. The network sees their
     polar factors, a trace-preserving step and a unit state, and the
     gradient is pulled back through both maps.
     """
 
-    def __init__(self, target: ProcessTensorMPDO, k: int, d: int, dd: int, r: int):
-        if target.d != d:
-            raise ValueError(f"target system dimension {target.d} != ansatz {d}")
+    def __init__(self, target: ProcessTensorMPDO, k: int, dd: int, r: int):
         self.k = k
-        self.d = d
+        self.d = d = target.d
         self.dd = dd
         self.r = r
         self.t_rho0 = target.rho0
@@ -284,7 +282,7 @@ class _Objective:
         # chained core holes in hole order, all holes in P's order, U and V
         u, n = d * dd * d * dd, self.n_a + d * dd
         self.gn_work = (np.empty((u * u, n), complex), np.empty(((d * dd) ** 2 + u * u, n), complex),
-                        (np.empty((2, self.n_a, n), complex), np.empty((2, d * dd, n), complex)))
+                        np.empty((2, n, n), complex))
         # an orthonormal basis of the Hermitian (d D) x (d D) matrices
         unit = np.eye(d * dd)
         pairs = [(i, j) for i in range(d * dd) for j in range(i + 1, d * dd)]
@@ -295,16 +293,12 @@ class _Objective:
         )
 
     def pack(self, a_bar: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [a_bar.real.ravel(), a_bar.imag.ravel(), phi.real, phi.imag]
-        )
+        z = np.concatenate([a_bar.ravel(), phi])
+        return np.concatenate([z.real, z.imag])
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_a
-        shape = (self.r, self.d, self.dd, self.d, self.dd)
-        a_bar = (x[:n] + 1j * x[n : 2 * n]).reshape(shape)
-        phi = x[2 * n : 2 * n + self.d * self.dd] + 1j * x[2 * n + self.d * self.dd :]
-        return a_bar, phi
+        z = x[: len(x) // 2] + 1j * x[len(x) // 2 :]
+        return z[: self.n_a].reshape(self.r, self.d, self.dd, self.d, self.dd), z[self.n_a :]
 
     def _loss(self, first: np.ndarray) -> tuple[float, np.ndarray]:
         """``<Y_fit - Y_target, Y_fit - Y_target>`` by a QR sweep along the
@@ -369,10 +363,8 @@ class _Objective:
         # normalization chain rule: psi = phi/|phi| keeps only the tangential
         # part of the state gradient
         g_phi = (g_psi - psi * np.real(np.vdot(psi, g_psi))) / phi_norm
-        grad = np.concatenate(
-            [2 * g_a.real.ravel(), 2 * g_a.imag.ravel(), 2 * g_phi.real, 2 * g_phi.imag]
-        )
-        return value, grad
+        grad = 2 * np.concatenate([g_a.ravel(), g_phi])
+        return value, np.concatenate([grad.real, grad.imag])
 
     def anchor(self, x: np.ndarray) -> np.ndarray:
         """The packed anchored point: the polar factor of the Kraus stack and
@@ -406,12 +398,10 @@ class _Objective:
         x_a, psi = self.unpack(x)
         d, dd, k, nf, r = self.d, self.dd, self.k, self.dd * self.dd, self.r
         u, na, n, nr = d * dd * d * dd, self.n_a, self.n_a + d * dd, (d * dd) ** 2
-        raw, y, products = self.gn_work
-        core = _tt_core(site_tensor(x_a))
-        first = _joint_state(np.outer(psi, psi.conj()), d, dd).reshape(d * d, nf)
-        lefts = _sweep(first, core, first, core, k)
-        trace = np.eye(dd).ravel()[None, :]
-        rights = _rights(trace, core, trace, core, k)
+        raw, y, work = self.gn_work
+        site, rho0 = site_tensor(x_a), _joint_state(np.outer(psi, psi.conj()), d, dd)
+        lefts, rights = _grams(rho0, site, k, k, 0)
+        core, first = _tt_core(site), rho0.reshape(d * d, nf)
 
         # the ket's hole at site m, closed with the bra's core and r_{m+1},
         # with conj(M) on its primed legs: over (m, bra bond g, i, o, b, s, a')
@@ -449,29 +439,24 @@ class _Objective:
         view = np.einsum("pxOXpa->pxOXa", y[:nr, na:].reshape(d, dd, d, dd, d, dd))
         view += np.einsum("xXaA,OA->xOXa", rights[0].reshape(dd, dd, dd, dd), psi.reshape(d, dd).conj()) / 2
 
-        # the row pass over each factor's rows, (s, w) for the Kraus matrix:
-        # 4 K2^H contracts conj(M) with Y's first index, 4 K1^H contracts M
-        # with its second, one block of Y at a time
-        for (mat, rows), (p, q) in zip(((x_a.reshape(r, u), y[nr:]), (psi[None, :], y[:nr])), products):
+        # the row pass over each factor's rows into its parameters' rows of
+        # U and V, (s, w) for the Kraus matrix: 4 K2^H contracts conj(M) with
+        # Y's first index, 4 K1^H contracts M with its second
+        for mat, rows, (p, q) in ((x_a.reshape(r, u), y[nr:], work[:, :na]),
+                                  (psi[None, :], y[:nr], work[:, na:])):
             side, mat = mat.shape[1], 4 * mat
             rows = rows.reshape(side, side, n)
             np.matmul(mat.conj(), rows.reshape(side, -1), out=q.reshape(len(mat), -1))
-            for i, block in enumerate(rows):
-                np.matmul(mat, block, out=p.reshape(len(mat), side, n)[:, i])
+            np.matmul(mat, rows, out=p.reshape(len(mat), side, n).swapaxes(0, 1))
             p += q  # U
             q *= -2
             q += p  # V
-        # each factor's complex parameters and the rows of h of their real and imaginary parts
-        h = np.empty((2 * n, 2 * n))
-        kinds = [(np.s_[:na], np.s_[:na], np.s_[na : 2 * na]),
-                 (np.s_[na:], np.s_[2 * na : na + n], np.s_[na + n :])]
-        for (ux, vx), (cx, xr, xi) in zip(products, kinds):
-            for (uy, vy), (cy, yr, yi) in zip(products, kinds):
-                a, b, at, bt = ux[:, cy], vx[:, cy], uy[:, cx].T, vy[:, cx].T
-                np.add(a.real, at.real, out=h[xr, yr])
-                np.subtract(bt.imag, a.imag, out=h[xr, yi])
-                np.subtract(b.imag, at.imag, out=h[xi, yr])
-                np.add(b.real, bt.real, out=h[xi, yi])
+        # h from a = U and b = V, over the parameters' real parts, then their imaginary parts
+        (a, b), h = work, np.empty((2 * n, 2 * n))
+        np.add(a.real, a.real.T, out=h[:n, :n])
+        np.subtract(b.imag.T, a.imag, out=h[:n, n:])
+        np.subtract(b.imag, a.imag.T, out=h[n:, :n])
+        np.add(b.real, b.real.T, out=h[n:, n:])
         self._project(x, h)
         return h
 
@@ -486,10 +471,10 @@ class _Objective:
 
         q, psi = self.unpack(x)
         normal = (q.reshape(-1, self.d * self.dd) @ self.hermitian).reshape(len(self.hermitian), -1)
-        b = np.zeros((len(normal) + 1, h.shape[0]))
-        b[:-1, : self.n_a] = normal.real
-        b[:-1, self.n_a : 2 * self.n_a] = normal.imag
-        b[-1, 2 * self.n_a :] = np.concatenate([psi.real, psi.imag])
+        b = np.zeros((len(normal) + 1, len(x) // 2), dtype=complex)
+        b[:-1, : self.n_a] = normal
+        b[-1, self.n_a :] = psi
+        b = np.concatenate([b.real, b.imag], axis=1)
         c = b @ h
         c -= (c @ b.T) @ b / 2
         # the update is symmetric, so dgemm may apply it to the transpose of
@@ -724,7 +709,7 @@ def _descend(
     history: tuple[float, ...] = ()
     stages = []
     for k in k_schedule:
-        obj = _Objective(target, k, ansatz.d, ansatz.D, ansatz.R)
+        obj = _Objective(target, k, ansatz.D, ansatz.R)
         res = scipy.optimize.minimize(
             obj.value_and_grad,
             obj.pack(ansatz.a_bar, ansatz.psi0),

@@ -313,7 +313,7 @@ def test_streaming_oracles_agree_with_dense_references():
         psi = rng_fd.normal(size=4) + 1j * rng_fd.normal(size=4)
         psi /= np.linalg.norm(psi)
         target = build(site_tensor(chan), np.outer(psi, psi.conj()), 2)
-        obj = _Objective(target, 2, 2, 2, 3)
+        obj = _Objective(target, 2, 2, 3)
         a_bar = rng_fd.normal(size=(3, 2, 2, 2, 2)) + 1j * rng_fd.normal(
             size=(3, 2, 2, 2, 2)
         )

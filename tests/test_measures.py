@@ -25,6 +25,7 @@ from ptnm.process_tensor import (
     SITE_TOL,
     ProcessTensorMPDO,
     _env_states,
+    _grams,
     _sweep,
     _tt_core,
     build,
@@ -374,6 +375,29 @@ def test_zero_norm_cut_names_its_step():
         osee(zeroed, 7)
     with pytest.raises(ValueError, match="zero norm across the cut at step 1$"):
         measure_series(zeroed, "osee")
+
+
+def test_osee_past_the_float64_range_names_its_cut_without_a_warning(tmp_path, capsys):
+    """At k=700 the undamped chain's norm overflows float64: the series' Grams
+    do at its first cut, and at the middle cut two finite 350-step Grams
+    overflow in their product. No eigensolver may see either, and nothing
+    may warn."""
+    from ptnm.cli import EXIT_CONFIG, main
+
+    pt = xx_pt(0.0, 700)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm past the float64 range across the cut at step 1$"):
+            measure_series(pt, "osee")
+        lefts, rights = _grams(pt.rho0, pt.site, pt.k, 350, 350)
+        assert np.isfinite(lefts[-1]).all() and np.isfinite(rights[0]).all()
+        with pytest.raises(ValueError, match="norm past the float64 range across the cut at step 350$"):
+            osee(pt, 350)
+        code = main(["measure", "--k", "700", "--gamma", "0", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error: process tensor has a norm past the float64 range across the cut at step 1" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 def test_ee_series_raises_on_trace_drift():

@@ -162,7 +162,7 @@ def test_normalization_residual_detects_scaling():
 
 def value_and_grad_at(ansatz, target, k):
     """The objective's loss and packed gradient at an ansatz."""
-    obj = _Objective(target, k, ansatz.d, ansatz.D, ansatz.R)
+    obj = _Objective(target, k, ansatz.D, ansatz.R)
     return obj.value_and_grad(obj.pack(ansatz.a_bar, ansatz.psi0))
 
 
@@ -234,7 +234,7 @@ def finite_difference_error(rng, k):
     pullback through the polar factor."""
     h = 1e-6
     target = random_target(rng, k)
-    obj = _Objective(target, k, 2, 2, 3)
+    obj = _Objective(target, k, 2, 3)
     a_bar = rng.normal(size=(3, 2, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2, 2))
     phi = rng.normal(size=4) + 1j * rng.normal(size=4)
     x = obj.pack(a_bar, phi)
@@ -273,7 +273,7 @@ def test_loss_factors_give_the_left_boundaries_of_the_train():
     # first tensor and core in place of the difference train's
     rng = np.random.default_rng(121)
     k = 6
-    obj = _Objective(random_target(rng, k), k, 2, 2, 3)
+    obj = _Objective(random_target(rng, k), k, 2, 3)
     core = obj.diff_core
     core[...] = rng.normal(size=core.shape) + 1j * rng.normal(size=core.shape)
     first = rng.normal(size=(4, core.shape[0])) + 1j * rng.normal(size=(4, core.shape[0]))
@@ -290,7 +290,7 @@ def test_loss_factors_give_the_left_boundaries_of_the_train():
 def test_sweeps_build_one_transfer_per_core_pair_and_the_objective_reads_its_fitted_bonds(monkeypatch):
     rng = np.random.default_rng(122)
     k, nf = 6, 4
-    obj = _Objective(random_target(rng, k), k, 2, 2, 3)
+    obj = _Objective(random_target(rng, k), k, 2, 3)
     core = obj.diff_core
     fitted = rng.normal(size=(nf, 16, nf)) + 1j * rng.normal(size=(nf, 16, nf))
     core[:nf, :, :nf] = fitted
@@ -349,7 +349,7 @@ def test_gauss_newton_matrix_matches_a_finite_difference_jacobian(kind, r, k):
     agrees with ``materialize``."""
     rng = np.random.default_rng(123 + k)
     target = fig2a_target(k) if kind == "fig2a" else random_target(rng, k)
-    obj = _Objective(target, k, 2, 2, r)
+    obj = _Objective(target, k, 2, r)
     x = obj.pack(*_initial_point(rng, 2, 2, r))
     at_x = _anchored(*obj.unpack(x))
     np.testing.assert_allclose(
@@ -372,7 +372,7 @@ def test_levenberg_marquardt_reaches_ftol_from_a_perturbed_truth():
     channel, psi = model_pair(rng, kraus_rank=3)
     truth = ansatz_from_model(channel, psi)
     target = predict(truth, 3)
-    obj = _Objective(target, 3, 2, 2, 3)
+    obj = _Objective(target, 3, 2, 3)
     noise = rng.normal(size=2 * truth.a_bar.size + 2 * psi.size)
     x0 = obj.anchor(obj.pack(truth.a_bar, psi) + 1e-2 * noise)
     assert obj.value_and_grad(x0)[0] > 1e3 * FTOL
