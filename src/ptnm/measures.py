@@ -186,8 +186,8 @@ def measure_series(pt: ProcessTensorMPDO, kind: str) -> MeasureSeries:
     if kind == "osee":
         steps = tuple(range(1, pt.k))
         with np.errstate(over="ignore", invalid="ignore"):  # _cut_spectrum names an overflow
-            lefts, rights = _grams(pt.rho0, pt.site, pt.k, pt.k, 0)
-        values = _entropy(_cut_spectrum(lefts[1:-1], rights[1:-1], steps), None) / 2.0
+            lefts, rights = _grams(pt.rho0, pt.site, pt.k, pt.k - 1, 1)
+        values = _entropy(_cut_spectrum(lefts[1:], rights[:-1], steps), None) / 2.0
         flagged = tuple(j for j in steps if pt.k - j <= pt.k / 5.0)
         return MeasureSeries(kind, steps, tuple(values.tolist()), flagged)
     if kind == "ee":

@@ -36,8 +36,10 @@ the objective reads its polar factor ``x (x^H x)^(-1/2)`` (``_polar``), as it
 reads the state ``phi/|phi|``, the one-column case. The loss does not see the
 positive factor of x, so ``fit`` resets it to the identity at every stage.
 
-Each stage runs BFGS until the loss falls to ``LM_SWITCH`` times the
-target's squared norm, then Levenberg-Marquardt: the loss is a
+A rung's first stage runs BFGS until the loss falls to ``LM_SWITCH`` times
+the target's squared norm, then Levenberg-Marquardt; a later stage
+warm-started from one that converged starts in LM at once, and one after an
+unconverged stage (at the cap) starts in BFGS. The loss is a
 least-squares norm whose residual vanishes on a representable target, and
 there the Gauss-Newton matrix ``2 Re(J^H J)`` of the Jacobian J of
 ``Y_fit`` is the Hessian's limit. It is assembled from the two-hole
@@ -96,7 +98,7 @@ GTOL = 1e-8
 FTOL = 1e-8
 STALL_WINDOW = 50
 STALL_TOL = 1e-10
-# A stage hands over from BFGS to Levenberg-Marquardt once its loss falls to
+# A stage in BFGS hands over to Levenberg-Marquardt once its loss falls to
 # LM_SWITCH times the target's squared norm; LM's damping starts at
 # LM_DAMPING times the Gauss-Newton matrix's largest diagonal entry, and the
 # LM phase ends once the loss is down to LM_FLOOR (ftol), or hands the stage
@@ -511,6 +513,9 @@ def _stage(fun, x0, jac, hess, maxiter, gtol, switch, anchor, **_):
     until the loss falls to ``switch``, then Levenberg-Marquardt on the
     Gauss-Newton matrix ``hess``, with the options ``maxiter``, ``gtol``,
     ``switch`` and ``anchor`` (the map of a point to its anchored twin).
+    ``x0`` must be anchored, as every start ``_descend`` hands in is: where
+    BFGS took no step (``switch`` at or above the first loss), LM starts
+    from ``x0`` and its one evaluation, with no re-anchoring.
 
     The BFGS phase is step for step scipy's own BFGS (``_minimize_bfgs`` of
     scipy 1.17): the identity as the first inverse Hessian, its initial step
@@ -543,9 +548,10 @@ def _stage(fun, x0, jac, hess, maxiter, gtol, switch, anchor, **_):
         x, fval, g, reason = _quasi_newton(f, jac, x, fval, g, history, maxiter, gtol, switch)
     bfgs_steps = len(history)
     if reason is None and len(history) < maxiter:
-        x = anchor(x)
-        fval = f(x)
-        g = jac(x)
+        if bfgs_steps:  # x0 is anchored already
+            x = anchor(x)
+            fval = f(x)
+            g = jac(x)
         x, fval, g, reason = _levenberg_marquardt(f, jac, hess, anchor, x, fval, g, history, maxiter, gtol)
     lm_steps = len(history) - bfgs_steps
     if reason is None and len(history) < maxiter:
@@ -703,11 +709,15 @@ def _descend(
     """Runs the stages of ``k_schedule`` from ``ansatz``, each warm-started
     from the polar factor of the previous stage's last point; with
     ``abandon``, stops after the first stage whose loss ends at or above
-    ``FTOL``. Returns the last point and the report of this rank."""
+    ``FTOL``. A stage after one that ended below ``FTOL`` starts near a zero
+    residual and so in LM; any other switches at ``LM_SWITCH`` times its
+    target's squared norm. Returns the last point and the report of this
+    rank."""
     import scipy.optimize
 
     history: tuple[float, ...] = ()
     stages = []
+    loss = np.inf
     for k in k_schedule:
         obj = _Objective(target, k, ansatz.D, ansatz.R)
         res = scipy.optimize.minimize(
@@ -716,8 +726,8 @@ def _descend(
             jac=True,
             hess=obj.gauss_newton,
             method=_stage,
-            options={"maxiter": max_iter, "gtol": GTOL, "switch": LM_SWITCH * obj.t0,
-                     "anchor": obj.anchor},
+            options={"maxiter": max_iter, "gtol": GTOL, "anchor": obj.anchor,
+                     "switch": np.inf if loss < FTOL else LM_SWITCH * obj.t0},
         )
         ansatz = _anchored(*obj.unpack(res.x))
         history += tuple(res.loss_history)

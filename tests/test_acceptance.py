@@ -26,6 +26,7 @@ from ptnm.models import (
 )
 from ptnm.process_tensor import build, check_containment, inner_product, materialize
 from ptnm.reconstruct import (
+    FTOL,
     ReconstructionAnsatz,
     _initial_point,
     _Objective,
@@ -142,8 +143,12 @@ def test_dissipative_chain_ordering_at_half_filling():
 def test_fit_seed_table_converges_at_every_seed():
     """One restart of each fig2a config seed 0-19, fitting the gamma=1 and
     gamma=5 curves as the default run does: all 20 fits must converge at
-    each gamma. The table (converged, Kraus rank and band ee per seed) is
-    printed; a fit change is judged by it, not by byte identity."""
+    each gamma, and every fit returned at rank 2 must also have a loss
+    below FTOL at k=20, where fig2a reads its measures, though its stages
+    stop at k=6. The table (converged, Kraus rank, band ee and k=20 loss
+    per seed) is printed; a fit change is judged by it, not by byte
+    identity. Fits above rank 2 are not exact realizations and read 6e-3
+    to 1.5e-2 at k=20, so their loss is printed only."""
     t0 = time.perf_counter()
     table = {1.0: [], 5.0: []}
     for seed in range(20):
@@ -152,19 +157,24 @@ def test_fit_seed_table_converges_at_every_seed():
             if gamma in table:
                 target = cli._xx_target(cfg, gamma, cfg.k, pure_system=True)
                 ansatz, report, _ = cli._fit_selected(target, cfg, idx)
-                table[gamma].append((seed, report.converged, report.rank, cli._mid_entropy(ansatz, cfg.k)))
+                obj = _Objective(target, target.k, ansatz.D, ansatz.R)
+                loss = obj.value_and_grad(obj.pack(ansatz.a_bar, ansatz.psi0))[0]
+                table[gamma].append((seed, report.converged, report.rank, cli._mid_entropy(ansatz, cfg.k), loss))
     wall = time.perf_counter() - t0
     for gamma, rows in table.items():
-        for seed, converged, rank, ee in rows:
-            print(f"gamma={gamma:g} seed={seed:2d} converged={converged} rank={rank} band_ee={ee:.6f}")
-    counts = {gamma: sum(converged for _, converged, _, _ in rows) for gamma, rows in table.items()}
-    ranks = {gamma: sorted(rank for _, _, rank, _ in rows) for gamma, rows in table.items()}
+        for seed, converged, rank, ee, loss in rows:
+            print(f"gamma={gamma:g} seed={seed:2d} converged={converged} rank={rank} band_ee={ee:.6f} "
+                  f"loss_k20={loss:.2e}")
+    counts = {gamma: sum(row[1] for row in rows) for gamma, rows in table.items()}
+    ranks = {gamma: sorted(row[2] for row in rows) for gamma, rows in table.items()}
+    worst = {gamma: max(row[4] for row in rows if row[2] == 2) for gamma, rows in table.items()}
     _verdict(
         "fit-seed-table",
-        all(n == 20 for n in counts.values()),
+        all(n == 20 for n in counts.values()) and all(loss < FTOL for loss in worst.values()),
         "; ".join(
             f"gamma={g:g} {counts[g]}/20 converged (need 20/20), ranks "
             + ", ".join(f"{ranks[g].count(r)}x{r}" for r in sorted(set(ranks[g])))
+            + f", largest rank-2 loss at k=20 {worst[g]:.2e} (need < {FTOL:g})"
             for g in table
         )
         + f"; wall {wall:.1f}s",

@@ -9,11 +9,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import ptnm.process_tensor
-from ptnm.channels import random_cptp_channel, site_tensor
-from ptnm.models import XXChainParams, xx_chain_model
+from ptnm.channels import random_cptp_channel, site_tensor, superop_to_kraus
+from ptnm.models import XXChainParams, xx_chain_liouvillian, xx_chain_model
 from ptnm.process_tensor import (
     ProcessTensorMPDO,
     _as_matrix,
@@ -385,6 +386,41 @@ def test_levenberg_marquardt_reaches_ftol_from_a_perturbed_truth():
     assert res.fun <= LM_FLOOR < FTOL
 
 
+def test_a_stage_started_in_levenberg_marquardt_evaluates_its_anchored_start_once():
+    # switch=inf: BFGS takes no step, so LM solves at x0 itself, from the
+    # one evaluation made there, with no re-anchoring in between
+    rng = np.random.default_rng(127)
+    channel, psi = model_pair(rng, kraus_rank=2)
+    truth = ansatz_from_model(channel, psi)
+    obj = _Objective(predict(truth, 3), 3, 2, 2)
+    x0 = obj.anchor(obj.pack(truth.a_bar, psi) + 1e-3 * rng.normal(size=2 * truth.a_bar.size + 2 * psi.size))
+    calls, anchored, assembled = [], [], []
+
+    def fun(x):
+        calls.append(x.copy())
+        return obj.value_and_grad(x)
+
+    def anchor(x):
+        anchored.append(len(calls))
+        return obj.anchor(x)
+
+    def hess(x):
+        assembled.append((len(calls), len(anchored), x.copy()))
+        return obj.gauss_newton(x)
+
+    res = scipy.optimize.minimize(
+        fun, x0, jac=True, hess=hess, method=_stage,
+        options={"maxiter": 20, "gtol": GTOL, "switch": np.inf, "anchor": anchor},
+    )
+    assert res.reason == "ftol" and res.lm_steps == res.nit > 0
+    evaluations, anchors, point = assembled[0]
+    assert evaluations == 1 and anchors == 0
+    np.testing.assert_array_equal(point, x0)
+    np.testing.assert_array_equal(calls[0], x0)
+    # every later evaluation is an LM trial, each at an anchored point
+    assert res.nfev == len(calls) == 1 + len(anchored)
+
+
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
@@ -636,6 +672,26 @@ def test_fit_returns_the_smallest_rank_that_reaches_ftol():
     assert [rung.rank for rung in report.rungs] == list(range(1, report.rank))
 
 
+def test_stages_after_a_converged_stage_run_levenberg_marquardt_only():
+    # the gamma=1 chain as fig2a fits it, an exact D=2 model with a pure
+    # joint state: its k=3 stage starts far above LM_SWITCH times its norm
+    # (about 1e-2 against 3e-4), yet, warm-started from a converged k=2
+    # stage, it skips BFGS and evaluates its start once
+    p = XXChainParams(gamma=1.0, rho0_system=np.diag([1.0, 0.0]).astype(complex))
+    kraus = superop_to_kraus(scipy.linalg.expm(xx_chain_liouvillian(p) * p.delta), 2, 2)
+    psi0 = np.zeros(4, dtype=complex)
+    psi0[0] = 1.0
+    target = predict(ansatz_from_model(kraus, psi0), 4)
+    _, report = fit(target, D=2, R=4, k_schedule=(2, 3, 4), seed=0, max_iter=2000)
+    assert report.converged and report.rank == 2
+    first, *later = report.stages
+    assert first.lm_steps < first.iterations  # the first stage starts in BFGS
+    assert sum(stage.iterations for stage in later) > 0
+    for stage in later:
+        assert stage.lm_steps == stage.iterations
+        assert stage.evaluations <= stage.iterations + 1
+
+
 def test_fit_falls_back_to_the_cap_when_no_rank_converges():
     # a memoryless model (D=1) cannot reproduce a target with memory at any
     # rank, so every rung below the cap is abandoned at its first stage
@@ -653,6 +709,9 @@ def test_fit_falls_back_to_the_cap_when_no_rank_converges():
     assert rng.bit_generator.state == replay.bit_generator.state
     _, cap = _descend(target, start, (2, 3), 500, abandon=False)
     assert report == replace(cap, rungs=report.rungs)
+    # the cap's first stage did not converge, so its second starts in BFGS
+    assert report.stages[0].final_loss >= FTOL
+    assert report.stages[1].lm_steps < report.stages[1].iterations
     # the rank certificate rules the rungs below the cap out, and it is
     # sound: a fit at rank 1 alone ends its first stage at or above the
     # bound recorded for that rung
