@@ -58,9 +58,8 @@ EXIT_GUARD = 4
 
 MODELS = ("xx_chain", "ruqdm", "random")
 
-# |0><0| on the system: reconstruction targets need a pure initial state to
-# be exactly representable by the pure-state ansatz (see README).
-_PURE0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+# the columns of every measure table, one row per step (_measure_rows)
+_MEASURE_HEADER = ("j", "nm_osee", "nm_ee", "boundary_flag")
 
 
 class ConfigError(ValueError):
@@ -316,14 +315,16 @@ def _xx_target(cfg: ExperimentConfig, gamma: float, k: int, pure_system: bool) -
         n=cfg.n,
         delta=cfg.delta,
         coupling=cfg.coupling,
-        rho0_system=_PURE0 if pure_system else None,
+        # |0><0| on the system: reconstruction targets need a pure initial
+        # state to be exactly representable by the pure-state ansatz (see README)
+        rho0_system=_pure0_joint(2) if pure_system else None,
     )
     w, rho0 = xx_chain_model(params)
     return build(w, rho0, k)
 
 
 def _pure0_joint(dim: int) -> np.ndarray:
-    """|0><0| on the joint system-environment space of dimension ``dim``."""
+    """|0><0| on a space of dimension ``dim``: the system's, or the joint one."""
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0] = 1.0
     return rho0
@@ -388,15 +389,15 @@ def _fit_selected(
     curve_index: int,
 ) -> tuple[ReconstructionAnsatz, FitReport, int]:
     """Fit with ``cfg.restarts`` starts, which differ only in their seed, and
-    pick the candidate with the least environment use among (near-)ties in
-    loss.
+    pick by one key: a fit converged to ``FTOL`` before any other, then the
+    least mid-range environment entropy among converged fits, then the least
+    loss, then the lower restart index; when nothing converges, the least
+    loss wins.
 
     The loss alone does not identify the model: representations far apart in
     environment entropy can reproduce the same process. Reconstruction is
-    after the smallest environment consistent with the data, so among
-    candidates converged to ``FTOL`` -- or, when nothing converges, within a
-    factor 2 of the best achieved loss -- the one with the smallest mid-range
-    environment entropy wins.
+    after the smallest environment consistent with the data, so the leanest
+    converged fit wins; ``_mid_entropy`` runs only for converged fits.
     """
     candidates = []
     for r in range(cfg.restarts):
@@ -408,17 +409,20 @@ def _fit_selected(
             max_iter=cfg.max_iter,
             seed=_seed_seq(cfg.seed, curve_index, r),
         )
-        candidates.append((ansatz, report, r))
-    tied = [(ans, rep, r) for ans, rep, r in candidates if rep.converged]
-    if not tied:
-        best_loss = min(rep.final_loss for _, rep, _ in candidates)
-        tied = [(ans, rep, r) for ans, rep, r in candidates if rep.final_loss <= 2.0 * best_loss]
-    scored = [
-        (_mid_entropy(ans, target.k), rep.final_loss, r, ans, rep) for ans, rep, r in tied
-    ]
-    scored.sort(key=lambda t: (t[0], t[1], t[2]))
-    _, _, r, ansatz, report = scored[0]
+        ee = _mid_entropy(ansatz, target.k) if report.converged else 0.0
+        candidates.append(((not report.converged, ee, report.final_loss, r), ansatz, report))
+    (*_, r), ansatz, report = min(candidates, key=lambda c: c[0])
     return ansatz, report, r
+
+
+def _fitted_run(target: ProcessTensorMPDO, cfg: ExperimentConfig, curve_index: int,
+                **fields) -> tuple[ReconstructionAnsatz, list[tuple], dict]:
+    """The chosen fit of ``target`` (``_fit_selected``), its measure rows at
+    ``cfg.k`` and its fit report as written: ``fields``, then
+    ``selected_restart`` and the ``FitReport`` fields."""
+    ansatz, report, chosen = _fit_selected(target, cfg, curve_index)
+    rows = _measure_rows(predict(ansatz, cfg.k))
+    return ansatz, rows, {**fields, "selected_restart": chosen, **dataclasses.asdict(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +433,14 @@ def _fit_selected(
 def run_fig2(cfg: ExperimentConfig) -> ResultBundle:
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
     reports: dict[str, dict] = {}
-    non_converged: list[float] = []
     for idx, gamma in enumerate(cfg.gammas):
         target = _xx_target(cfg, gamma, cfg.k, pure_system=True)
-        ansatz, report, chosen = _fit_selected(target, cfg, idx)
-        if not report.converged:
-            non_converged.append(gamma)
-        fitted = predict(ansatz, cfg.k)
+        _, rows, report = _fitted_run(target, cfg, idx, gamma=gamma, n=cfg.n)
         name = f"{cfg.experiment}_gamma{gamma:g}"
-        tables[name] = (("j", "nm_osee", "nm_ee", "boundary_flag"), _measure_rows(fitted))
-        reports[f"{name}_fit"] = {
-            "gamma": gamma,
-            "n": cfg.n,
-            "selected_restart": chosen,
-            **dataclasses.asdict(report),
-        }
+        tables[name] = (_MEASURE_HEADER, rows)
+        reports[f"{name}_fit"] = report
     metadata = _metadata(cfg)
-    metadata["non_converged_gammas"] = non_converged
+    metadata["non_converged_gammas"] = [r["gamma"] for r in reports.values() if not r["converged"]]
     return ResultBundle(metadata, tables, reports)
 
 
@@ -463,24 +458,16 @@ def run_fig3(cfg: ExperimentConfig) -> ResultBundle:
 
 def run_measure(cfg: ExperimentConfig) -> ResultBundle:
     pt = _model_process_tensor(cfg, pure_system=False)
-    rows = _measure_rows(pt)
-    return ResultBundle(
-        _metadata(cfg), {"measure": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}, {}
-    )
+    return ResultBundle(_metadata(cfg), {"measure": (_MEASURE_HEADER, _measure_rows(pt))}, {})
 
 
 def run_reconstruct(cfg: ExperimentConfig) -> ResultBundle:
     target = _model_process_tensor(cfg, pure_system=True)
-    ansatz, report, chosen = _fit_selected(target, cfg, 0)
-    fitted = predict(ansatz, cfg.k)
+    ansatz, rows, report = _fitted_run(target, cfg, 0)
     metadata = _metadata(cfg)
-    metadata["non_converged"] = not report.converged
-    rows = _measure_rows(fitted)
-    tables = {"reconstruct_measures": (("j", "nm_osee", "nm_ee", "boundary_flag"), rows)}
-    reports = {
-        "reconstruct_ansatz": ansatz_to_dict(ansatz),
-        "reconstruct_fit": {"selected_restart": chosen, **dataclasses.asdict(report)},
-    }
+    metadata["non_converged"] = not report["converged"]
+    tables = {"reconstruct_measures": (_MEASURE_HEADER, rows)}
+    reports = {"reconstruct_ansatz": ansatz_to_dict(ansatz), "reconstruct_fit": report}
     return ResultBundle(metadata, tables, reports)
 
 
@@ -583,9 +570,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FILE
     for path in written:
         print(path)
-    if bundle.metadata.get("non_converged_gammas"):
-        flagged = ", ".join(f"{g:g}" for g in bundle.metadata["non_converged_gammas"])
-        print(f"note: fit did not converge for gamma = {flagged}")
+    flagged = bundle.metadata.get("non_converged_gammas")
+    if flagged or bundle.metadata.get("non_converged"):
+        where = " for gamma = " + ", ".join(f"{g:g}" for g in flagged) if flagged else ""
+        print(f"note: fit did not converge{where}")
     print(f"done in {wall_time:.1f}s")
     return EXIT_OK
 

@@ -712,7 +712,7 @@ def _descend(
     ``FTOL``. A stage after one that ended below ``FTOL`` starts near a zero
     residual and so in LM; any other switches at ``LM_SWITCH`` times its
     target's squared norm. Returns the last point and the report of this
-    rank."""
+    rank (``_report`` over the stages run)."""
     import scipy.optimize
 
     history: tuple[float, ...] = ()
@@ -744,15 +744,20 @@ def _descend(
         ))
         if abandon and loss >= FTOL:
             break
-    return ansatz, FitReport(
-        final_loss=loss,
-        loss_history=history,
-        k_schedule=k_schedule,
-        normalization_residual=normalization_residual(ansatz),
-        iterations=sum(stage.iterations for stage in stages),
-        converged=loss < FTOL,
-        stages=tuple(stages),
-        rank=ansatz.R,
+    return ansatz, _report(stages, ansatz.R, k_schedule, history, normalization_residual(ansatz))
+
+
+def _report(stages: list[FitStage], rank: int, k_schedule: tuple[int, ...],
+            history: tuple[float, ...] = (), residual: float | None = None) -> FitReport:
+    """A rung's report from its stage records: the final loss is the last
+    stage's, the iterations are their sum, and the rung converged if that
+    loss is below ``FTOL``. A certified rung has no ``history`` or
+    ``residual``."""
+    loss = stages[-1].final_loss
+    return FitReport(
+        final_loss=loss, loss_history=history, k_schedule=k_schedule, normalization_residual=residual,
+        iterations=sum(stage.iterations for stage in stages), converged=loss < FTOL,
+        stages=tuple(stages), rank=rank,
     )
 
 
@@ -774,7 +779,8 @@ def _certified(
     model's k-step Choi matrix has rank at most ``D * rank**k``, so its stage
     loss at k is at least the target's squared singular values past that
     rank (Eckart-Young), and a bound at or above ``FTOL`` means the rung
-    would be abandoned at that stage."""
+    would be abandoned at that stage. The report is ``_report`` over the
+    one ``rank_bound`` stage built here."""
     k = k_schedule[0]
     bound = float(np.sum(spectrum[D * rank**k :]))
     if bound < FTOL:
@@ -783,10 +789,7 @@ def _certified(
         k=k, iterations=0, lm_steps=0, evaluations=0, final_loss=bound,
         relative_loss=bound / float(np.sum(spectrum)), max_abs_grad=None, reason="rank_bound",
     )
-    return FitReport(
-        final_loss=bound, loss_history=(), k_schedule=k_schedule, normalization_residual=None,
-        iterations=0, converged=False, stages=(stage,), rank=rank,
-    )
+    return _report([stage], rank, k_schedule)
 
 
 def fit(

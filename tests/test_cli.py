@@ -407,12 +407,14 @@ def test_reconstruct_smoke_on_trivial_environment(tmp_path):
 @pytest.mark.parametrize(
     "losses, chosen",
     [
-        # a restart within a factor 2 of a converged one, but not converged
-        # itself, does not compete on environment entropy
+        # a leaner restart that is not converged loses to a converged one,
+        # however close its loss
         ((6e-9, 1.1e-8), 0),
-        # when nothing converges, the near-ties in loss compete
-        ((1e-3, 1.5e-3), 1),
+        # when nothing converges, the least loss wins, however lean the other
+        ((1e-3, 1.5e-3), 0),
         ((1e-3, 3e-3), 0),
+        # both converged: the leaner fit wins at the higher loss
+        ((1e-9, 5e-9), 1),
     ],
 )
 def test_restart_selection_prefers_converged_fits(monkeypatch, losses, chosen):
@@ -420,14 +422,19 @@ def test_restart_selection_prefers_converged_fits(monkeypatch, losses, chosen):
     # second restart is always the leaner one
     ees = (0.5, 0.1)
     calls = []
+    measured = []
 
     def fake_fit(target, seed, **kwargs):
         r = len(calls)
         calls.append((seed.entropy, kwargs))
         return r, SimpleNamespace(final_loss=losses[r], converged=losses[r] < 1e-8)
 
+    def fake_mid_entropy(ansatz, k):
+        measured.append(ansatz)
+        return ees[ansatz]
+
     monkeypatch.setattr(ptnm.cli, "fit", fake_fit)
-    monkeypatch.setattr(ptnm.cli, "_mid_entropy", lambda ansatz, k: ees[ansatz])
+    monkeypatch.setattr(ptnm.cli, "_mid_entropy", fake_mid_entropy)
     cfg = resolve_config("fig2a", {"restarts": 2, "seed": 3}, ns())
     ansatz, report, r = ptnm.cli._fit_selected(SimpleNamespace(k=cfg.k), cfg, 1)
     assert r == ansatz == chosen
@@ -435,6 +442,29 @@ def test_restart_selection_prefers_converged_fits(monkeypatch, losses, chosen):
     # the restarts differ only in their seed
     assert [entropy for entropy, _ in calls] == [[3, 1, 0], [3, 1, 1]]
     assert calls[0][1] == calls[1][1]
+    # band ee is taken for the converged candidates only
+    assert measured == [r for r, loss in enumerate(losses) if loss < 1e-8]
+
+
+@pytest.mark.parametrize(
+    "argv, table, fit_report, flag, note",
+    [
+        (["reconstruct", "--env-dim", "2"], "reconstruct_measures", "reconstruct_fit",
+         {"non_converged": True}, "note: fit did not converge\n"),
+        (["fig2a", "--gamma", "1"], "fig2a_gamma1", "fig2a_gamma1_fit",
+         {"non_converged_gammas": [1.0]}, "note: fit did not converge for gamma = 1\n"),
+    ],
+)
+def test_fitted_runs_report_non_convergence_on_stdout(tmp_path, capsys, argv, table, fit_report, flag, note):
+    # one iteration per stage converges nothing; fig2a fits its chain
+    # whatever the model key says
+    out = str(tmp_path)
+    cfg = _cfg(tmp_path, {"model": "random", "max_iter": 1, "restarts": 1})
+    assert main(argv + ["--config", cfg, "--out", out]) == EXIT_OK
+    assert load_json(os.path.join(out, f"{fit_report}.json"))["converged"] is False
+    meta = load_json(os.path.join(out, f"{table}.meta.json"))
+    assert {key: meta[key] for key in flag} == flag
+    assert note in capsys.readouterr().out
 
 
 def test_mid_entropy_is_the_largest_nm_ee_of_its_band_to_the_last_bit():
